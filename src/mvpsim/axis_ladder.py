@@ -7,11 +7,7 @@ some active column. One spring ladder per row tries to slide across; it
 completes the stroke only if the row is clear. A completed stroke flips
 that row's output section from its initial 1 to 0, so after all strokes
 the section values equal the Boolean product coordinates: blocked row = 1.
-
-Simulation state keeps one protrusion counter per row (the number of
-active columns holding a 1 there), so activation and the blocking test
-are O(n) and O(1) respectively; the counters are bookkeeping only and
-never charge operations.
+Resetting returns every ladder home, one step each, wherever it stopped.
 
 This backend also offers machine-wide parallel drives: each `parallel_*`
 method performs one or two whole-machine motions, recorded as parallel
@@ -20,7 +16,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 
 from __future__ import annotations
 
-from .bits import BitMatrix, BitVector, DimensionError
+from .bits import BitMatrix, BitVector
 from .contract import MachineStateError, MvpMachine, OpCategory
 
 
@@ -32,22 +28,9 @@ class AxisLadderMachine(MvpMachine):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self._cols: list[tuple[int, ...]] = [(0,) * n for _ in range(n)]
-        self._active: list[bool] = [False] * n
-        self._protrusions: list[int] = [0] * n  # per row: 1s in active columns
         self._ladder_shifted: list[bool] = [False] * n
-        self._sections: list[int] = [1] * n
 
     # -- uncounted inspection --------------------------------------------------
-
-    def loaded_matrix(self) -> BitMatrix:
-        return BitMatrix(
-            tuple(tuple(self._cols[j][i] for j in range(self.n)) for i in range(self.n))
-        )
-
-    def column_active(self, j: int) -> bool:
-        self._check_col(j)
-        return self._active[j]
 
     def protrusion(self, i: int, j: int) -> bool:
         """Whether column j currently raises a protrusion into row i."""
@@ -58,47 +41,13 @@ class AxisLadderMachine(MvpMachine):
     def row_blocked(self, i: int) -> bool:
         """Whether row i carries at least one protrusion."""
         self._check_row(i)
-        return self._protrusions[i] > 0
+        return self._row_hits[i] > 0
 
     def ladder_shifted(self, i: int) -> bool:
         self._check_row(i)
         return self._ladder_shifted[i]
 
-    def output_section(self, i: int) -> int:
-        self._check_row(i)
-        return self._sections[i]
-
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"row index {i} out of range for n={self.n}")
-
-    def _check_col(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise IndexError(f"column index {j} out of range for n={self.n}")
-
     # -- counted physical primitives -------------------------------------------
-
-    def activate_column(self, j: int) -> None:
-        """Rotate axis j into the active position (one operation)."""
-        self._check_col(j)
-        if self._active[j]:
-            raise MachineStateError(f"column {j} is already active")
-        self._active[j] = True
-        self._log.charge(OpCategory.COLUMN_ACTIVATE)
-        col = self._cols[j]
-        for i in range(self.n):
-            self._protrusions[i] += col[i]
-
-    def deactivate_column(self, j: int) -> None:
-        """Rotate axis j back to the idle position (one operation)."""
-        self._check_col(j)
-        if not self._active[j]:
-            raise MachineStateError(f"column {j} is not active")
-        self._active[j] = False
-        self._log.charge(OpCategory.COLUMN_DEACTIVATE)
-        col = self._cols[j]
-        for i in range(self.n):
-            self._protrusions[i] -= col[i]
 
     def move_ladder(self, i: int) -> bool:
         """Release ladder i for one stroke (one operation).
@@ -111,82 +60,47 @@ class AxisLadderMachine(MvpMachine):
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)
-        if self._protrusions[i] > 0:
+        if self._row_hits[i] > 0:
             return False
         self._ladder_shifted[i] = True
-        self._sections[i] = 0
-        self._log.charge(OpCategory.OUTPUT_SWITCH)
+        self._flip_section(i)
         return True
 
     # -- physics hooks for the contract operations ------------------------------
-
-    def _install_column(self, j: int, entries: tuple[int, ...]) -> None:
-        self._cols[j] = entries
-
-    def _activate(self, j: int) -> None:
-        self.activate_column(j)
-
-    def _deactivate(self, j: int) -> None:
-        self.deactivate_column(j)
 
     def _set_output_sections(self) -> None:
         for i in range(self.n):
             self.move_ladder(i)
 
-    def _output_bits(self) -> tuple[int, ...]:
-        return tuple(self._sections)
-
-    def _reset_output_mechanism(self) -> None:
-        # One return step per ladder regardless of where the stroke ended,
-        # plus one step per output section switched back to 1.
+    def _return_output_mechanism(self) -> None:
+        # One return step per ladder regardless of where the stroke ended.
         self._log.charge(OpCategory.RESET_STEP, self.n)
-        for i in range(self.n):
-            self._ladder_shifted[i] = False
-            if self._sections[i] == 0:
-                self._sections[i] = 1
-                self._log.charge(OpCategory.RESET_STEP)
+        self._ladder_shifted = [False] * self.n
 
     # -- machine-wide parallel drives -------------------------------------------
 
     def parallel_load_matrix(self, a: BitMatrix) -> None:
         """Read a matrix in n + 1 phases: one machine-wide release of any
         active columns, then one phase per column writing its n cells."""
-        if a.n != self.n:
-            raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
+        self._begin_matrix_load(a)
         with self._log.phase():
-            for j in range(self.n):
-                if self._active[j]:
-                    self.deactivate_column(j)
+            self._release_columns()
         for j in range(self.n):
             with self._log.phase():
-                self._install_column(j, tuple(a.rows[i][j] for i in range(self.n)))
-                self._log.charge(OpCategory.CELL_LOAD, self.n)
-        self._matrix_loaded = True
-        self._synced = False
+                self._load_column(a, j)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""
-        if v.n != self.n:
-            raise DimensionError(f"machine is {self.n}x{self.n}, vector has {v.n} coordinates")
         with self._log.phase():
-            self._vector = v
-            self._log.charge(OpCategory.VECTOR_COORD_LOAD, self.n)
-        self._synced = False
+            self.load_vector(v)
 
     def parallel_sync(self) -> None:
         """Match column activation to the loaded vector in two phases:
         one machine-wide release of every active column, then one
         machine-wide rotation of the columns the vector selects."""
-        if not self._matrix_loaded:
-            raise MachineStateError("sync_columns called before load_matrix")
-        if self._vector is None:
-            raise MachineStateError("sync_columns called before load_vector")
-        if self._output_set:
-            raise MachineStateError("sync_columns called before reset_output")
+        self._check_syncable()
         with self._log.phase():
-            for j in range(self.n):
-                if self._active[j]:
-                    self.deactivate_column(j)
+            self._release_columns()
         with self._log.phase():
             for j in range(self.n):
                 if self._vector[j] == 1:
@@ -195,25 +109,16 @@ class AxisLadderMachine(MvpMachine):
 
     def parallel_ladder_step(self) -> None:
         """Release every ladder for its stroke in one phase."""
-        if not self._synced:
-            raise MachineStateError("set_output called before sync_columns")
-        if self._output_set:
-            raise MachineStateError("set_output called before reset_output")
         with self._log.phase():
-            self._set_output_sections()
-        self._output_set = True
+            self.set_output()
 
     def parallel_report_output(self) -> BitVector:
         """Read all n output sections in one phase."""
-        if not self._output_set:
-            raise MachineStateError("report_output called before set_output")
         with self._log.phase():
-            self._log.charge(OpCategory.OUTPUT_COORD_REPORT, self.n)
-        return BitVector(self._output_bits())
+            return self.report_output()
 
     def parallel_reset_output(self) -> None:
         """Drive every ladder home and restore the sections in one phase.
         Like reset_output, legal in any state."""
         with self._log.phase():
-            self._reset_output_mechanism()
-        self._output_set = False
+            self.reset_output()

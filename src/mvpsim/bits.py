@@ -17,6 +17,8 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 _VALID_CHARS = frozenset("01")
+_BIT_VALUES = frozenset((0, 1))
+_INT_TYPE = frozenset((int,))
 
 
 class DimensionError(ValueError):
@@ -36,11 +38,18 @@ class ParseError(ValueError):
 
 
 def _as_bits(values: Iterable[int], what: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    for v in out:
-        if v not in (0, 1):
-            raise ValueError(f"{what} must be 0 or 1, got {v!r}")
-    return out
+    """Entries as a tuple of 0/1 ints. Bools become 0/1; anything else
+    that is not the int 0 or 1 (1.0, "1", None, 2) raises ValueError."""
+    out = tuple(values)
+    if set(map(type, out)) <= _INT_TYPE and set(out) <= _BIT_VALUES:
+        return out
+    return tuple(_as_bit(v, what) for v in out)
+
+
+def _as_bit(v: object, what: str) -> int:
+    if type(v) is bool or (type(v) is int and v in _BIT_VALUES):
+        return int(v)
+    raise ValueError(f"{what} must be 0 or 1, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""The abstract matrix-vector processor contract and its operation ledger.
+"""The abstract matrix-vector processor contract, its machine state model
+and its operation ledger.
 
 A machine owns an n x n Boolean input array whose columns can be switched
 on ("active") and off, an n-dimensional input vector, and an n-dimensional
@@ -11,6 +12,9 @@ array and the vector: coordinate i is 1 exactly when row i holds a 1 in
 some active column. Out-of-order calls raise MachineStateError instead of
 silently doing nothing, so driver bugs surface early. Column activation
 survives reset_output; it only changes when the next vector is synced.
+MvpMachine keeps this state and switches the columns for every backend;
+a backend adds only its physics, how a row is sensed and how its output
+mechanism returns home.
 
 Cost model. Every mechanical primitive charges exactly one category:
 
@@ -40,6 +44,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import ClassVar, Iterator, Mapping
 
 from .bits import BitMatrix, BitVector, DimensionError
@@ -59,7 +64,6 @@ class OpCategory(Enum):
     LADDER_MOVE = "ladder_move"
     OUTPUT_SWITCH = "output_switch"
     LIGHT_OBSERVE = "light_observe"
-    WALL_SHIFT = "wall_shift"
     CELL_LOAD = "cell_load"
     VECTOR_COORD_LOAD = "vector_coord_load"
     OUTPUT_COORD_REPORT = "output_coord_report"
@@ -116,16 +120,25 @@ class OpLog:
 
     @contextmanager
     def phase(self) -> Iterator[None]:
-        """Account one parallel phase; charges inside are attributed to it."""
+        """Account one parallel phase; charges inside are attributed to it.
+
+        A phase that raises is recorded if and only if it charged at least
+        one operation, so a refused motion leaves `phase_ops` untouched and
+        `sum(phase_ops)` always equals the operations charged in phases.
+        """
         if self._in_phase:
             raise MachineStateError("parallel phases cannot nest")
         self._in_phase = True
         start = self.total
+        completed = False
         try:
             yield
-            self._phase_ops.append(self.total - start)
+            completed = True
         finally:
             self._in_phase = False
+            charged = self.total - start
+            if completed or charged:
+                self._phase_ops.append(charged)
 
     @property
     def total(self) -> int:
@@ -153,14 +166,18 @@ class OpLog:
 class MvpMachine(ABC):
     """Abstract matrix-vector processor.
 
-    Subclasses supply the physical mechanism (how a column is switched,
-    how a row's disjunction is sensed, how the output resets) through the
-    underscore hooks; the six contract operations, the legal call order
-    and the shared parts of the cost model live here.
+    The machine state model lives here: the array columns, which of them
+    are active, a per-row count of the 1s in active columns, and the output
+    sections. So do column switching, the six contract operations, the
+    legal call order and the shared parts of the cost model. Subclasses
+    supply only their physics, how a row is sensed and how the output
+    mechanism returns home, through the underscore hooks.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
-    `active_columns`) read machine state without charging operations; they
-    model an observer looking at the machine, not the machine working.
+    `active_columns`, `output_section`) read machine state without charging
+    operations; they model an observer looking at the machine, not the
+    machine working. The per-row counts are bookkeeping only and never
+    charge operations.
     """
 
     backend: ClassVar[str]
@@ -175,6 +192,10 @@ class MvpMachine(ABC):
         self._matrix_loaded = False
         self._synced = False
         self._output_set = False
+        self._cols: list[tuple[int, ...]] = [(0,) * n for _ in range(n)]
+        self._active: list[bool] = [False] * n
+        self._row_hits: list[int] = [0] * n  # per row: 1s in active columns
+        self._sections: list[int] = [1] * n
 
     @property
     def oplog(self) -> OpLog:
@@ -183,45 +204,100 @@ class MvpMachine(ABC):
 
     # -- inspection, uncounted ------------------------------------------------
 
-    @abstractmethod
     def loaded_matrix(self) -> BitMatrix:
         """Current content of the input array."""
+        return BitMatrix(
+            tuple(tuple(self._cols[j][i] for j in range(self.n)) for i in range(self.n))
+        )
 
     def loaded_vector(self) -> BitVector | None:
         return self._vector
 
-    @abstractmethod
     def column_active(self, j: int) -> bool:
         """Whether column j (0-based) is currently switched on."""
+        self._check_col(j)
+        return self._active[j]
 
     def active_columns(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.n) if self.column_active(j))
+        return frozenset(j for j in range(self.n) if self._active[j])
+
+    def output_section(self, i: int) -> int:
+        self._check_row(i)
+        return self._sections[i]
+
+    def _check_row(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise IndexError(f"row index {i} out of range for n={self.n}")
+
+    def _check_col(self, j: int) -> None:
+        if not 0 <= j < self.n:
+            raise IndexError(f"column index {j} out of range for n={self.n}")
+
+    # -- column switching, counted --------------------------------------------
+
+    def activate_column(self, j: int) -> None:
+        """Switch column j on (one ColumnActivate)."""
+        self._switch_column(j, True)
+
+    def deactivate_column(self, j: int) -> None:
+        """Switch column j off (one ColumnDeactivate)."""
+        self._switch_column(j, False)
+
+    def _switch_column(self, j: int, on: bool) -> None:
+        self._check_col(j)
+        if self._active[j] == on:
+            raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
+        self._active[j] = on
+        self._log.charge(OpCategory.COLUMN_ACTIVATE if on else OpCategory.COLUMN_DEACTIVATE)
+        step = 1 if on else -1
+        hits = self._row_hits
+        for i in compress(range(self.n), self._cols[j]):  # rows holding a 1
+            hits[i] += step
 
     # -- physics hooks supplied by backends -----------------------------------
 
     @abstractmethod
-    def _install_column(self, j: int, entries: tuple[int, ...]) -> None:
-        """Write one column of array content; the column is inactive."""
-
-    @abstractmethod
-    def _activate(self, j: int) -> None:
-        """Switch column j on, charging the backend's activation op."""
-
-    @abstractmethod
-    def _deactivate(self, j: int) -> None:
-        """Switch column j off, charging the backend's deactivation op."""
-
-    @abstractmethod
     def _set_output_sections(self) -> None:
-        """Drive the output mechanism once for every row, with charges."""
+        """Sense every row once, with charges, flipping the output section
+        of each row that holds no 1 in an active column."""
 
-    @abstractmethod
-    def _output_bits(self) -> tuple[int, ...]:
-        """Current output sections (1 = row has a 1 in an active column)."""
+    def _return_output_mechanism(self) -> None:
+        """Drive the backend's moving output parts home, with charges,
+        before the flipped sections are switched back."""
 
-    @abstractmethod
-    def _reset_output_mechanism(self) -> None:
-        """Restore the output mechanism to its initial state, with charges."""
+    # -- shared steps of the contract operations and the parallel drive -------
+
+    def _flip_section(self, i: int) -> None:
+        """Switch row i's output section from 1 to 0 (one OutputSwitch)."""
+        self._sections[i] = 0
+        self._log.charge(OpCategory.OUTPUT_SWITCH)
+
+    def _begin_matrix_load(self, a: BitMatrix) -> None:
+        """Check the dimension of `a` and void any earlier sync; the caller
+        then releases the columns and writes the content."""
+        if a.n != self.n:
+            raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
+        self._matrix_loaded = True
+        self._synced = False
+
+    def _release_columns(self) -> None:
+        """Switch off every active column."""
+        for j in range(self.n):
+            if self._active[j]:
+                self.deactivate_column(j)
+
+    def _load_column(self, a: BitMatrix, j: int) -> None:
+        """Write column j of `a` into the (inactive) column j (n CellLoad)."""
+        self._cols[j] = tuple(row[j] for row in a.rows)
+        self._log.charge(OpCategory.CELL_LOAD, self.n)
+
+    def _check_syncable(self) -> None:
+        if not self._matrix_loaded:
+            raise MachineStateError("column sync before load_matrix")
+        if self._vector is None:
+            raise MachineStateError("column sync before load_vector")
+        if self._output_set:
+            raise MachineStateError("column sync before reset_output")
 
     # -- the six contract operations ------------------------------------------
 
@@ -231,16 +307,10 @@ class MvpMachine(ABC):
         Any still-active column is switched off first, so the machine ends
         with content equal to `a` and every column inactive.
         """
-        if a.n != self.n:
-            raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
+        self._begin_matrix_load(a)
+        self._release_columns()
         for j in range(self.n):
-            if self.column_active(j):
-                self._deactivate(j)
-        for j in range(self.n):
-            self._install_column(j, tuple(a.rows[i][j] for i in range(self.n)))
-            self._log.charge(OpCategory.CELL_LOAD, self.n)
-        self._matrix_loaded = True
-        self._synced = False
+            self._load_column(a, j)
 
     def load_vector(self, v: BitVector) -> None:
         """Read a vector into the input vector (n operations). Does not
@@ -258,19 +328,12 @@ class MvpMachine(ABC):
         Only columns whose state differs are toggled, so repeating the call
         with an unchanged vector performs zero activations/deactivations.
         """
-        if not self._matrix_loaded:
-            raise MachineStateError("sync_columns called before load_matrix")
-        if self._vector is None:
-            raise MachineStateError("sync_columns called before load_vector")
-        if self._output_set:
-            raise MachineStateError("sync_columns called before reset_output")
+        self._check_syncable()
         for j in range(self.n):
             self._log.charge(OpCategory.SCAN_STEP)
             want = self._vector[j] == 1
-            if want and not self.column_active(j):
-                self._activate(j)
-            elif not want and self.column_active(j):
-                self._deactivate(j)
+            if want != self._active[j]:
+                self._switch_column(j, want)
         self._synced = True
 
     def set_output(self) -> None:
@@ -288,13 +351,18 @@ class MvpMachine(ABC):
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
         self._log.charge(OpCategory.OUTPUT_COORD_REPORT, self.n)
-        return BitVector(self._output_bits())
+        return BitVector(tuple(self._sections))
 
     def reset_output(self) -> None:
         """Restore the output mechanism to its initial state (at most 2n
-        operations). Legal in any state; resetting an already-initial
-        output changes nothing observable. Column activation is untouched,
-        so a following set_output (no resync needed) recomputes the same
-        output."""
-        self._reset_output_mechanism()
+        operations): the backend's moving parts return home, then each
+        flipped output section is switched back to 1 (one ResetStep each).
+        Legal in any state; resetting an already-initial output changes
+        nothing observable. Column activation is untouched, so a following
+        set_output (no resync needed) recomputes the same output."""
+        self._return_output_mechanism()
+        for i in range(self.n):
+            if self._sections[i] == 0:
+                self._sections[i] = 1
+                self._log.charge(OpCategory.RESET_STEP)
         self._output_set = False

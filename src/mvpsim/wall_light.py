@@ -5,23 +5,16 @@ alternating solid and window sections that encode the column bits. A lamp
 shines through every row. Sliding wall j down one section ("activating")
 brings a solid section in front of row i exactly where the column holds a
 1; an idle wall sits with its windows aligned and blocks nothing. Light is
-therefore observed at row i exactly when no active column holds a 1 there,
-so the product coordinate for the row is the negation of the observation.
-
-Sensing a row flips its output section from the initial 1 to 0 when light
-comes through, leaving the section values equal to the Boolean product
-coordinates, the same convention as the rotating-axis backend. Resetting
-only switches flipped sections back; there is no per-row return stroke.
-
-Simulation state keeps one occlusion counter per row (the number of active
-columns holding a 1 there); the counters are bookkeeping only and never
-charge operations. This backend has no machine-wide parallel drive.
+therefore observed at row i exactly when no active column holds a 1 there.
+Sensing a row flips its output section from 1 to 0 when light comes
+through, so the section values equal the Boolean product coordinates.
+Resetting only switches flipped sections back; there is no return stroke.
+This backend has no machine-wide parallel drive.
 """
 
 from __future__ import annotations
 
-from .contract import MachineStateError, MvpMachine, OpCategory
-from .bits import BitMatrix
+from .contract import MvpMachine, OpCategory
 
 
 class WallLightMachine(MvpMachine):
@@ -30,105 +23,40 @@ class WallLightMachine(MvpMachine):
     backend = "wall"
     supports_parallel = False
 
-    def __init__(self, n: int) -> None:
-        super().__init__(n)
-        self._cols: list[tuple[int, ...]] = [(0,) * n for _ in range(n)]
-        self._shifted: list[bool] = [False] * n
-        self._blockers: list[int] = [0] * n  # per row: 1s in shifted columns
-        self._sections: list[int] = [1] * n
-
     # -- uncounted inspection --------------------------------------------------
-
-    def loaded_matrix(self) -> BitMatrix:
-        return BitMatrix(
-            tuple(tuple(self._cols[j][i] for j in range(self.n)) for i in range(self.n))
-        )
-
-    def column_active(self, j: int) -> bool:
-        self._check_col(j)
-        return self._shifted[j]
-
-    def wall_shifted(self, j: int) -> bool:
-        return self.column_active(j)
 
     def passes_light(self, i: int, j: int) -> bool:
         """Whether light at row i gets past wall j in its current position."""
         self._check_row(i)
         self._check_col(j)
-        return not (self._shifted[j] and self._cols[j][i] == 1)
+        return not (self._active[j] and self._cols[j][i] == 1)
 
     def row_occluded(self, i: int) -> bool:
         """Whether some shifted wall blocks the light at row i."""
         self._check_row(i)
-        return self._blockers[i] > 0
-
-    def output_section(self, i: int) -> int:
-        self._check_row(i)
-        return self._sections[i]
-
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"row index {i} out of range for n={self.n}")
-
-    def _check_col(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise IndexError(f"column index {j} out of range for n={self.n}")
+        return self._row_hits[i] > 0
 
     # -- counted physical primitives -------------------------------------------
 
     def shift_wall_down(self, j: int) -> None:
         """Slide wall j one section down into the active position
         (one operation, tallied with the other backend's activations)."""
-        self._check_col(j)
-        if self._shifted[j]:
-            raise MachineStateError(f"wall {j} is already shifted")
-        self._shifted[j] = True
-        self._log.charge(OpCategory.COLUMN_ACTIVATE)
-        col = self._cols[j]
-        for i in range(self.n):
-            self._blockers[i] += col[i]
+        self.activate_column(j)
 
     def shift_wall_up(self, j: int) -> None:
         """Slide wall j back to the idle position (one operation)."""
-        self._check_col(j)
-        if not self._shifted[j]:
-            raise MachineStateError(f"wall {j} is not shifted")
-        self._shifted[j] = False
-        self._log.charge(OpCategory.COLUMN_DEACTIVATE)
-        col = self._cols[j]
-        for i in range(self.n):
-            self._blockers[i] -= col[i]
+        self.deactivate_column(j)
 
     def observe_light(self, i: int) -> bool:
         """Sense the lamp behind row i (one operation). Returns True when
         the light comes through, i.e. no shifted wall occludes the row."""
         self._check_row(i)
         self._log.charge(OpCategory.LIGHT_OBSERVE)
-        return self._blockers[i] == 0
+        return self._row_hits[i] == 0
 
-    # -- physics hooks for the contract operations ------------------------------
-
-    def _install_column(self, j: int, entries: tuple[int, ...]) -> None:
-        self._cols[j] = entries
-
-    def _activate(self, j: int) -> None:
-        self.shift_wall_down(j)
-
-    def _deactivate(self, j: int) -> None:
-        self.shift_wall_up(j)
+    # -- physics hook for the contract operations -------------------------------
 
     def _set_output_sections(self) -> None:
         for i in range(self.n):
             if self.observe_light(i):
-                self._sections[i] = 0
-                self._log.charge(OpCategory.OUTPUT_SWITCH)
-
-    def _output_bits(self) -> tuple[int, ...]:
-        return tuple(self._sections)
-
-    def _reset_output_mechanism(self) -> None:
-        # Only flipped sections move; an all-blocked output resets for free.
-        for i in range(self.n):
-            if self._sections[i] == 0:
-                self._sections[i] = 1
-                self._log.charge(OpCategory.RESET_STEP)
+                self._flip_section(i)

@@ -10,6 +10,7 @@ from mvpsim import (
     AxisLadderMachine,
     BitMatrix,
     BitVector,
+    DimensionError,
     MachineStateError,
     Mode,
     OpCategory,
@@ -211,6 +212,51 @@ class TestParallelDrive:
             m.parallel_ladder_step()
         with pytest.raises(MachineStateError):
             m.parallel_report_output()
+
+    def test_refused_parallel_calls_leave_the_ledger_unchanged(self):
+        m = AxisLadderMachine(4)
+
+        def assert_refused(*calls):
+            before = m.oplog.snapshot()
+            for call in calls:
+                with pytest.raises((DimensionError, MachineStateError)):
+                    call()
+                assert m.oplog.snapshot() == before
+
+        assert_refused(
+            lambda: m.parallel_load_matrix(BitMatrix.identity(3)),
+            lambda: m.parallel_load_vector(BitVector.ones(5)),
+            m.parallel_sync,
+            m.parallel_ladder_step,
+            m.parallel_report_output,
+        )
+        m.parallel_load_matrix(A4)
+        m.parallel_load_vector(BitVector((1, 0, 1, 0)))
+        m.parallel_sync()
+        m.parallel_ladder_step()
+        assert_refused(m.parallel_sync, m.parallel_ladder_step)
+
+    def test_ledger_stays_consistent_when_a_phase_fails_midway(self):
+        class JammedLadderMachine(AxisLadderMachine):
+            """The last ladder charges its stroke, then jams."""
+
+            def move_ladder(self, i: int) -> bool:
+                if i == self.n - 1:
+                    self.oplog.charge(OpCategory.LADDER_MOVE)
+                    raise RuntimeError("ladder jammed")
+                return super().move_ladder(i)
+
+        m = JammedLadderMachine(4)
+        m.parallel_load_matrix(A4)
+        m.parallel_load_vector(BitVector((1, 0, 1, 0)))
+        m.parallel_sync()
+        with pytest.raises(RuntimeError):
+            m.parallel_ladder_step()
+        m.parallel_reset_output()
+        log = m.oplog
+        assert log.total == sum(log.phase_ops)
+        # Strokes of rows 0-2 (only row 2 is clear) and the jammed stroke.
+        assert log.phase_ops[-2:] == (5, 5)
 
     def test_parallel_reset_is_legal_in_any_state(self):
         m = AxisLadderMachine(3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from random import Random
 
 import pytest
@@ -40,6 +41,24 @@ class TestContainers:
             BitVector((0, 2))
         with pytest.raises(ValueError):
             BitMatrix(((0, 1), (1, -1)))
+
+    @pytest.mark.parametrize("bad", [1.0, 0.9, "1", None, 2, -1])
+    def test_only_int_bits_accepted(self, bad):
+        # No silent coercion: int() would turn 0.9 into 0 and "1" into 1.
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            BitVector((1, bad))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            BitMatrix(((0, 1), (bad, 0)))
+
+    def test_string_is_not_a_vector(self):
+        with pytest.raises(ValueError, match="'1'"):
+            BitVector("101")
+
+    def test_bools_become_ints(self):
+        v = BitVector((True, False))
+        assert v.coords == (1, 0)
+        assert all(type(c) is int for c in v.coords)
+        assert BitMatrix(((True, 0), (False, 1))).rows == ((1, 0), (0, 1))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):

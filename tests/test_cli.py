@@ -35,7 +35,7 @@ class InvertedLadderMachine(AxisLadderMachine):
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)
-        if self._protrusions[i] > 0:
+        if self.row_blocked(i):
             self._ladder_shifted[i] = True
             self._sections[i] = 0
             self._log.charge(OpCategory.OUTPUT_SWITCH)
@@ -238,6 +238,17 @@ class TestBench:
              "--density", "1.5"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trials_exit_2(self, tmp_path, trials, capsys):
+        path = tmp_path / "x.csv"
+        rc = main(
+            ["bench", "--sizes", "2", "--backend", "axis", "--mode", "seq",
+             "--seed", "1", "--trials", trials, "--csv", str(path)]
+        )
+        assert rc == 2
+        assert "error: --trials" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestSelftest:

@@ -317,6 +317,18 @@ class TestOpLog:
                 with log.phase():
                     pass
 
+    def test_raising_phase_is_recorded_only_if_it_charged(self):
+        log = OpLog()
+        with pytest.raises(RuntimeError):
+            with log.phase():
+                log.charge(OpCategory.LADDER_MOVE, 3)
+                raise RuntimeError("stroke jammed")
+        with pytest.raises(RuntimeError):
+            with log.phase():
+                raise RuntimeError("motion refused")
+        assert log.total == 3
+        assert log.phase_ops == (3,)
+
     def test_reset_clears_everything(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 7)

@@ -1,0 +1,121 @@
+"""Exact operation ledgers: every category and every phase of every pass
+equals the closed form, not only the 8n / 9n^2 bounds."""
+
+from __future__ import annotations
+
+import itertools
+from random import Random
+
+import pytest
+
+from mvpsim import BitMatrix, BitVector, Mode, OpCategory, make_machine, matvec
+
+CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
+CONFIG_IDS = [f"{backend}-{mode.value}" for backend, mode in CONFIGS]
+
+
+def expected_pass_counts(
+    a: BitMatrix, prev_active: frozenset[int], v: BitVector, backend: str, mode: Mode
+) -> tuple[dict[OpCategory, int], tuple[int, ...]]:
+    """Closed-form ledger of one matvec pass over `a`, with the columns in
+    `prev_active` switched on before it: (counts by category, phase_ops).
+
+    With z = n - |A v| clear rows, a sequential pass charges n
+    VectorCoordLoad, n ScanStep, |v - prev| activations, |prev - v|
+    deactivations, n LadderMove (axis) or n LightObserve (wall), z
+    OutputSwitch, n OutputCoordReport and ResetStep n + z (axis) or z
+    (wall). A parallel pass releases every active column and rotates the
+    selected ones, with no ScanStep, in phases [n, |prev|, |v|, n+z, n, n+z].
+    """
+    n = a.n
+    selected = frozenset(j for j in range(n) if v[j])
+    z = sum(1 for row in a.rows if not any(row[j] for j in selected))
+    counts = dict.fromkeys(OpCategory, 0)
+    counts[OpCategory.VECTOR_COORD_LOAD] = n
+    counts[OpCategory.OUTPUT_SWITCH] = z
+    counts[OpCategory.OUTPUT_COORD_REPORT] = n
+    if mode is Mode.PAR:
+        counts[OpCategory.COLUMN_DEACTIVATE] = len(prev_active)
+        counts[OpCategory.COLUMN_ACTIVATE] = len(selected)
+        counts[OpCategory.LADDER_MOVE] = n
+        counts[OpCategory.RESET_STEP] = n + z
+        return counts, (n, len(prev_active), len(selected), n + z, n, n + z)
+    counts[OpCategory.SCAN_STEP] = n
+    counts[OpCategory.COLUMN_ACTIVATE] = len(selected - prev_active)
+    counts[OpCategory.COLUMN_DEACTIVATE] = len(prev_active - selected)
+    if backend == "axis":
+        counts[OpCategory.LADDER_MOVE] = n
+        counts[OpCategory.RESET_STEP] = n + z
+    else:
+        counts[OpCategory.LIGHT_OBSERVE] = n
+        counts[OpCategory.RESET_STEP] = z
+    return counts, ()
+
+
+def check_run(backend: str, mode: Mode, a: BitMatrix, vectors) -> None:
+    """Load `a` into a fresh machine, then run one pass per vector, asserting
+    the exact ledger of the load and of every pass."""
+    n = a.n
+    m = make_machine(backend, n)
+    if mode is Mode.PAR:
+        m.parallel_load_matrix(a)
+    else:
+        m.load_matrix(a)
+    load = m.oplog.snapshot()
+    assert load.total == load.count(OpCategory.CELL_LOAD) == n * n
+    assert load.phase_ops == (((0,) + (n,) * n) if mode is Mode.PAR else ())
+    prev: frozenset[int] = frozenset()
+    for v in vectors:
+        ops = matvec(m, v, mode).ops
+        counts, phases = expected_pass_counts(a, prev, v, backend, mode)
+        assert dict(ops.counts) == counts, (a, prev, v)
+        assert ops.phase_ops == phases, (a, prev, v)
+        prev = frozenset(j for j in range(n) if v[j])
+
+
+def all_pairs_walk(n: int) -> list[BitVector]:
+    """A sequence of n-vectors in which every ordered pair (u, v), u == v
+    included, appears as consecutive elements: an Eulerian circuit of the
+    complete digraph with loops, found greedily by preferring the largest
+    unused successor."""
+    k = 2**n
+    used: set[tuple[int, int]] = set()
+    walk = [0]
+    while True:
+        nxt = next((y for y in reversed(range(k)) if (walk[-1], y) not in used), None)
+        if nxt is None:
+            break
+        used.add((walk[-1], nxt))
+        walk.append(nxt)
+    assert len(used) == k * k
+    vectors = list(itertools.product((0, 1), repeat=n))
+    return [BitVector(vectors[x]) for x in walk]
+
+
+def gray_walk_twice(n: int) -> list[BitVector]:
+    """Every n-vector in Gray-code order, each passed twice in a row: single
+    column flips between vectors and a toggle-free resync on each repeat."""
+    gray = [k ^ (k >> 1) for k in range(2**n)]
+    return [BitVector(tuple((g >> j) & 1 for j in range(n))) for g in gray for _ in (0, 1)]
+
+
+@pytest.mark.parametrize("backend,mode", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_small(backend, mode, n):
+    # Every matrix meets every vector; up to n = 2 also after every possible
+    # set of active columns. At n = 3 that would be 65 passes per matrix.
+    walk = all_pairs_walk(n) if n <= 2 else gray_walk_twice(n)
+    for cells in itertools.product((0, 1), repeat=n * n):
+        a = BitMatrix(tuple(cells[i * n : (i + 1) * n] for i in range(n)))
+        check_run(backend, mode, a, walk)
+
+
+@pytest.mark.parametrize("backend,mode", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("n,density", [(5, 0.5), (17, 0.5), (64, 0.1), (256, 0.05)])
+def test_seeded_matmul(backend, mode, n, density):
+    # Densities keep a mix of blocked and clear rows at every size, so the
+    # OutputSwitch and ResetStep terms are exercised, not only the n terms.
+    rng = Random(f"ledger:{n}")
+    a = BitMatrix.random(n, rng, density)
+    b = BitMatrix.random(n, rng, density)
+    check_run(backend, mode, a, list(b.columns()))

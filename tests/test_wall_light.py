@@ -49,7 +49,7 @@ class TestWalls:
         m.shift_wall_down(1)
         m.shift_wall_up(1)
         assert all(m.passes_light(i, 1) for i in range(4))
-        assert not m.wall_shifted(1)
+        assert not m.column_active(1)
 
     def test_shift_preconditions(self):
         m = WallLightMachine(2)
@@ -75,7 +75,6 @@ class TestWalls:
         m.shift_wall_up(2)
         assert m.oplog.count(OpCategory.COLUMN_ACTIVATE) == 1
         assert m.oplog.count(OpCategory.COLUMN_DEACTIVATE) == 1
-        assert m.oplog.count(OpCategory.WALL_SHIFT) == 0
 
     def test_observation_is_counted(self):
         m = WallLightMachine(3)
