@@ -17,7 +17,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 from __future__ import annotations
 
 from .bits import BitMatrix, BitVector
-from .contract import MachineStateError, MvpMachine, OpCategory
+from .contract import MachineStateError, MvpMachine, OpCategory, _set_bits
 
 
 class AxisLadderMachine(MvpMachine):
@@ -36,12 +36,12 @@ class AxisLadderMachine(MvpMachine):
         """Whether column j currently raises a protrusion into row i."""
         self._check_row(i)
         self._check_col(j)
-        return self._active[j] and self._cols[j][i] == 1
+        return bool(self._active >> j & self._cols[j] >> i & 1)
 
     def row_blocked(self, i: int) -> bool:
         """Whether row i carries at least one protrusion."""
         self._check_row(i)
-        return self._row_hits[i] > 0
+        return bool(self._blocked_rows() >> i & 1)
 
     def ladder_shifted(self, i: int) -> bool:
         self._check_row(i)
@@ -60,7 +60,7 @@ class AxisLadderMachine(MvpMachine):
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)
-        if self._row_hits[i] > 0:
+        if self._blocked_rows() >> i & 1:
             return False
         self._ladder_shifted[i] = True
         self._flip_section(i)
@@ -102,9 +102,8 @@ class AxisLadderMachine(MvpMachine):
         with self._log.phase():
             self._release_columns()
         with self._log.phase():
-            for j in range(self.n):
-                if self._vector[j] == 1:
-                    self.activate_column(j)
+            for j in _set_bits(self._wanted_columns()):
+                self.activate_column(j)
         self._synced = True
 
     def parallel_ladder_step(self) -> None:

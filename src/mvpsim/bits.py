@@ -52,6 +52,12 @@ def _as_bit(v: object, what: str) -> int:
     raise ValueError(f"{what} must be 0 or 1, got {v!r}")
 
 
+def _random_bits(n: int, rng: Random, density: float) -> tuple[int, ...]:
+    if not 0 <= density <= 1:  # also rejects NaN
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    return tuple(1 if rng.random() < density else 0 for _ in range(n))
+
+
 @dataclass(frozen=True)
 class BitVector:
     """An n-dimensional Boolean column vector, n >= 1. Immutable."""
@@ -78,8 +84,9 @@ class BitVector:
 
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitVector":
-        """Each coordinate is 1 independently with probability `density`."""
-        return cls(tuple(1 if rng.random() < density else 0 for _ in range(n)))
+        """Each coordinate is 1 independently with probability `density`,
+        which must lie in [0, 1]."""
+        return cls(_random_bits(n, rng, density))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -128,13 +135,9 @@ class BitMatrix:
 
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitMatrix":
-        """Each cell is 1 independently with probability `density`."""
-        return cls(
-            tuple(
-                tuple(1 if rng.random() < density else 0 for _ in range(n))
-                for _ in range(n)
-            )
-        )
+        """Each cell is 1 independently with probability `density`, which
+        must lie in [0, 1]."""
+        return cls(tuple(_random_bits(n, rng, density) for _ in range(n)))
 
     @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":

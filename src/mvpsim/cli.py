@@ -256,7 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("bench", help="seeded scaling benchmark with CSV output")
-    p.add_argument("--sizes", required=True, help="comma-separated dimensions, e.g. 4,8,16")
+    p.add_argument(
+        "--sizes",
+        required=True,
+        help="comma-separated dimensions, e.g. 4,8,16; no upper bound, but time and "
+        "memory grow as n^2",
+    )
     p.add_argument("--backend", required=True, choices=sorted(BACKENDS))
     p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
     p.add_argument("--seed", required=True, type=int)

@@ -44,14 +44,29 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from typing import ClassVar, Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .bits import BitMatrix, BitVector, DimensionError
 
 
 class MachineStateError(RuntimeError):
     """An operation was invoked out of order or against its precondition."""
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(bits: Sequence[int]) -> int:
+    """The int whose bit k is bits[k] (0/1 ints)."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the 1 bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class OpCategory(Enum):
@@ -159,6 +174,8 @@ class OpLog:
         return OpCounts(dict(self._counts), tuple(self._phase_ops))
 
     def reset(self) -> None:
+        if self._in_phase:
+            raise MachineStateError("the ledger cannot be reset inside a parallel phase")
         self._counts = {c: 0 for c in OpCategory}
         self._phase_ops = []
 
@@ -166,18 +183,23 @@ class OpLog:
 class MvpMachine(ABC):
     """Abstract matrix-vector processor.
 
-    The machine state model lives here: the array columns, which of them
-    are active, a per-row count of the 1s in active columns, and the output
-    sections. So do column switching, the six contract operations, the
-    legal call order and the shared parts of the cost model. Subclasses
-    supply only their physics, how a row is sensed and how the output
-    mechanism returns home, through the underscore hooks.
+    The machine state model lives here, as int bit masks: `_cols[j]` is
+    column j as a row mask (bit i = row i), `_active` the mask of active
+    columns (bit j = column j), and `_blocked` the mask of rows holding a 1
+    in an active column. `_blocked` is derived: every write to `_cols` or
+    `_active` sets it to None, and `_blocked_rows()` recomputes it on the
+    next read as the OR of the active columns, so a column switch costs
+    O(1) and a pass O(n) steps of Python. The output sections stay a
+    per-row list. Column switching, the six contract operations, the
+    legal call order and the shared parts of the cost model live here too.
+    Subclasses supply only their physics, how a row is sensed and how the
+    output mechanism returns home, through the underscore hooks.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`) read machine state without charging
     operations; they model an observer looking at the machine, not the
-    machine working. The per-row counts are bookkeeping only and never
-    charge operations.
+    machine working. Recomputing `_blocked` is bookkeeping only and never
+    charges operations.
     """
 
     backend: ClassVar[str]
@@ -192,9 +214,9 @@ class MvpMachine(ABC):
         self._matrix_loaded = False
         self._synced = False
         self._output_set = False
-        self._cols: list[tuple[int, ...]] = [(0,) * n for _ in range(n)]
-        self._active: list[bool] = [False] * n
-        self._row_hits: list[int] = [0] * n  # per row: 1s in active columns
+        self._cols: list[int] = [0] * n
+        self._active = 0
+        self._blocked: int | None = 0
         self._sections: list[int] = [1] * n
 
     @property
@@ -206,9 +228,7 @@ class MvpMachine(ABC):
 
     def loaded_matrix(self) -> BitMatrix:
         """Current content of the input array."""
-        return BitMatrix(
-            tuple(tuple(self._cols[j][i] for j in range(self.n)) for i in range(self.n))
-        )
+        return BitMatrix(tuple(tuple(c >> i & 1 for c in self._cols) for i in range(self.n)))
 
     def loaded_vector(self) -> BitVector | None:
         return self._vector
@@ -216,10 +236,10 @@ class MvpMachine(ABC):
     def column_active(self, j: int) -> bool:
         """Whether column j (0-based) is currently switched on."""
         self._check_col(j)
-        return self._active[j]
+        return bool(self._active >> j & 1)
 
     def active_columns(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.n) if self._active[j])
+        return frozenset(_set_bits(self._active))
 
     def output_section(self, i: int) -> int:
         self._check_row(i)
@@ -245,14 +265,20 @@ class MvpMachine(ABC):
 
     def _switch_column(self, j: int, on: bool) -> None:
         self._check_col(j)
-        if self._active[j] == on:
+        if (self._active >> j & 1) == on:
             raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
-        self._active[j] = on
+        self._active ^= 1 << j
         self._log.charge(OpCategory.COLUMN_ACTIVATE if on else OpCategory.COLUMN_DEACTIVATE)
-        step = 1 if on else -1
-        hits = self._row_hits
-        for i in compress(range(self.n), self._cols[j]):  # rows holding a 1
-            hits[i] += step
+        self._blocked = None
+
+    def _blocked_rows(self) -> int:
+        """The mask of rows holding a 1 in some active column."""
+        if self._blocked is None:
+            blocked = 0
+            for j in _set_bits(self._active):
+                blocked |= self._cols[j]
+            self._blocked = blocked
+        return self._blocked
 
     # -- physics hooks supplied by backends -----------------------------------
 
@@ -282,13 +308,13 @@ class MvpMachine(ABC):
 
     def _release_columns(self) -> None:
         """Switch off every active column."""
-        for j in range(self.n):
-            if self._active[j]:
-                self.deactivate_column(j)
+        for j in _set_bits(self._active):
+            self.deactivate_column(j)
 
     def _load_column(self, a: BitMatrix, j: int) -> None:
         """Write column j of `a` into the (inactive) column j (n CellLoad)."""
-        self._cols[j] = tuple(row[j] for row in a.rows)
+        self._cols[j] = _mask([row[j] for row in a.rows])
+        self._blocked = None
         self._log.charge(OpCategory.CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:
@@ -298,6 +324,10 @@ class MvpMachine(ABC):
             raise MachineStateError("column sync before load_vector")
         if self._output_set:
             raise MachineStateError("column sync before reset_output")
+
+    def _wanted_columns(self) -> int:
+        """The column mask the loaded vector selects (bit j = coordinate j)."""
+        return _mask(self._vector.coords)
 
     # -- the six contract operations ------------------------------------------
 
@@ -329,11 +359,10 @@ class MvpMachine(ABC):
         with an unchanged vector performs zero activations/deactivations.
         """
         self._check_syncable()
-        for j in range(self.n):
-            self._log.charge(OpCategory.SCAN_STEP)
-            want = self._vector[j] == 1
-            if want != self._active[j]:
-                self._switch_column(j, want)
+        self._log.charge(OpCategory.SCAN_STEP, self.n)
+        want = self._wanted_columns()
+        for j in _set_bits(want ^ self._active):
+            self._switch_column(j, bool(want >> j & 1))
         self._synced = True
 
     def set_output(self) -> None:

@@ -29,12 +29,12 @@ class WallLightMachine(MvpMachine):
         """Whether light at row i gets past wall j in its current position."""
         self._check_row(i)
         self._check_col(j)
-        return not (self._active[j] and self._cols[j][i] == 1)
+        return not self._active >> j & self._cols[j] >> i & 1
 
     def row_occluded(self, i: int) -> bool:
         """Whether some shifted wall blocks the light at row i."""
         self._check_row(i)
-        return self._row_hits[i] > 0
+        return bool(self._blocked_rows() >> i & 1)
 
     # -- counted physical primitives -------------------------------------------
 
@@ -52,7 +52,7 @@ class WallLightMachine(MvpMachine):
         the light comes through, i.e. no shifted wall occludes the row."""
         self._check_row(i)
         self._log.charge(OpCategory.LIGHT_OBSERVE)
-        return self._row_hits[i] == 0
+        return not self._blocked_rows() >> i & 1
 
     # -- physics hook for the contract operations -------------------------------
 

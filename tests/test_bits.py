@@ -91,6 +91,13 @@ class TestContainers:
         assert BitMatrix.random(4, Random(1), 0.0) == BitMatrix.zeros(4)
         assert BitMatrix.random(4, Random(1), 1.0) == BitMatrix.ones(4)
 
+    @pytest.mark.parametrize("density", [-0.1, 1.5, 2.0, float("nan"), float("inf")])
+    def test_random_density_out_of_range_rejected(self, density):
+        with pytest.raises(ValueError, match="density"):
+            BitMatrix.random(4, Random(1), density)
+        with pytest.raises(ValueError, match="density"):
+            BitVector.random(4, Random(1), density)
+
     def test_row_column_access(self):
         a = BitMatrix(((1, 0), (1, 1)))
         assert a.row(0) == (1, 0)

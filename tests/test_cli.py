@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from mvpsim import (
 from mvpsim.cli import CSV_FIELDS, main, run_selftest
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
+GOLDEN_DIR = Path(__file__).parent / "data"
 
 
 def write_matrix(path, a: BitMatrix) -> str:
@@ -180,6 +182,20 @@ class TestBench:
         first = self.run(tmp_path, "one.csv")
         second = self.run(tmp_path, "two.csv")
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("density", ["0.5", "0.1"])
+    @pytest.mark.parametrize("backend,mode", [("axis", "seq"), ("axis", "par"), ("wall", "seq")])
+    def test_matches_golden_csv(self, tmp_path, backend, mode, density):
+        # The golden files pin every ledger entry of a fixed-seed run, so an
+        # engine change that moves one charge anywhere shows here.
+        golden = GOLDEN_DIR / f"bench-{backend}-{mode}-d{density}.csv"
+        path = tmp_path / golden.name
+        rc = main(
+            ["bench", "--sizes", "4,8,16,32,64", "--backend", backend, "--mode", mode,
+             "--seed", "42", "--trials", "3", "--density", density, "--csv", str(path)]
+        )
+        assert rc == 0
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_parallel_phase_column(self, tmp_path):
         path = tmp_path / "par.csv"

@@ -338,3 +338,13 @@ class TestOpLog:
         assert log.total == 0
         assert log.parallel_phases == 0
         assert log.phase_ops == ()
+
+    def test_reset_inside_a_phase_is_refused(self):
+        log = OpLog()
+        log.charge(OpCategory.CELL_LOAD, 10)
+        with pytest.raises(MachineStateError):
+            with log.phase():
+                log.charge(OpCategory.SCAN_STEP, 2)
+                log.reset()
+        assert log.total == 12
+        assert log.phase_ops == (2,)
