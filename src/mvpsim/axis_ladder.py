@@ -63,14 +63,27 @@ class AxisLadderMachine(MvpMachine):
         if self._blocked_rows() >> i & 1:
             return False
         self._ladder_shifted[i] = True
-        self._flip_section(i)
+        self._sections[i] = 0
+        self._log.charge(OpCategory.OUTPUT_SWITCH)
         return True
 
     # -- physics hooks for the contract operations ------------------------------
 
-    def _set_output_sections(self) -> None:
-        for i in range(self.n):
-            self.move_ladder(i)
+    _sensor = move_ladder
+    _sense_category = OpCategory.LADDER_MOVE
+
+    def _sense_row(self, i: int) -> None:
+        self.move_ladder(i)
+
+    def _check_output_home(self) -> None:
+        if True in self._ladder_shifted:
+            i = self._ladder_shifted.index(True)
+            raise MachineStateError(f"ladder {i} is already shifted")
+
+    def _move_output_parts(self, clear: int) -> None:
+        shifted = self._ladder_shifted
+        for i in _set_bits(clear):
+            shifted[i] = True
 
     def _return_output_mechanism(self) -> None:
         # One return step per ladder regardless of where the stroke ended.
@@ -85,9 +98,9 @@ class AxisLadderMachine(MvpMachine):
         self._begin_matrix_load(a)
         with self._log.phase():
             self._release_columns()
-        for j in range(self.n):
+        for j, bits in enumerate(zip(*a.rows)):
             with self._log.phase():
-                self._load_column(a, j)
+                self._load_column(j, bits)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""
@@ -102,8 +115,7 @@ class AxisLadderMachine(MvpMachine):
         with self._log.phase():
             self._release_columns()
         with self._log.phase():
-            for j in _set_bits(self._wanted_columns()):
-                self.activate_column(j)
+            self._toggle_columns(self._wanted_columns())
         self._synced = True
 
     def parallel_ladder_step(self) -> None:

@@ -19,6 +19,9 @@ from typing import Iterable, Iterator, Sequence
 _VALID_CHARS = frozenset("01")
 _BIT_VALUES = frozenset((0, 1))
 _INT_TYPE = frozenset((int,))
+# Byte tables between the bits 0/1 and the text digits '0'/'1'.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class DimensionError(ValueError):
@@ -148,7 +151,7 @@ class BitMatrix:
                 raise DimensionError(
                     f"column {j + 1} has {col.n} coordinates, expected {n}"
                 )
-        return cls(tuple(tuple(col[i] for col in columns) for i in range(n)))
+        return cls(tuple(zip(*(col.coords for col in columns))))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
@@ -157,8 +160,7 @@ class BitMatrix:
         return BitVector(tuple(row[j] for row in self.rows))
 
     def columns(self) -> Iterator[BitVector]:
-        for j in range(self.n):
-            yield self.column(j)
+        return map(BitVector, zip(*self.rows))
 
 
 def oracle_matvec(a: BitMatrix, v: BitVector) -> BitVector:
@@ -192,10 +194,11 @@ def _parse_line(line: str, lineno: int, expected_len: int) -> tuple[int, ...]:
         raise ParseError(
             f"expected {expected_len} characters, found {len(line)}", lineno
         )
-    for k, ch in enumerate(line):
-        if ch not in _VALID_CHARS:
-            raise ParseError(f"invalid character {ch!r}", lineno, k + 1)
-    return tuple(int(ch) for ch in line)
+    if line.strip("01"):  # some character is not a digit: find the first
+        for k, ch in enumerate(line):
+            if ch not in _VALID_CHARS:
+                raise ParseError(f"invalid character {ch!r}", lineno, k + 1)
+    return tuple(line.encode("ascii").translate(_BITS))
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -216,7 +219,7 @@ def parse_matrix(text: str) -> BitMatrix:
 
 def serialize_matrix(a: BitMatrix) -> str:
     """Render a matrix in the text format, one newline-terminated line per row."""
-    return "".join("".join(str(c) for c in row) + "\n" for row in a.rows)
+    return "".join(_render(row) + "\n" for row in a.rows)
 
 
 def parse_vector(text: str) -> BitVector:
@@ -230,4 +233,9 @@ def parse_vector(text: str) -> BitVector:
 
 
 def serialize_vector(v: BitVector) -> str:
-    return "".join(str(c) for c in v.coords) + "\n"
+    return _render(v.coords) + "\n"
+
+
+def _render(bits: tuple[int, ...]) -> str:
+    """The digits of validated 0/1 bits, as one line without its newline."""
+    return bytes(bits).translate(_DIGITS).decode("ascii")

@@ -36,24 +36,28 @@ machine's matrix product costs at most 9n^2; the test suite asserts those
 bounds as exact arithmetic inequalities. Parallel drives (where a backend
 offers one) group charges into phases: one phase is one machine-wide
 motion, and the ledger records the operations charged inside each phase.
+
+The contract operations charge in bulk: each category an operation
+charges takes one ledger call, its amount counted from the bit masks with
+int.bit_count(), so a pass costs O(1) ledger calls and O(clear rows +
+active columns) Python steps. The primitives (activate_column,
+move_ladder, observe_light, ...) keep their single charges. Only sensing
+also has a per-row path; see MvpMachine.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError
+from .bits import _DIGITS, BitMatrix, BitVector, DimensionError
 
 
 class MachineStateError(RuntimeError):
     """An operation was invoked out of order or against its precondition."""
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _mask(bits: Sequence[int]) -> int:
@@ -85,17 +89,54 @@ class OpCategory(Enum):
     RESET_STEP = "reset_step"
 
 
-@dataclass(frozen=True, eq=True)
 class OpCounts:
     """Immutable snapshot of an OpLog.
 
     `phase_ops[k]` is the number of operations charged during the k-th
     completed parallel phase. Subtracting an earlier snapshot of the same
     machine yields the counts for the interval between the two.
+
+    A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
+    it holds the log's phase list, which only grows until `OpLog.reset()`
+    replaces it, and the list's length at the time. Subtracting two such
+    snapshots of one list slices out only the interval, so a snapshot and
+    a delta cost O(categories + phases in the interval). Any other pair is
+    checked by comparing the earlier phase history with a prefix of the
+    later one.
     """
 
+    __slots__ = ("counts", "_phases", "_stop")
+
     counts: Mapping[OpCategory, int]
-    phase_ops: tuple[int, ...] = ()
+
+    def __init__(self, counts: Mapping[OpCategory, int], phase_ops: Sequence[int] = ()) -> None:
+        phases = tuple(phase_ops)
+        self._hold(counts, phases, len(phases))
+
+    @classmethod
+    def _view(cls, counts: Mapping[OpCategory, int], phases: list[int]) -> "OpCounts":
+        """A snapshot over the current entries of `phases`, not copied."""
+        snap = cls.__new__(cls)
+        snap._hold(counts, phases, len(phases))
+        return snap
+
+    def _hold(self, counts: Mapping[OpCategory, int], phases: Sequence[int], stop: int) -> None:
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_phases", phases)
+        object.__setattr__(self, "_stop", stop)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return OpCounts, (self.counts, self.phase_ops)
+
+    @property
+    def phase_ops(self) -> tuple[int, ...]:
+        return tuple(self._phases[: self._stop])
 
     @property
     def total(self) -> int:
@@ -103,18 +144,34 @@ class OpCounts:
 
     @property
     def parallel_phases(self) -> int:
-        return len(self.phase_ops)
+        return self._stop
 
     def count(self, category: OpCategory) -> int:
         return self.counts[category]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpCounts):
+            return NotImplemented
+        return self.counts == other.counts and self.phase_ops == other.phase_ops
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"OpCounts(counts={self.counts!r}, phase_ops={self.phase_ops!r})"
+
     def __sub__(self, earlier: "OpCounts") -> "OpCounts":
-        if self.phase_ops[: len(earlier.phase_ops)] != earlier.phase_ops:
-            raise ValueError("snapshots do not share a machine history")
+        start = earlier._stop
+        if earlier._phases is self._phases and start <= self._stop:
+            phases = self._phases[start : self._stop]
+        else:
+            phases = self.phase_ops
+            if phases[:start] != earlier.phase_ops:
+                raise ValueError("snapshots do not share a machine history")
+            phases = phases[start:]
         counts = {c: self.counts[c] - earlier.counts[c] for c in OpCategory}
         if any(v < 0 for v in counts.values()):
             raise ValueError("snapshots do not share a machine history")
-        return OpCounts(counts, self.phase_ops[len(earlier.phase_ops):])
+        return OpCounts(counts, phases)
 
 
 class OpLog:
@@ -127,7 +184,7 @@ class OpLog:
 
     def __init__(self) -> None:
         self._counts: dict[OpCategory, int] = {c: 0 for c in OpCategory}
-        self._phase_ops: list[int] = []
+        self._phase_ops: list[int] = []  # only appended to; reset() replaces it
         self._in_phase = False
 
     def charge(self, category: OpCategory, amount: int = 1) -> None:
@@ -171,7 +228,7 @@ class OpLog:
         return self._counts[category]
 
     def snapshot(self) -> OpCounts:
-        return OpCounts(dict(self._counts), tuple(self._phase_ops))
+        return OpCounts._view(dict(self._counts), self._phase_ops)
 
     def reset(self) -> None:
         if self._in_phase:
@@ -188,12 +245,26 @@ class MvpMachine(ABC):
     columns (bit j = column j), and `_blocked` the mask of rows holding a 1
     in an active column. `_blocked` is derived: every write to `_cols` or
     `_active` sets it to None, and `_blocked_rows()` recomputes it on the
-    next read as the OR of the active columns, so a column switch costs
-    O(1) and a pass O(n) steps of Python. The output sections stay a
-    per-row list. Column switching, the six contract operations, the
-    legal call order and the shared parts of the cost model live here too.
+    next read as the OR of the active columns. The output sections stay a
+    per-row list. Column switching, the six contract operations, the legal
+    call order and the shared parts of the cost model live here too.
     Subclasses supply only their physics, how a row is sensed and how the
-    output mechanism returns home, through the underscore hooks.
+    output mechanism moves and returns home, through the underscore hooks.
+
+    Bulk charging. A contract operation charges each of its categories
+    once, with the amount counted from the masks, and writes only the bits
+    that change: a sync flips `_active` by the mask of differing columns,
+    and set_output flips the sections of the clear rows only. A pass is
+    therefore O(1) ledger calls plus O(clear rows + active columns) steps.
+
+    Per-row dispatch. Sensing is the one physical step a subclass models
+    per row: a machine that senses differently, such as a fault-injection
+    machine, overrides the backend's sensing primitive (`_sensor`, i.e.
+    `move_ladder` or `observe_light`). When `type(self)` overrides it,
+    set_output calls it once per row (`_sense_row`), exactly as a stroke
+    of n primitive calls, so the override sees every row. Column switches
+    need no such rule: no subclass models them differently, and a sync
+    toggles a whole mask of columns in one motion.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`) read machine state without charging
@@ -204,6 +275,10 @@ class MvpMachine(ABC):
 
     backend: ClassVar[str]
     supports_parallel: ClassVar[bool] = False
+    # The backend's own per-row sensing primitive and the category it
+    # charges; set_output senses in bulk unless a subclass overrides it.
+    _sensor: ClassVar[Callable[..., bool]]
+    _sense_category: ClassVar[OpCategory]
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -267,8 +342,15 @@ class MvpMachine(ABC):
         self._check_col(j)
         if (self._active >> j & 1) == on:
             raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
-        self._active ^= 1 << j
-        self._log.charge(OpCategory.COLUMN_ACTIVATE if on else OpCategory.COLUMN_DEACTIVATE)
+        self._toggle_columns(1 << j)
+
+    def _toggle_columns(self, diff: int) -> None:
+        """Switch every column in the mask `diff` to its other state (one
+        ColumnActivate or ColumnDeactivate each)."""
+        on = (diff & ~self._active).bit_count()
+        self._log.charge(OpCategory.COLUMN_ACTIVATE, on)
+        self._log.charge(OpCategory.COLUMN_DEACTIVATE, diff.bit_count() - on)
+        self._active ^= diff
         self._blocked = None
 
     def _blocked_rows(self) -> int:
@@ -283,20 +365,22 @@ class MvpMachine(ABC):
     # -- physics hooks supplied by backends -----------------------------------
 
     @abstractmethod
-    def _set_output_sections(self) -> None:
-        """Sense every row once, with charges, flipping the output section
-        of each row that holds no 1 in an active column."""
+    def _sense_row(self, i: int) -> None:
+        """Sense row i through the sensing primitive, with charges, flipping
+        its output section when the row is clear (per-row set_output)."""
+
+    def _check_output_home(self) -> None:
+        """Refuse a stroke while a moving output part is away from home."""
+
+    def _move_output_parts(self, clear: int) -> None:
+        """Move the output parts of the rows in the mask `clear` as their
+        stroke does (bulk set_output; the caller charges)."""
 
     def _return_output_mechanism(self) -> None:
         """Drive the backend's moving output parts home, with charges,
         before the flipped sections are switched back."""
 
     # -- shared steps of the contract operations and the parallel drive -------
-
-    def _flip_section(self, i: int) -> None:
-        """Switch row i's output section from 1 to 0 (one OutputSwitch)."""
-        self._sections[i] = 0
-        self._log.charge(OpCategory.OUTPUT_SWITCH)
 
     def _begin_matrix_load(self, a: BitMatrix) -> None:
         """Check the dimension of `a` and void any earlier sync; the caller
@@ -308,12 +392,11 @@ class MvpMachine(ABC):
 
     def _release_columns(self) -> None:
         """Switch off every active column."""
-        for j in _set_bits(self._active):
-            self.deactivate_column(j)
+        self._toggle_columns(self._active)
 
-    def _load_column(self, a: BitMatrix, j: int) -> None:
-        """Write column j of `a` into the (inactive) column j (n CellLoad)."""
-        self._cols[j] = _mask([row[j] for row in a.rows])
+    def _load_column(self, j: int, bits: Sequence[int]) -> None:
+        """Write `bits` into the (inactive) column j (n CellLoad)."""
+        self._cols[j] = _mask(bits)
         self._blocked = None
         self._log.charge(OpCategory.CELL_LOAD, self.n)
 
@@ -339,8 +422,8 @@ class MvpMachine(ABC):
         """
         self._begin_matrix_load(a)
         self._release_columns()
-        for j in range(self.n):
-            self._load_column(a, j)
+        for j, bits in enumerate(zip(*a.rows)):
+            self._load_column(j, bits)
 
     def load_vector(self, v: BitVector) -> None:
         """Read a vector into the input vector (n operations). Does not
@@ -360,19 +443,35 @@ class MvpMachine(ABC):
         """
         self._check_syncable()
         self._log.charge(OpCategory.SCAN_STEP, self.n)
-        want = self._wanted_columns()
-        for j in _set_bits(want ^ self._active):
-            self._switch_column(j, bool(want >> j & 1))
+        self._toggle_columns(self._wanted_columns() ^ self._active)
         self._synced = True
 
     def set_output(self) -> None:
         """Compute every output coordinate from the active columns
-        (at most 2n operations)."""
+        (at most 2n operations).
+
+        Refused with MachineStateError, before anything is charged, while
+        a moving output part is away from home (on the axis backend, a
+        ladder moved by hand since the last reset_output). A subclass that
+        overrides the sensing primitive is driven through it row by row.
+        """
         if not self._synced:
             raise MachineStateError("set_output called before sync_columns")
         if self._output_set:
             raise MachineStateError("set_output called before reset_output")
-        self._set_output_sections()
+        self._check_output_home()
+        cls = type(self)
+        if getattr(cls, cls._sensor.__name__) is cls._sensor:
+            clear = ((1 << self.n) - 1) ^ self._blocked_rows()
+            self._log.charge(cls._sense_category, self.n)
+            self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count())
+            sections = self._sections
+            for i in _set_bits(clear):
+                sections[i] = 0
+            self._move_output_parts(clear)
+        else:
+            for i in range(self.n):
+                self._sense_row(i)
         self._output_set = True
 
     def report_output(self) -> BitVector:
@@ -390,8 +489,6 @@ class MvpMachine(ABC):
         nothing observable. Column activation is untouched, so a following
         set_output (no resync needed) recomputes the same output."""
         self._return_output_mechanism()
-        for i in range(self.n):
-            if self._sections[i] == 0:
-                self._sections[i] = 1
-                self._log.charge(OpCategory.RESET_STEP)
+        self._log.charge(OpCategory.RESET_STEP, self._sections.count(0))
+        self._sections = [1] * self.n
         self._output_set = False

@@ -103,7 +103,7 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
         machine.parallel_load_matrix(a)
     else:
         machine.load_matrix(a)
-    out_columns = [matvec(machine, b.column(j), mode).result for j in range(b.n)]
+    out_columns = [matvec(machine, col, mode).result for col in b.columns()]
     result = BitMatrix.from_columns(out_columns)
     ops = machine.oplog.snapshot() - before
     return RunReport(result, ops, machine.backend, mode, machine.n)

@@ -54,9 +54,12 @@ class WallLightMachine(MvpMachine):
         self._log.charge(OpCategory.LIGHT_OBSERVE)
         return not self._blocked_rows() >> i & 1
 
-    # -- physics hook for the contract operations -------------------------------
+    # -- physics hooks for the contract operations ------------------------------
 
-    def _set_output_sections(self) -> None:
-        for i in range(self.n):
-            if self.observe_light(i):
-                self._flip_section(i)
+    _sensor = observe_light
+    _sense_category = OpCategory.LIGHT_OBSERVE
+
+    def _sense_row(self, i: int) -> None:
+        if self.observe_light(i):
+            self._sections[i] = 0
+            self._log.charge(OpCategory.OUTPUT_SWITCH)

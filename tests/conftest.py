@@ -10,6 +10,31 @@ from mvpsim import AxisLadderMachine, BitMatrix, BitVector, WallLightMachine
 BACKEND_CLASSES = (AxisLadderMachine, WallLightMachine)
 
 
+class PerRowAxisMachine(AxisLadderMachine):
+    """Overrides the sensing primitive without changing what it does, so
+    set_output senses row by row through it; records each sensed row."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.sensed: list[int] = []
+
+    def move_ladder(self, i: int) -> bool:
+        self.sensed.append(i)
+        return super().move_ladder(i)
+
+
+class PerRowWallMachine(WallLightMachine):
+    """The wall counterpart of PerRowAxisMachine."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.sensed: list[int] = []
+
+    def observe_light(self, i: int) -> bool:
+        self.sensed.append(i)
+        return super().observe_light(i)
+
+
 # Session scope: the value is a class, safe to share, and hypothesis
 # forbids function-scoped fixtures inside @given tests.
 @pytest.fixture(params=BACKEND_CLASSES, ids=lambda cls: cls.backend, scope="session")

@@ -17,7 +17,7 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from conftest import bit_matrices, bit_vectors
+from conftest import PerRowAxisMachine, bit_matrices, bit_vectors
 
 A4 = BitMatrix.from_columns(
     [
@@ -155,6 +155,31 @@ class TestOutputMechanism:
         delta = m.oplog.snapshot() - before
         assert delta.count(OpCategory.LADDER_MOVE) == 4
         assert delta.count(OpCategory.OUTPUT_SWITCH) == 1  # only row 2 is clear
+
+    @pytest.mark.parametrize("cls", [AxisLadderMachine, PerRowAxisMachine], ids=["bulk", "per-row"])
+    @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+    def test_stroke_refused_while_a_ladder_is_away(self, cls, parallel):
+        n = 4
+        m = cls(n)
+        log = m.oplog
+        with log.phase():
+            m.load_matrix(BitMatrix.zeros(n))
+        with log.phase():
+            m.load_vector(BitVector.ones(n))
+            m.sync_columns()
+        with log.phase():
+            assert m.move_ladder(n - 1)  # every row is clear: ladder 3 stays away
+        before = log.snapshot()
+        with pytest.raises(MachineStateError, match=f"ladder {n - 1} is already shifted"):
+            if parallel:
+                m.parallel_ladder_step()
+            else:
+                m.set_output()
+        assert log.snapshot() == before  # nothing charged, no phase recorded
+        assert log.total == sum(log.phase_ops)
+        m.reset_output()
+        m.set_output()
+        assert m.report_output() == BitVector.zeros(n)
 
 
 class TestParallelDrive:

@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpsim import (
+    AxisLadderMachine,
     BitMatrix,
     BitVector,
     DimensionError,
     MachineStateError,
+    Mode,
     OpCategory,
+    OpCounts,
     OpLog,
+    matvec,
     oracle_matvec,
 )
 from conftest import bit_matrices, bit_vectors, matrix_vector_pairs
@@ -309,6 +313,93 @@ class TestOpLog:
         assert delta.phase_ops == (5,)
         assert delta.parallel_phases == 1
         assert delta.total == 5
+
+    def test_snapshots_of_one_state_are_equal(self):
+        log = OpLog()
+        log.charge(OpCategory.CELL_LOAD, 4)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 2)
+        first = log.snapshot()
+        assert log.snapshot() == first
+        log.charge(OpCategory.SCAN_STEP)
+        assert log.snapshot() != first
+        assert first.total == 6 and first.phase_ops == (2,)
+
+    def test_snapshot_is_immutable(self):
+        log = OpLog()
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 2)
+        snap = log.snapshot()
+        with pytest.raises(AttributeError):
+            snap.phase_ops = ()
+        with pytest.raises(AttributeError):
+            snap.counts = {}
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 3)
+        assert snap.phase_ops == (2,)
+        assert snap.parallel_phases == 1
+        assert snap.total == 2
+
+    def test_delta_of_deltas(self):
+        log = OpLog()
+        start = log.snapshot()
+        with log.phase():
+            log.charge(OpCategory.LADDER_MOVE, 2)
+        middle = log.snapshot()
+        log.charge(OpCategory.CELL_LOAD)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 3)
+        end = log.snapshot()
+        delta = (end - start) - (middle - start)
+        assert delta == end - middle
+        assert delta.phase_ops == (3,)
+        assert delta.total == 4
+        assert delta.count(OpCategory.CELL_LOAD) == 1
+        assert (end - start) - (end - start) == OpCounts(dict.fromkeys(OpCategory, 0))
+
+    def test_delta_from_a_built_snapshot(self):
+        log = OpLog()
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 2)
+        built = OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.SCAN_STEP: 2}, (2,))
+        assert log.snapshot() == built
+        with log.phase():
+            log.charge(OpCategory.LADDER_MOVE, 5)
+        delta = log.snapshot() - built
+        assert delta == OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.LADDER_MOVE: 5}, (5,))
+        assert log.snapshot() - OpCounts(dict.fromkeys(OpCategory, 0)) == log.snapshot()
+        assert "phase_ops=(5,)" in repr(delta)
+
+    def test_earlier_minus_later_is_refused(self):
+        log = OpLog()
+        earlier = log.snapshot()
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP)
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            earlier - log.snapshot()
+
+    def test_delta_across_reset_is_refused(self):
+        log = OpLog()
+        log.charge(OpCategory.CELL_LOAD, 5)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 2)
+        before = log.snapshot()
+        log.reset()
+        log.charge(OpCategory.CELL_LOAD, 9)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 9)
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            log.snapshot() - before
+
+    def test_long_parallel_stream_delta_holds_only_its_phases(self):
+        m = AxisLadderMachine(4)
+        m.load_matrix(A4)
+        v = BitVector((1, 0, 1, 0))
+        for _ in range(2000):
+            rep = matvec(m, v, Mode.PAR)
+        # release 2: the previous pass left columns 0 and 2 active.
+        assert rep.ops.phase_ops == (4, 2, 2, 5, 4, 5)
+        assert m.oplog.parallel_phases == 6 * 2000
 
     def test_phases_do_not_nest(self):
         log = OpLog()

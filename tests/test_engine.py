@@ -1,7 +1,9 @@
 """The machine state under random interleavings of the state-changing
 primitives, checked after every step against a shadow model kept by the
 test itself: the loaded columns and the active set, from which every
-blocked row and every protrusion follows by the definition.
+blocked row and every protrusion follows by the definition. Then the bulk
+set_output against the per-row one that a subclass overriding the sensing
+primitive gets: the same results, ledgers and machine state.
 
 Sizes straddle the 30-bit digit and the 64-bit word of Python's int, so a
 bit-packed state that drops a high bit or mixes up rows shows here.
@@ -13,7 +15,8 @@ from random import Random
 
 import pytest
 
-from mvpsim import AxisLadderMachine, BitMatrix, BitVector
+from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine, matmul
+from conftest import PerRowAxisMachine, PerRowWallMachine
 
 SIZES = (1, 31, 64, 65)
 STEPS = 150
@@ -107,3 +110,76 @@ def test_random_interleavings_match_the_shadow_model(machine_cls, n):
     for _ in range(STEPS):
         _step(m, s, rng)
         _check(m, s)
+
+
+# (bulk class, per-row class, mode) of each machine configuration.
+PATHS = [
+    (AxisLadderMachine, PerRowAxisMachine, Mode.SEQ),
+    (AxisLadderMachine, PerRowAxisMachine, Mode.PAR),
+    (WallLightMachine, PerRowWallMachine, Mode.SEQ),
+]
+PATH_IDS = ["axis-seq", "axis-par", "wall-seq"]
+
+
+def _pass_steps(m, v: BitVector, mode: Mode):
+    """The five steps of one matvec pass, one callable each."""
+    if mode is Mode.PAR:
+        return (
+            lambda: m.parallel_load_vector(v), m.parallel_sync, m.parallel_ladder_step,
+            m.parallel_report_output, m.parallel_reset_output,
+        )
+    return (lambda: m.load_vector(v), m.sync_columns, m.set_output, m.report_output, m.reset_output)
+
+
+def _state(m) -> tuple:
+    n = m.n
+    ladders = [m.ladder_shifted(i) for i in range(n)] if isinstance(m, AxisLadderMachine) else None
+    return [m.output_section(i) for i in range(n)], ladders, m.active_columns(), m.oplog.snapshot()
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_bulk_and_per_row_sensing_agree(bulk_cls, row_cls, mode, n):
+    rng = Random(f"paths:{bulk_cls.backend}:{mode.value}:{n}")
+    a = BitMatrix.random(n, rng, 0.1)
+    b = BitMatrix.random(n, rng, 0.3)
+    bulk, rows = matmul(bulk_cls(n), a, b, mode), matmul(row_cls(n), a, b, mode)
+    assert bulk.result == rows.result
+    assert bulk.ops == rows.ops
+
+    # A long stream, state compared after every step: vectors a few flips
+    # apart, repeats (no toggles) and the zero vector (every row clear).
+    machines = bulk_cls(n), row_cls(n)
+    for m in machines:
+        if mode is Mode.PAR:
+            m.parallel_load_matrix(a)
+        else:
+            m.load_matrix(a)
+    coords = [int(rng.random() < 0.3) for _ in range(n)]
+    for k in range(120):
+        if k % 17 == 0:
+            coords = [0] * n
+        elif k % 5:
+            for j in rng.sample(range(n), min(n, rng.randint(1, 3))):
+                coords[j] ^= 1
+        v = BitVector(tuple(coords))
+        for bulk_step, row_step in zip(*(_pass_steps(m, v, mode) for m in machines)):
+            assert bulk_step() == row_step()
+            assert _state(machines[0]) == _state(machines[1])
+
+
+@pytest.mark.parametrize("row_cls,mode", [(c, m) for _, c, m in PATHS], ids=PATH_IDS)
+def test_overridden_sensing_primitive_sees_every_row(row_cls, mode):
+    n = 7
+    m = row_cls(n)
+    m.load_matrix(BitMatrix.random(n, Random("spy"), 0.3))
+    for v in (BitVector.ones(n), BitVector.zeros(n), BitVector((1, 0) * 3 + (1,))):
+        load, sync, stroke, report, reset = _pass_steps(m, v, mode)
+        load()
+        sync()
+        m.sensed.clear()
+        stroke()
+        assert m.sensed == list(range(n))
+        report()
+        reset()
+        assert m.sensed == list(range(n))

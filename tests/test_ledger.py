@@ -92,19 +92,12 @@ def all_pairs_walk(n: int) -> list[BitVector]:
     return [BitVector(vectors[x]) for x in walk]
 
 
-def gray_walk_twice(n: int) -> list[BitVector]:
-    """Every n-vector in Gray-code order, each passed twice in a row: single
-    column flips between vectors and a toggle-free resync on each repeat."""
-    gray = [k ^ (k >> 1) for k in range(2**n)]
-    return [BitVector(tuple((g >> j) & 1 for j in range(n))) for g in gray for _ in (0, 1)]
-
-
 @pytest.mark.parametrize("backend,mode", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exhaustive_small(backend, mode, n):
-    # Every matrix meets every vector; up to n = 2 also after every possible
-    # set of active columns. At n = 3 that would be 65 passes per matrix.
-    walk = all_pairs_walk(n) if n <= 2 else gray_walk_twice(n)
+    # Every matrix meets every vector after every possible set of active
+    # columns: 65 passes per matrix at n = 3.
+    walk = all_pairs_walk(n)
     for cells in itertools.product((0, 1), repeat=n * n):
         a = BitMatrix(tuple(cells[i * n : (i + 1) * n] for i in range(n)))
         check_run(backend, mode, a, walk)
