@@ -17,7 +17,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 from __future__ import annotations
 
 from .bits import BitMatrix, BitVector
-from .contract import MachineStateError, MvpMachine, OpCategory, _set_bits
+from .contract import MachineStateError, MvpMachine, OpCategory, _flags
 
 
 class AxisLadderMachine(MvpMachine):
@@ -28,7 +28,7 @@ class AxisLadderMachine(MvpMachine):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self._ladder_shifted: list[bool] = [False] * n
+        self._ladder_shifted: list[int] = [0] * n  # 1 while away from home
 
     # -- uncounted inspection --------------------------------------------------
 
@@ -45,7 +45,7 @@ class AxisLadderMachine(MvpMachine):
 
     def ladder_shifted(self, i: int) -> bool:
         self._check_row(i)
-        return self._ladder_shifted[i]
+        return bool(self._ladder_shifted[i])
 
     # -- counted physical primitives -------------------------------------------
 
@@ -62,7 +62,7 @@ class AxisLadderMachine(MvpMachine):
         self._log.charge(OpCategory.LADDER_MOVE)
         if self._blocked_rows() >> i & 1:
             return False
-        self._ladder_shifted[i] = True
+        self._ladder_shifted[i] = 1
         self._sections[i] = 0
         self._log.charge(OpCategory.OUTPUT_SWITCH)
         return True
@@ -76,19 +76,17 @@ class AxisLadderMachine(MvpMachine):
         self.move_ladder(i)
 
     def _check_output_home(self) -> None:
-        if True in self._ladder_shifted:
-            i = self._ladder_shifted.index(True)
+        if any(self._ladder_shifted):
+            i = self._ladder_shifted.index(1)
             raise MachineStateError(f"ladder {i} is already shifted")
 
     def _move_output_parts(self, clear: int) -> None:
-        shifted = self._ladder_shifted
-        for i in _set_bits(clear):
-            shifted[i] = True
+        self._ladder_shifted = list(_flags(clear, self.n))
 
     def _return_output_mechanism(self) -> None:
         # One return step per ladder regardless of where the stroke ended.
         self._log.charge(OpCategory.RESET_STEP, self.n)
-        self._ladder_shifted = [False] * self.n
+        self._ladder_shifted = [0] * self.n
 
     # -- machine-wide parallel drives -------------------------------------------
 

@@ -73,6 +73,13 @@ class BitVector:
             raise ValueError("empty vectors are not supported (n >= 1)")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _of(cls, coords: tuple[int, ...]) -> "BitVector":
+        """A vector over `coords`, n >= 1 int 0/1 built from validated values."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        return v
+
     @property
     def n(self) -> int:
         return len(self.coords)
@@ -120,6 +127,13 @@ class BitMatrix:
                 )
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "BitMatrix":
+        """A matrix over `rows`, n >= 1 tuples of n int 0/1 built from validated values."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "rows", rows)
+        return a
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -146,21 +160,23 @@ class BitMatrix:
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
         """Assemble a matrix whose j-th column is `columns[j]`."""
         n = len(columns)
+        if not n:
+            raise ValueError("empty matrices are not supported (n >= 1)")
         for j, col in enumerate(columns):
             if col.n != n:
                 raise DimensionError(
                     f"column {j + 1} has {col.n} coordinates, expected {n}"
                 )
-        return cls(tuple(zip(*(col.coords for col in columns))))
+        return cls._of(tuple(zip(*(col.coords for col in columns))))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
     def column(self, j: int) -> BitVector:
-        return BitVector(tuple(row[j] for row in self.rows))
+        return BitVector._of(tuple(row[j] for row in self.rows))
 
     def columns(self) -> Iterator[BitVector]:
-        return map(BitVector, zip(*self.rows))
+        return map(BitVector._of, zip(*self.rows))
 
 
 def oracle_matvec(a: BitMatrix, v: BitVector) -> BitVector:

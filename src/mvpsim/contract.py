@@ -39,21 +39,23 @@ motion, and the ledger records the operations charged inside each phase.
 
 The contract operations charge in bulk: each category an operation
 charges takes one ledger call, its amount counted from the bit masks with
-int.bit_count(), so a pass costs O(1) ledger calls and O(clear rows +
-active columns) Python steps. The primitives (activate_column,
-move_ladder, observe_light, ...) keep their single charges. Only sensing
-also has a per-row path; see MvpMachine.
+int.bit_count(), and the per-row and per-column work runs in C-level
+calls, so a pass costs O(1) ledger calls and O(1) Python steps. The
+primitives (activate_column, move_ladder, observe_light, ...) keep their
+single charges. Only sensing also has a per-row path; see MvpMachine.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import Callable, ClassVar, Iterator, Mapping, Sequence
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import _DIGITS, BitMatrix, BitVector, DimensionError
+from .bits import _BITS, _DIGITS, BitMatrix, BitVector, DimensionError
 
 
 class MachineStateError(RuntimeError):
@@ -62,15 +64,12 @@ class MachineStateError(RuntimeError):
 
 def _mask(bits: Sequence[int]) -> int:
     """The int whose bit k is bits[k] (0/1 ints)."""
-    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+    return int(bytes(bits).translate(_DIGITS)[::-1], 2)
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Indices of the 1 bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _flags(mask: int, n: int) -> bytes:
+    """Byte k is bit k of `mask` (0/1), for k < n: the inverse of _mask."""
+    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BITS)
 
 
 class OpCategory(Enum):
@@ -87,6 +86,10 @@ class OpCategory(Enum):
     VECTOR_COORD_LOAD = "vector_coord_load"
     OUTPUT_COORD_REPORT = "output_coord_report"
     RESET_STEP = "reset_step"
+
+    # Members are singletons compared by identity, also after unpickling: the
+    # C-level identity hash spares every ledger charge Enum.__hash__.
+    __hash__ = object.__hash__
 
 
 class OpCounts:
@@ -109,21 +112,22 @@ class OpCounts:
 
     counts: Mapping[OpCategory, int]
 
-    def __init__(self, counts: Mapping[OpCategory, int], phase_ops: Sequence[int] = ()) -> None:
-        phases = tuple(phase_ops)
-        self._hold(counts, phases, len(phases))
+    def __new__(cls, counts: Mapping[OpCategory, int], phase_ops: Sequence[int] = ()) -> "OpCounts":
+        full = dict.fromkeys(OpCategory, 0)
+        full.update(counts)
+        if len(full) != len(OpCategory):
+            raise ValueError(f"unknown operation categories in {counts!r}")
+        return cls._view(full, tuple(phase_ops))
 
     @classmethod
-    def _view(cls, counts: Mapping[OpCategory, int], phases: list[int]) -> "OpCounts":
-        """A snapshot over the current entries of `phases`, not copied."""
-        snap = cls.__new__(cls)
-        snap._hold(counts, phases, len(phases))
+    def _view(cls, counts: dict[OpCategory, int], phases: Sequence[int]) -> "OpCounts":
+        """A snapshot over `counts`, which holds every category, and the
+        current entries of `phases`; neither is copied."""
+        snap = object.__new__(cls)
+        object.__setattr__(snap, "counts", counts)
+        object.__setattr__(snap, "_phases", phases)
+        object.__setattr__(snap, "_stop", len(phases))
         return snap
-
-    def _hold(self, counts: Mapping[OpCategory, int], phases: Sequence[int], stop: int) -> None:
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_phases", phases)
-        object.__setattr__(self, "_stop", stop)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -168,10 +172,32 @@ class OpCounts:
             if phases[:start] != earlier.phase_ops:
                 raise ValueError("snapshots do not share a machine history")
             phases = phases[start:]
-        counts = {c: self.counts[c] - earlier.counts[c] for c in OpCategory}
-        if any(v < 0 for v in counts.values()):
+        before = earlier.counts
+        counts = {c: v - before[c] for c, v in self.counts.items()}
+        if min(counts.values()) < 0:
             raise ValueError("snapshots do not share a machine history")
-        return OpCounts(counts, phases)
+        return OpCounts._view(counts, phases)
+
+
+class _Phase:
+    """The context manager `OpLog.phase()` returns."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: "OpLog") -> None:
+        self._log = log
+
+    def __enter__(self) -> None:
+        if self._log._phase_start is not None:
+            raise MachineStateError("parallel phases cannot nest")
+        self._log._phase_start = self._log._total
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        log = self._log
+        charged = log._total - log._phase_start
+        log._phase_start = None
+        if exc_type is None or charged:
+            log._phase_ops.append(charged)
 
 
 class OpLog:
@@ -183,38 +209,27 @@ class OpLog:
     """
 
     def __init__(self) -> None:
-        self._counts: dict[OpCategory, int] = {c: 0 for c in OpCategory}
+        self._counts: dict[OpCategory, int] = dict.fromkeys(OpCategory, 0)
+        self._total = 0
         self._phase_ops: list[int] = []  # only appended to; reset() replaces it
-        self._in_phase = False
+        self._phase_start: int | None = None  # the total when the open phase began
 
     def charge(self, category: OpCategory, amount: int = 1) -> None:
         self._counts[category] += amount
+        self._total += amount
 
-    @contextmanager
-    def phase(self) -> Iterator[None]:
+    def phase(self) -> _Phase:
         """Account one parallel phase; charges inside are attributed to it.
 
         A phase that raises is recorded if and only if it charged at least
         one operation, so a refused motion leaves `phase_ops` untouched and
         `sum(phase_ops)` always equals the operations charged in phases.
         """
-        if self._in_phase:
-            raise MachineStateError("parallel phases cannot nest")
-        self._in_phase = True
-        start = self.total
-        completed = False
-        try:
-            yield
-            completed = True
-        finally:
-            self._in_phase = False
-            charged = self.total - start
-            if completed or charged:
-                self._phase_ops.append(charged)
+        return _Phase(self)
 
     @property
     def total(self) -> int:
-        return sum(self._counts.values())
+        return self._total
 
     @property
     def parallel_phases(self) -> int:
@@ -231,9 +246,10 @@ class OpLog:
         return OpCounts._view(dict(self._counts), self._phase_ops)
 
     def reset(self) -> None:
-        if self._in_phase:
+        if self._phase_start is not None:
             raise MachineStateError("the ledger cannot be reset inside a parallel phase")
-        self._counts = {c: 0 for c in OpCategory}
+        self._counts = dict.fromkeys(OpCategory, 0)
+        self._total = 0
         self._phase_ops = []
 
 
@@ -252,10 +268,11 @@ class MvpMachine(ABC):
     output mechanism moves and returns home, through the underscore hooks.
 
     Bulk charging. A contract operation charges each of its categories
-    once, with the amount counted from the masks, and writes only the bits
-    that change: a sync flips `_active` by the mask of differing columns,
-    and set_output flips the sections of the clear rows only. A pass is
-    therefore O(1) ledger calls plus O(clear rows + active columns) steps.
+    once, with the amount counted from the masks: a sync flips `_active` by
+    the mask of differing columns, and set_output ORs the active columns
+    (reduce over itertools.compress) and writes the section list whole
+    from the blocked mask. A pass is therefore O(1) ledger calls and O(1)
+    Python steps; its O(n) work runs inside C-level calls.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -303,7 +320,7 @@ class MvpMachine(ABC):
 
     def loaded_matrix(self) -> BitMatrix:
         """Current content of the input array."""
-        return BitMatrix(tuple(tuple(c >> i & 1 for c in self._cols) for i in range(self.n)))
+        return BitMatrix._of(tuple(zip(*(_flags(c, self.n) for c in self._cols))))
 
     def loaded_vector(self) -> BitVector | None:
         return self._vector
@@ -314,7 +331,7 @@ class MvpMachine(ABC):
         return bool(self._active >> j & 1)
 
     def active_columns(self) -> frozenset[int]:
-        return frozenset(_set_bits(self._active))
+        return frozenset(compress(range(self.n), _flags(self._active, self.n)))
 
     def output_section(self, i: int) -> int:
         self._check_row(i)
@@ -356,10 +373,7 @@ class MvpMachine(ABC):
     def _blocked_rows(self) -> int:
         """The mask of rows holding a 1 in some active column."""
         if self._blocked is None:
-            blocked = 0
-            for j in _set_bits(self._active):
-                blocked |= self._cols[j]
-            self._blocked = blocked
+            self._blocked = reduce(or_, compress(self._cols, _flags(self._active, self.n)), 0)
         return self._blocked
 
     # -- physics hooks supplied by backends -----------------------------------
@@ -462,12 +476,12 @@ class MvpMachine(ABC):
         self._check_output_home()
         cls = type(self)
         if getattr(cls, cls._sensor.__name__) is cls._sensor:
-            clear = ((1 << self.n) - 1) ^ self._blocked_rows()
+            blocked = self._blocked_rows()
+            clear = ((1 << self.n) - 1) ^ blocked
             self._log.charge(cls._sense_category, self.n)
             self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count())
-            sections = self._sections
-            for i in _set_bits(clear):
-                sections[i] = 0
+            # Sections start at 1 and flip to 0 on the clear rows.
+            self._sections = list(_flags(blocked, self.n))
             self._move_output_parts(clear)
         else:
             for i in range(self.n):
@@ -479,7 +493,7 @@ class MvpMachine(ABC):
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
         self._log.charge(OpCategory.OUTPUT_COORD_REPORT, self.n)
-        return BitVector(tuple(self._sections))
+        return BitVector._of(tuple(self._sections))
 
     def reset_output(self) -> None:
         """Restore the output mechanism to its initial state (at most 2n

@@ -29,6 +29,16 @@ A4 = BitMatrix.from_columns(
 )
 
 
+class JammedLadderMachine(AxisLadderMachine):
+    """The last ladder charges its stroke, then jams."""
+
+    def move_ladder(self, i: int) -> bool:
+        if i == self.n - 1:
+            self.oplog.charge(OpCategory.LADDER_MOVE)
+            raise RuntimeError("ladder jammed")
+        return super().move_ladder(i)
+
+
 class TestProtrusions:
     def test_single_column_protrusion_pattern(self):
         m = AxisLadderMachine(4)
@@ -262,15 +272,6 @@ class TestParallelDrive:
         assert_refused(m.parallel_sync, m.parallel_ladder_step)
 
     def test_ledger_stays_consistent_when_a_phase_fails_midway(self):
-        class JammedLadderMachine(AxisLadderMachine):
-            """The last ladder charges its stroke, then jams."""
-
-            def move_ladder(self, i: int) -> bool:
-                if i == self.n - 1:
-                    self.oplog.charge(OpCategory.LADDER_MOVE)
-                    raise RuntimeError("ladder jammed")
-                return super().move_ladder(i)
-
         m = JammedLadderMachine(4)
         m.parallel_load_matrix(A4)
         m.parallel_load_vector(BitVector((1, 0, 1, 0)))
@@ -282,6 +283,44 @@ class TestParallelDrive:
         assert log.total == sum(log.phase_ops)
         # Strokes of rows 0-2 (only row 2 is clear) and the jammed stroke.
         assert log.phase_ops[-2:] == (5, 5)
+
+    def test_running_total_survives_refused_and_raising_calls(self):
+        m = JammedLadderMachine(4)
+        log = m.oplog
+        in_phases = 0
+
+        def call(fn, *args, refused=None):
+            nonlocal in_phases
+            before = log.total
+            if refused is None:
+                fn(*args)
+            else:
+                with pytest.raises(refused):
+                    fn(*args)
+            if fn.__name__.startswith("parallel_"):
+                in_phases += log.total - before
+            assert log.total == sum(log.snapshot().counts.values())
+            assert sum(log.phase_ops) == in_phases
+
+        call(m.parallel_sync, refused=MachineStateError)
+        call(m.parallel_load_matrix, A4)
+        call(m.load_vector, BitVector((0, 1, 0, 1)))
+        call(m.sync_columns)
+        call(m.parallel_load_vector, BitVector.ones(3), refused=DimensionError)
+        call(m.parallel_load_vector, BitVector((1, 0, 1, 0)))
+        call(m.parallel_sync)
+        call(m.parallel_ladder_step, refused=RuntimeError)  # charged, then jammed
+        call(m.parallel_ladder_step, refused=MachineStateError)  # ladder 2 is away
+        call(m.set_output, refused=MachineStateError)
+        call(m.parallel_reset_output)
+        call(m.reset_output)
+        with pytest.raises(MachineStateError):
+            with log.phase():
+                with log.phase():
+                    pass
+        call(m.load_matrix, BitMatrix.identity(4))
+        assert log.phase_ops[-4:] == (2, 2, 5, 5)  # release, rotate, jam, reset
+        assert log.total > in_phases
 
     def test_parallel_reset_is_legal_in_any_state(self):
         m = AxisLadderMachine(3)

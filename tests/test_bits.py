@@ -63,6 +63,8 @@ class TestContainers:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             BitMatrix(())
+        with pytest.raises(ValueError):
+            BitMatrix.from_columns([])
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError, match="row 2"):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -369,6 +372,40 @@ class TestOpLog:
         assert delta == OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.LADDER_MOVE: 5}, (5,))
         assert log.snapshot() - OpCounts(dict.fromkeys(OpCategory, 0)) == log.snapshot()
         assert "phase_ops=(5,)" in repr(delta)
+
+    def test_built_snapshot_copies_and_fills_its_counts(self):
+        counts = dict.fromkeys(OpCategory, 0)
+        built = OpCounts(counts)
+        counts[OpCategory.CELL_LOAD] = 5
+        assert built.total == 0
+        assert built.count(OpCategory.CELL_LOAD) == 0
+        partial = OpCounts({OpCategory.SCAN_STEP: 2})
+        assert partial.count(OpCategory.CELL_LOAD) == 0
+        assert partial == OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.SCAN_STEP: 2})
+        assert (partial - OpCounts({})).total == 2
+        log = OpLog()
+        log.charge(OpCategory.SCAN_STEP, 3)
+        assert (log.snapshot() - partial).count(OpCategory.SCAN_STEP) == 1
+        with pytest.raises(ValueError, match="unknown operation categories"):
+            OpCounts({"scan_step": 2})
+
+    def test_snapshots_and_deltas_survive_pickle_and_deepcopy(self):
+        m = AxisLadderMachine(4)
+        m.load_matrix(A4)
+        seq = matvec(m, BitVector((1, 0, 1, 0))).ops
+        seq_snap = m.oplog.snapshot()
+        par = matvec(m, BitVector((0, 1, 1, 0)), Mode.PAR).ops
+        par_snap = m.oplog.snapshot()
+        for ops in (seq, seq_snap, par, par_snap, par_snap - seq_snap):
+            for twin in (pickle.loads(pickle.dumps(ops)), copy.deepcopy(ops)):
+                assert twin == ops
+                assert twin.phase_ops == ops.phase_ops
+                assert twin.total == ops.total
+                for c in OpCategory:
+                    assert twin.count(c) == ops.count(c)
+                assert all(any(k is c for c in OpCategory) for k in twin.counts)
+        assert par.parallel_phases == 6 and par_snap.parallel_phases == 6
+        assert pickle.loads(pickle.dumps(par_snap)) - seq_snap == par
 
     def test_earlier_minus_later_is_refused(self):
         log = OpLog()

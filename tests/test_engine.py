@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine, matmul
+from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine, matmul, matvec
 from conftest import PerRowAxisMachine, PerRowWallMachine
 
 SIZES = (1, 31, 64, 65)
@@ -183,3 +183,37 @@ def test_overridden_sensing_primitive_sees_every_row(row_cls, mode):
         report()
         reset()
         assert m.sensed == list(range(n))
+
+
+def _assert_exact_bits(value) -> None:
+    """Tuples of the ints 0 and 1 (never bool), n >= 1 rows of n entries:
+    what values built without revalidation must hold."""
+    rows = value.rows if isinstance(value, BitMatrix) else (value.coords,)
+    assert type(rows) is tuple and rows
+    for row in rows:
+        assert type(row) is tuple and len(row) == len(rows[-1])
+        assert {type(x) for x in row} == {int} and set(row) <= {0, 1}
+
+
+@pytest.mark.parametrize(
+    "cls,mode",
+    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
+    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
+)
+@pytest.mark.parametrize("n", (1, 65))
+def test_built_values_hold_exact_int_bits(cls, mode, n):
+    rng = Random(f"exact:{cls.__name__}:{mode.value}:{n}")
+    # Bools in: public construction must turn them into ints.
+    a, b = (BitMatrix(tuple(tuple(rng.random() < 0.4 for _ in range(n)) for _ in range(n)))
+            for _ in range(2))
+    for value in (*b.columns(), b.column(n - 1), BitMatrix.from_columns(list(b.columns()))):
+        _assert_exact_bits(value)
+    m = cls(n)
+    report = matmul(m, a, b, mode)
+    _assert_exact_bits(report.result)
+    _assert_exact_bits(m.loaded_matrix())
+    _assert_exact_bits(matvec(m, b.column(0), mode).result)
+    m.load_vector(BitVector.ones(n))
+    m.sync_columns()
+    m.set_output()
+    _assert_exact_bits(m.report_output())
