@@ -16,8 +16,8 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 
 from __future__ import annotations
 
-from .bits import BitMatrix, BitVector
-from .contract import MachineStateError, MvpMachine, OpCategory, _flags
+from .bits import BitMatrix, BitVector, _flags
+from .contract import MachineStateError, MvpMachine, OpCategory
 
 
 class AxisLadderMachine(MvpMachine):

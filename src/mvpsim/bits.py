@@ -24,6 +24,16 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _mask(bits: Sequence[int]) -> int:
+    """The int whose bit k is bits[k] (0/1 ints)."""
+    return int(bytes(bits).translate(_DIGITS)[::-1], 2)
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Byte k is bit k of `mask` (0/1), for k < n: the inverse of _mask."""
+    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BITS)
+
+
 class DimensionError(ValueError):
     """Operand dimensions do not match."""
 
@@ -55,10 +65,13 @@ def _as_bit(v: object, what: str) -> int:
     raise ValueError(f"{what} must be 0 or 1, got {v!r}")
 
 
-def _random_bits(n: int, rng: Random, density: float) -> tuple[int, ...]:
+def _random_rows(rows: int, n: int, rng: Random, density: float) -> tuple[tuple[int, ...], ...]:
+    """`rows` tuples of n exact 0/1 ints, drawn row-major, each 1 with probability `density`."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0 <= density <= 1:  # also rejects NaN
         raise ValueError(f"density must be in [0, 1], got {density}")
-    return tuple(1 if rng.random() < density else 0 for _ in range(n))
+    return tuple(tuple(1 if rng.random() < density else 0 for _ in range(n)) for _ in range(rows))
 
 
 @dataclass(frozen=True)
@@ -96,7 +109,7 @@ class BitVector:
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitVector":
         """Each coordinate is 1 independently with probability `density`,
         which must lie in [0, 1]."""
-        return cls(_random_bits(n, rng, density))
+        return cls._of(_random_rows(1, n, rng, density)[0])
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -154,7 +167,7 @@ class BitMatrix:
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitMatrix":
         """Each cell is 1 independently with probability `density`, which
         must lie in [0, 1]."""
-        return cls(tuple(_random_bits(n, rng, density) for _ in range(n)))
+        return cls._of(_random_rows(n, n, rng, density))
 
     @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
@@ -230,7 +243,7 @@ def parse_matrix(text: str) -> BitMatrix:
         rows.append(_parse_line(line, i + 1, n))
     if len(lines) != n:
         raise ParseError(f"expected {n} rows, found {len(lines)}", min(len(lines), n) + 1)
-    return BitMatrix(tuple(rows))
+    return BitMatrix._of(tuple(rows))
 
 
 def serialize_matrix(a: BitMatrix) -> str:
@@ -245,7 +258,7 @@ def parse_vector(text: str) -> BitVector:
         raise ParseError("empty input", 1)
     if len(lines) > 1:
         raise ParseError(f"expected a single line, found {len(lines)}", 2)
-    return BitVector(_parse_line(lines[0], 1, len(lines[0])))
+    return BitVector._of(_parse_line(lines[0], 1, len(lines[0])))
 
 
 def serialize_vector(v: BitVector) -> str:

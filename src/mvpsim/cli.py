@@ -71,8 +71,8 @@ def _bench_row(report: RunReport, usec: int) -> dict[str, int | str]:
     return row
 
 
-def _append_bench_rows(path: str, rows: Sequence[Mapping[str, int | str]]) -> None:
-    with open(path, "a", encoding="utf-8", newline="") as f:
+def _write_bench_rows(path: str, mode: str, rows: Sequence[Mapping[str, int | str]]) -> None:
+    with open(path, mode, encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
         if f.tell() == 0:
             writer.writeheader()
@@ -93,7 +93,7 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.ops:
-        _append_bench_rows(args.ops, [_bench_row(report, usec)])
+        _write_bench_rows(args.ops, "a", [_bench_row(report, usec)])
     if args.verify and report.result != oracle_matmul(a, b):
         print("verify: machine product disagrees with the oracle", file=sys.stderr)
         return 1
@@ -128,10 +128,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             report = matmul(machine, a, b, mode)
             usec = int((time.perf_counter() - start) * 1_000_000) if args.timing else 0
             rows.append(_bench_row(report, usec))
-    with open(args.csv, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_bench_rows(args.csv, "w", rows)
     return 0
 
 
@@ -169,7 +166,6 @@ def run_selftest(
     out: TextIO | None = None,
     machine_factories: Mapping[str, MachineFactory] | None = None,
     duality_configs: int = 1000,
-    seed: str = "mvpsim-selftest",
 ) -> int:
     """Exhaustive small-instance checks against the brute-force oracle,
     plus the cross-backend blocking/occlusion agreement check.
@@ -208,7 +204,7 @@ def run_selftest(
         out.write(f"selftest: matmul vs oracle, exhaustive n=2 [{name}]: ok\n")
 
     if "axis" in factories and "wall" in factories:
-        rng = Random(f"{seed}:duality")
+        rng = Random("mvpsim-selftest:duality")
         for _ in range(duality_configs):
             n = rng.randint(1, 8)
             a = BitMatrix.random(n, rng)

@@ -38,9 +38,10 @@ offers one) group charges into phases: one phase is one machine-wide
 motion, and the ledger records the operations charged inside each phase.
 
 The contract operations charge in bulk: each category an operation
-charges takes one ledger call, its amount counted from the bit masks with
-int.bit_count(), and the per-row and per-column work runs in C-level
-calls, so a pass costs O(1) ledger calls and O(1) Python steps. The
+charges takes one ledger call, its amount counted from the bit masks (in
+the format of `bits._mask`) with int.bit_count(), and the per-row and
+per-column work runs in C-level calls, so a pass costs O(1) ledger calls
+and O(1) Python steps. The blocked-row mask is computed on each read. The
 primitives (activate_column, move_ladder, observe_light, ...) keep their
 single charges. Only sensing also has a per-row path; see MvpMachine.
 """
@@ -55,21 +56,11 @@ from itertools import compress
 from operator import or_
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import _BITS, _DIGITS, BitMatrix, BitVector, DimensionError
+from .bits import BitMatrix, BitVector, DimensionError, _flags, _mask
 
 
 class MachineStateError(RuntimeError):
     """An operation was invoked out of order or against its precondition."""
-
-
-def _mask(bits: Sequence[int]) -> int:
-    """The int whose bit k is bits[k] (0/1 ints)."""
-    return int(bytes(bits).translate(_DIGITS)[::-1], 2)
-
-
-def _flags(mask: int, n: int) -> bytes:
-    """Byte k is bit k of `mask` (0/1), for k < n: the inverse of _mask."""
-    return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BITS)
 
 
 class OpCategory(Enum):
@@ -179,27 +170,6 @@ class OpCounts:
         return OpCounts._view(counts, phases)
 
 
-class _Phase:
-    """The context manager `OpLog.phase()` returns."""
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: "OpLog") -> None:
-        self._log = log
-
-    def __enter__(self) -> None:
-        if self._log._phase_start is not None:
-            raise MachineStateError("parallel phases cannot nest")
-        self._log._phase_start = self._log._total
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        log = self._log
-        charged = log._total - log._phase_start
-        log._phase_start = None
-        if exc_type is None or charged:
-            log._phase_ops.append(charged)
-
-
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
@@ -218,14 +188,25 @@ class OpLog:
         self._counts[category] += amount
         self._total += amount
 
-    def phase(self) -> _Phase:
+    def phase(self) -> OpLog:
         """Account one parallel phase; charges inside are attributed to it.
 
         A phase that raises is recorded if and only if it charged at least
         one operation, so a refused motion leaves `phase_ops` untouched and
         `sum(phase_ops)` always equals the operations charged in phases.
         """
-        return _Phase(self)
+        return self
+
+    def __enter__(self) -> None:
+        if self._phase_start is not None:
+            raise MachineStateError("parallel phases cannot nest")
+        self._phase_start = self._total
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        charged = self._total - self._phase_start
+        self._phase_start = None
+        if exc_type is None or charged:
+            self._phase_ops.append(charged)
 
     @property
     def total(self) -> int:
@@ -256,12 +237,12 @@ class OpLog:
 class MvpMachine(ABC):
     """Abstract matrix-vector processor.
 
-    The machine state model lives here, as int bit masks: `_cols[j]` is
-    column j as a row mask (bit i = row i), `_active` the mask of active
-    columns (bit j = column j), and `_blocked` the mask of rows holding a 1
-    in an active column. `_blocked` is derived: every write to `_cols` or
-    `_active` sets it to None, and `_blocked_rows()` recomputes it on the
-    next read as the OR of the active columns. The output sections stay a
+    The machine state model lives here, as int bit masks in the format of
+    `bits._mask`: `_cols[j]` is column j as a row mask (bit i = row i) and
+    `_active` the mask of active columns (bit j = column j). The mask of
+    rows holding a 1 in an active column is not stored: `_blocked_rows()`
+    computes it on every read as the OR of the active columns, since each
+    pass reads it once, after its sync. The output sections stay a
     per-row list. Column switching, the six contract operations, the legal
     call order and the shared parts of the cost model live here too.
     Subclasses supply only their physics, how a row is sensed and how the
@@ -286,8 +267,8 @@ class MvpMachine(ABC):
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`) read machine state without charging
     operations; they model an observer looking at the machine, not the
-    machine working. Recomputing `_blocked` is bookkeeping only and never
-    charges operations.
+    machine working. Computing the blocked rows is bookkeeping only and
+    never charges operations.
     """
 
     backend: ClassVar[str]
@@ -308,7 +289,6 @@ class MvpMachine(ABC):
         self._output_set = False
         self._cols: list[int] = [0] * n
         self._active = 0
-        self._blocked: int | None = 0
         self._sections: list[int] = [1] * n
 
     @property
@@ -368,13 +348,10 @@ class MvpMachine(ABC):
         self._log.charge(OpCategory.COLUMN_ACTIVATE, on)
         self._log.charge(OpCategory.COLUMN_DEACTIVATE, diff.bit_count() - on)
         self._active ^= diff
-        self._blocked = None
 
     def _blocked_rows(self) -> int:
         """The mask of rows holding a 1 in some active column."""
-        if self._blocked is None:
-            self._blocked = reduce(or_, compress(self._cols, _flags(self._active, self.n)), 0)
-        return self._blocked
+        return reduce(or_, compress(self._cols, _flags(self._active, self.n)), 0)
 
     # -- physics hooks supplied by backends -----------------------------------
 
@@ -411,7 +388,6 @@ class MvpMachine(ABC):
     def _load_column(self, j: int, bits: Sequence[int]) -> None:
         """Write `bits` into the (inactive) column j (n CellLoad)."""
         self._cols[j] = _mask(bits)
-        self._blocked = None
         self._log.charge(OpCategory.CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:

@@ -15,7 +15,19 @@ from random import Random
 
 import pytest
 
-from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine, matmul, matvec
+from mvpsim import (
+    AxisLadderMachine,
+    BitMatrix,
+    BitVector,
+    Mode,
+    WallLightMachine,
+    matmul,
+    matvec,
+    parse_matrix,
+    parse_vector,
+    serialize_matrix,
+    serialize_vector,
+)
 from conftest import PerRowAxisMachine, PerRowWallMachine
 
 SIZES = (1, 31, 64, 65)
@@ -206,8 +218,16 @@ def test_built_values_hold_exact_int_bits(cls, mode, n):
     # Bools in: public construction must turn them into ints.
     a, b = (BitMatrix(tuple(tuple(rng.random() < 0.4 for _ in range(n)) for _ in range(n)))
             for _ in range(2))
-    for value in (*b.columns(), b.column(n - 1), BitMatrix.from_columns(list(b.columns()))):
+    built = (
+        *b.columns(), b.column(n - 1), BitMatrix.from_columns(list(b.columns())),
+        BitMatrix.random(n, rng, 0.4), BitVector.random(n, rng, 0.4),
+        parse_matrix(serialize_matrix(a)), parse_vector(serialize_vector(b.column(0))),
+    )
+    for value in built:
         _assert_exact_bits(value)
+    for random in (BitMatrix.random, BitVector.random):
+        with pytest.raises(ValueError):
+            random(0, rng)
     m = cls(n)
     report = matmul(m, a, b, mode)
     _assert_exact_bits(report.result)

@@ -1,0 +1,254 @@
+"""A model-based test: hypothesis drives the contract operations, the
+primitives, the parallel drives and calls that must be refused, in any
+order, against a shadow model of the machine kept by the test itself.
+
+Every call's ledger delta is checked against the cost model, and after
+every step the blocked rows, the output sections, the active columns and
+the ledger's own sums must agree with the shadow. Failing sequences shrink
+to a short one. Sizes include 1 and 65, past the 64-bit word.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from mvpsim import (
+    AxisLadderMachine,
+    BitMatrix,
+    BitVector,
+    DimensionError,
+    MachineStateError,
+    Mode,
+    OpCategory,
+    WallLightMachine,
+    matvec,
+    oracle_matvec,
+)
+from conftest import PerRowAxisMachine, PerRowWallMachine
+from test_ledger import expected_pass_counts
+
+C = OpCategory
+CLASSES = (AxisLadderMachine, WallLightMachine, PerRowAxisMachine, PerRowWallMachine)
+SIZES = (1, 2, 3, 65)
+# Values are drawn from a seed and a density. Sparse ones leave rows that
+# a single column blocks, so every column's bits, the 65th included, count.
+SEEDS = st.integers(0, 2**16)
+DENSITIES = st.sampled_from((0.0, 0.03, 0.1, 0.5, 1.0))
+INDICES = st.integers(min_value=0, max_value=65)
+
+
+class MachineModel(RuleBasedStateMachine):
+    @initialize(cls=st.sampled_from(CLASSES), n=st.sampled_from(SIZES))
+    def build(self, cls, n):
+        self.m = cls(n)
+        self.n = n
+        self.axis = isinstance(self.m, AxisLadderMachine)
+        self.a = BitMatrix.zeros(n)
+        self.loaded = False
+        self.active: set[int] = set()
+        self.vector: BitVector | None = None
+        self.synced = False
+        self.output_set = False
+        self.sections = [1] * n
+        self.ladders = [0] * n
+        self.phased = 0  # operations charged inside parallel phases
+
+    # -- the shadow model -------------------------------------------------------
+
+    def clear(self, i: int) -> bool:
+        return not any(self.a.rows[i][j] for j in self.active)
+
+    def vector_of(self, seed: int, density: float, n: int | None = None) -> BitVector:
+        return BitVector.random(n or self.n, Random(seed), density)
+
+    def index(self, raw: int) -> int:
+        """A row or column index, n (out of range) included."""
+        return raw % (self.n + 1)
+
+    def run(self, call, counts=None, phases=(), refused=None, phased=False):
+        """Make `call` and check its ledger delta: exactly `counts` in
+        `phases`, or nothing at all when it must raise `refused`."""
+        log = self.m.oplog
+        before = log.snapshot()
+        result = None
+        if refused is not None:
+            with pytest.raises(refused):
+                call()
+            counts, phases = {}, ()
+        else:
+            result = call()
+        delta = log.snapshot() - before
+        assert dict(delta.counts) == {**dict.fromkeys(OpCategory, 0), **counts}
+        assert delta.phase_ops == tuple(phases)
+        if phased:
+            self.phased += delta.total
+        return result
+
+    # -- contract operations ----------------------------------------------------
+
+    @rule(seed=SEEDS, density=DENSITIES, par=st.booleans())
+    def load_matrix(self, seed, density, par):
+        n, k = self.n, len(self.active)
+        a = BitMatrix.random(n, Random(seed), density)
+        counts = {C.CELL_LOAD: n * n, C.COLUMN_DEACTIVATE: k}
+        if par and self.axis:
+            self.run(lambda: self.m.parallel_load_matrix(a), counts, (k,) + (n,) * n, phased=True)
+        else:
+            self.run(lambda: self.m.load_matrix(a), counts)
+        self.a, self.loaded, self.active, self.synced = a, True, set(), False
+
+    @rule(seed=SEEDS, density=DENSITIES, par=st.booleans(), wrong_size=st.booleans())
+    def load_vector(self, seed, density, par, wrong_size):
+        par = par and self.axis
+        load = self.m.parallel_load_vector if par else self.m.load_vector
+        if wrong_size:
+            v = self.vector_of(seed, density, self.n + 1)
+            self.run(lambda: load(v), refused=DimensionError)
+            return
+        v = self.vector_of(seed, density)
+        self.run(lambda: load(v), {C.VECTOR_COORD_LOAD: self.n}, (self.n,) if par else (),
+                 phased=par)
+        self.vector, self.synced = v, False
+
+    @rule(par=st.booleans())
+    def sync(self, par):
+        par = par and self.axis
+        call = self.m.parallel_sync if par else self.m.sync_columns
+        if not self.loaded or self.vector is None or self.output_set:
+            self.run(call, refused=MachineStateError)
+            return
+        want = {j for j in range(self.n) if self.vector[j]}
+        if par:
+            k = len(self.active)
+            counts = {C.COLUMN_DEACTIVATE: k, C.COLUMN_ACTIVATE: len(want)}
+            self.run(call, counts, (k, len(want)), phased=True)
+        else:
+            counts = {C.SCAN_STEP: self.n, C.COLUMN_ACTIVATE: len(want - self.active),
+                      C.COLUMN_DEACTIVATE: len(self.active - want)}
+            self.run(call, counts)
+        self.active, self.synced = want, True
+
+    @rule(par=st.booleans())
+    def set_output(self, par):
+        par = par and self.axis
+        call = self.m.parallel_ladder_step if par else self.m.set_output
+        if not self.synced or self.output_set or any(self.ladders):
+            self.run(call, refused=MachineStateError, phased=par)
+            return
+        clear = [self.clear(i) for i in range(self.n)]
+        sense = C.LADDER_MOVE if self.axis else C.LIGHT_OBSERVE
+        counts = {sense: self.n, C.OUTPUT_SWITCH: sum(clear)}
+        self.run(call, counts, (self.n + sum(clear),) if par else (), phased=par)
+        self.sections = [0 if c else 1 for c in clear]
+        if self.axis:
+            self.ladders = [int(c) for c in clear]
+        self.output_set = True
+
+    @rule(par=st.booleans())
+    def report_output(self, par):
+        par = par and self.axis
+        call = self.m.parallel_report_output if par else self.m.report_output
+        if not self.output_set:
+            self.run(call, refused=MachineStateError, phased=par)
+            return
+        got = self.run(call, {C.OUTPUT_COORD_REPORT: self.n}, (self.n,) if par else (),
+                       phased=par)
+        assert got == BitVector(tuple(self.sections))
+
+    @rule(par=st.booleans())
+    def reset_output(self, par):
+        par = par and self.axis
+        call = self.m.parallel_reset_output if par else self.m.reset_output
+        steps = self.sections.count(0) + (self.n if self.axis else 0)
+        self.run(call, {C.RESET_STEP: steps}, (steps,) if par else (), phased=par)
+        self.sections, self.ladders, self.output_set = [1] * self.n, [0] * self.n, False
+
+    # -- primitives -------------------------------------------------------------
+
+    @rule(raw=INDICES, on=st.booleans(), wall_name=st.booleans())
+    def switch_column(self, raw, on, wall_name):
+        j = self.index(raw)
+        if wall_name and not self.axis:
+            call = self.m.shift_wall_down if on else self.m.shift_wall_up
+        else:
+            call = self.m.activate_column if on else self.m.deactivate_column
+        if j == self.n:
+            self.run(lambda: call(j), refused=IndexError)
+        elif (j in self.active) == on:
+            self.run(lambda: call(j), refused=MachineStateError)
+        else:
+            self.run(lambda: call(j), {C.COLUMN_ACTIVATE if on else C.COLUMN_DEACTIVATE: 1})
+            (self.active.add if on else self.active.discard)(j)
+
+    @rule(raw=INDICES)
+    def sense(self, raw):
+        i = self.index(raw)
+        call = self.m.move_ladder if self.axis else self.m.observe_light
+        if i == self.n:
+            self.run(lambda: call(i), refused=IndexError)
+        elif not self.axis:
+            assert self.run(lambda: call(i), {C.LIGHT_OBSERVE: 1}) == self.clear(i)
+        elif self.ladders[i]:
+            self.run(lambda: call(i), refused=MachineStateError)
+        else:
+            clear = self.clear(i)
+            counts = {C.LADDER_MOVE: 1, C.OUTPUT_SWITCH: int(clear)}
+            assert self.run(lambda: call(i), counts) == clear
+            if clear:
+                self.ladders[i], self.sections[i] = 1, 0
+
+    # -- drivers and the ledger -------------------------------------------------
+
+    @precondition(lambda self: self.loaded and not self.output_set and not any(self.ladders))
+    @rule(seed=SEEDS, density=DENSITIES, mode=st.sampled_from(Mode))
+    def matvec(self, seed, density, mode):
+        v = self.vector_of(seed, density)
+        if mode is Mode.PAR and not self.axis:
+            self.run(lambda: matvec(self.m, v, mode), refused=ValueError)
+            return
+        counts, phases = expected_pass_counts(
+            self.a, frozenset(self.active), v, self.m.backend, mode
+        )
+        report = self.run(lambda: matvec(self.m, v, mode), counts, phases, phased=mode is Mode.PAR)
+        assert report.result == oracle_matvec(self.a, v)
+        assert report.ops.counts == counts and report.ops.phase_ops == phases
+        self.vector, self.synced = v, True
+        self.active = {j for j in range(self.n) if v[j]}
+
+    @rule(nest=st.booleans())
+    def refused_phase(self, nest):
+        log = self.m.oplog
+
+        def call():
+            with log.phase():
+                if nest:
+                    with log.phase():
+                        pass
+                else:
+                    log.reset()
+
+        self.run(call, refused=MachineStateError, phased=True)
+
+    @invariant()
+    def agrees_with_the_shadow(self):
+        m, n = self.m, self.n
+        probe = m.row_blocked if self.axis else m.row_occluded
+        assert [probe(i) for i in range(n)] == [not self.clear(i) for i in range(n)]
+        assert m.active_columns() == self.active
+        assert [m.output_section(i) for i in range(n)] == self.sections
+        if self.axis:
+            assert [m.ladder_shifted(i) for i in range(n)] == list(map(bool, self.ladders))
+        log = m.oplog
+        assert log.total == sum(log.snapshot().counts.values())
+        assert sum(log.phase_ops) == self.phased
+
+
+MachineModel.TestCase.settings = settings(
+    derandomize=True, max_examples=120, stateful_step_count=50, deadline=None
+)
+TestMachineModel = MachineModel.TestCase
