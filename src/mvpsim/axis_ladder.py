@@ -96,9 +96,9 @@ class AxisLadderMachine(MvpMachine):
         self._begin_matrix_load(a)
         with self._log.phase():
             self._release_columns()
-        for j, bits in enumerate(zip(*a.rows)):
+        for j, col in enumerate(a._cols):
             with self._log.phase():
-                self._load_column(j, bits)
+                self._load_column(j, col)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""

@@ -12,7 +12,9 @@ columns in diagnostics are numbered from 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
+from itertools import repeat
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -25,13 +27,26 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _mask(bits: Sequence[int]) -> int:
-    """The int whose bit k is bits[k] (0/1 ints)."""
+    """The int whose bit k is bits[k] (0/1 ints, or a bytes of them)."""
     return int(bytes(bits).translate(_DIGITS)[::-1], 2)
 
 
 def _flags(mask: int, n: int) -> bytes:
     """Byte k is bit k of `mask` (0/1), for k < n: the inverse of _mask."""
     return bin(mask)[:1:-1].ljust(n, "0").encode().translate(_BITS)
+
+
+def _columns(digits: str | bytes, n: int) -> tuple[int, ...]:
+    """The column masks of an n x n matrix given as its n*n digits '0'/'1'
+    in row-major order: column j is the stride slice digits[j::n]."""
+    return tuple([int(digits[j::n][::-1], 2) for j in range(n)])
+
+
+def _row_digits(cols: Sequence[int], n: int) -> list[str]:
+    """Row i of the n x n matrix with column masks `cols`, as n digits
+    '0'/'1', for each i: the inverse of _columns."""
+    flat = "".join([format(c, f"0{n}b") for c in cols])  # column-major, row n-1 first
+    return [flat[n - 1 - i :: n] for i in range(n)]
 
 
 class DimensionError(ValueError):
@@ -50,13 +65,21 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _as_bits(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """Entries as a tuple of 0/1 ints. Bools become 0/1; anything else
-    that is not the int 0 or 1 (1.0, "1", None, 2) raises ValueError."""
+def _as_bits(values: Iterable[int], what: str) -> tuple[tuple[int, ...], bytes]:
+    """Entries as a tuple of 0/1 ints and as the bytes of it. Bools become
+    0/1; anything else that is not the int 0 or 1 (1.0, "1", None, 2)
+    raises ValueError."""
     out = tuple(values)
-    if set(map(type, out)) <= _INT_TYPE and set(out) <= _BIT_VALUES:
-        return out
-    return tuple(_as_bit(v, what) for v in out)
+    if set(map(type, out)) <= _INT_TYPE:
+        try:
+            flags = bytes(out)
+        except ValueError:  # an int outside 0..255
+            pass
+        else:
+            if not flags.translate(None, b"\0\1"):
+                return out, flags
+    out = tuple(_as_bit(v, what) for v in out)
+    return out, bytes(out)
 
 
 def _as_bit(v: object, what: str) -> int:
@@ -65,37 +88,58 @@ def _as_bit(v: object, what: str) -> int:
     raise ValueError(f"{what} must be 0 or 1, got {v!r}")
 
 
-def _random_rows(rows: int, n: int, rng: Random, density: float) -> tuple[tuple[int, ...], ...]:
-    """`rows` tuples of n exact 0/1 ints, drawn row-major, each 1 with probability `density`."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+def _random_digits(count: int, rng: Random, density: float) -> bytes:
+    """`count` digits '0'/'1' drawn in order, each '1' with probability
+    `density`: row-major, one draw per cell, for a matrix."""
+    if count < 1:
+        raise ValueError(f"dimension must be >= 1, got {count}")
     if not 0 <= density <= 1:  # also rejects NaN
         raise ValueError(f"density must be in [0, 1], got {density}")
-    return tuple(tuple(1 if rng.random() < density else 0 for _ in range(n)) for _ in range(rows))
+    r = rng.random
+    return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """An n-dimensional Boolean column vector, n >= 1. Immutable."""
+class _Frozen:
+    """Immutable value. Its builders write the fields into __dict__ once;
+    a derived view is a functools.cached_property, computed on first read
+    unless a builder seeded it."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coords = _as_bits(self.coords, "vector coordinate")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class BitVector(_Frozen):
+    """An n-dimensional Boolean column vector, n >= 1. Immutable.
+
+    Stored as one int mask (bit j is coordinate j) and n. `coords`, the
+    tuple of 0/1 ints, is a view derived from the mask when first read,
+    unless the public constructor seeded it with the validated tuple.
+    """
+
+    n: int
+    _bits: int
+
+    def __init__(self, coords: Iterable[int]) -> None:
+        coords, flags = _as_bits(coords, "vector coordinate")
         if not coords:
             raise ValueError("empty vectors are not supported (n >= 1)")
-        object.__setattr__(self, "coords", coords)
+        self.__dict__.update(n=len(coords), _bits=_mask(flags), coords=coords)
 
     @classmethod
-    def _of(cls, coords: tuple[int, ...]) -> "BitVector":
-        """A vector over `coords`, n >= 1 int 0/1 built from validated values."""
+    def _of(cls, bits: int, n: int) -> "BitVector":
+        """The vector of the mask `bits`, which has no bit at n or above, n >= 1."""
         v = object.__new__(cls)
-        object.__setattr__(v, "coords", coords)
+        v.__dict__.update(n=n, _bits=bits)
         return v
 
-    @property
-    def n(self) -> int:
-        return len(self.coords)
+    @cached_property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(_flags(self._bits, self.n))
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -109,10 +153,24 @@ class BitVector:
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitVector":
         """Each coordinate is 1 independently with probability `density`,
         which must lie in [0, 1]."""
-        return cls._of(_random_rows(1, n, rng, density)[0])
+        return cls._of(int(_random_digits(n, rng, density)[::-1], 2), n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._bits == other._bits and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self._bits, self.n))
+
+    def __repr__(self) -> str:
+        return f"BitVector(coords={self.coords!r})"
+
+    def __reduce__(self):
+        return BitVector._of, (self._bits, self.n)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return self.n
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coords)
@@ -121,16 +179,24 @@ class BitVector:
         return self.coords[i]
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """A square n x n Boolean matrix, n >= 1, stored row-major. Immutable."""
+class BitMatrix(_Frozen):
+    """A square n x n Boolean matrix, n >= 1. Immutable.
 
-    rows: tuple[tuple[int, ...], ...]
+    Stored as its column masks: bit i of `_cols[j]` is entry (i, j), the
+    layout in which a machine loads and a product streams its columns.
+    `rows`, the row-major tuple of tuples of 0/1 ints, is a view derived
+    from the masks when first read, unless the public constructor seeded
+    it with the validated tuples.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(_as_bits(r, "matrix entry") for r in self.rows)
-        if not rows:
+    n: int
+    _cols: tuple[int, ...]
+
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        checked = [_as_bits(r, "matrix entry") for r in rows]
+        if not checked:
             raise ValueError("empty matrices are not supported (n >= 1)")
+        rows, flags = zip(*checked)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -138,18 +204,20 @@ class BitMatrix:
                     f"row {i + 1} has {len(row)} entries, expected {n} "
                     "(matrix must be square)"
                 )
-        object.__setattr__(self, "rows", rows)
+        cols = _columns(b"".join(flags).translate(_DIGITS), n)
+        self.__dict__.update(n=n, _cols=cols, rows=rows)
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "BitMatrix":
-        """A matrix over `rows`, n >= 1 tuples of n int 0/1 built from validated values."""
+    def _of(cls, cols: tuple[int, ...]) -> "BitMatrix":
+        """The matrix whose column j is the mask cols[j]: n >= 1 masks with
+        no bit at n or above."""
         a = object.__new__(cls)
-        object.__setattr__(a, "rows", rows)
+        a.__dict__.update(n=len(cols), _cols=cols)
         return a
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([tuple(r.encode().translate(_BITS)) for r in _row_digits(self._cols, self.n)])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -166,8 +234,10 @@ class BitMatrix:
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitMatrix":
         """Each cell is 1 independently with probability `density`, which
-        must lie in [0, 1]."""
-        return cls._of(_random_rows(n, n, rng, density))
+        must lie in [0, 1]. Cells are drawn in row-major order."""
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        return cls._of(_columns(_random_digits(n * n, rng, density), n))
 
     @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
@@ -180,16 +250,30 @@ class BitMatrix:
                 raise DimensionError(
                     f"column {j + 1} has {col.n} coordinates, expected {n}"
                 )
-        return cls._of(tuple(zip(*(col.coords for col in columns))))
+        return cls._of(tuple([col._bits for col in columns]))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cols == other._cols
+
+    def __hash__(self) -> int:
+        return hash(self._cols)
+
+    def __repr__(self) -> str:
+        return f"BitMatrix(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return BitMatrix._of, (self._cols,)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]
 
     def column(self, j: int) -> BitVector:
-        return BitVector._of(tuple(row[j] for row in self.rows))
+        return BitVector._of(self._cols[j], self.n)
 
     def columns(self) -> Iterator[BitVector]:
-        return map(BitVector._of, zip(*self.rows))
+        return map(BitVector._of, self._cols, repeat(self.n))
 
 
 def oracle_matvec(a: BitMatrix, v: BitVector) -> BitVector:
@@ -218,7 +302,7 @@ def oracle_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix.from_columns([oracle_matvec(a, col) for col in b.columns()])
 
 
-def _parse_line(line: str, lineno: int, expected_len: int) -> tuple[int, ...]:
+def _check_line(line: str, lineno: int, expected_len: int) -> None:
     if len(line) != expected_len:
         raise ParseError(
             f"expected {expected_len} characters, found {len(line)}", lineno
@@ -227,7 +311,6 @@ def _parse_line(line: str, lineno: int, expected_len: int) -> tuple[int, ...]:
         for k, ch in enumerate(line):
             if ch not in _VALID_CHARS:
                 raise ParseError(f"invalid character {ch!r}", lineno, k + 1)
-    return tuple(line.encode("ascii").translate(_BITS))
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -238,17 +321,16 @@ def parse_matrix(text: str) -> BitMatrix:
     if not lines or lines[0] == "":
         raise ParseError("empty input", 1)
     n = len(lines[0])
-    rows = []
     for i, line in enumerate(lines[:n]):
-        rows.append(_parse_line(line, i + 1, n))
+        _check_line(line, i + 1, n)
     if len(lines) != n:
         raise ParseError(f"expected {n} rows, found {len(lines)}", min(len(lines), n) + 1)
-    return BitMatrix._of(tuple(rows))
+    return BitMatrix._of(_columns("".join(lines), n))
 
 
 def serialize_matrix(a: BitMatrix) -> str:
     """Render a matrix in the text format, one newline-terminated line per row."""
-    return "".join(_render(row) + "\n" for row in a.rows)
+    return "".join([r + "\n" for r in _row_digits(a._cols, a.n)])
 
 
 def parse_vector(text: str) -> BitVector:
@@ -258,13 +340,11 @@ def parse_vector(text: str) -> BitVector:
         raise ParseError("empty input", 1)
     if len(lines) > 1:
         raise ParseError(f"expected a single line, found {len(lines)}", 2)
-    return BitVector._of(_parse_line(lines[0], 1, len(lines[0])))
+    line = lines[0]
+    _check_line(line, 1, len(line))
+    return BitVector._of(int(line[::-1], 2), len(line))
 
 
 def serialize_vector(v: BitVector) -> str:
-    return _render(v.coords) + "\n"
+    return format(v._bits, f"0{v.n}b")[::-1] + "\n"
 
-
-def _render(bits: tuple[int, ...]) -> str:
-    """The digits of validated 0/1 bits, as one line without its newline."""
-    return bytes(bits).translate(_DIGITS).decode("ascii")

@@ -71,6 +71,19 @@ def _bench_row(report: RunReport, usec: int) -> dict[str, int | str]:
     return row
 
 
+def _check_csv_header(path: str) -> None:
+    """Refuse a non-empty file whose first line is not the CSV header, so
+    that rows are never appended under another schema."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            first = f.readline()
+    except FileNotFoundError:
+        return
+    header = ",".join(CSV_FIELDS)
+    if first and first.rstrip("\r\n") != header:
+        raise ValueError(f"{path}: first line is not the operation-count CSV header {header!r}")
+
+
 def _write_bench_rows(path: str, mode: str, rows: Sequence[Mapping[str, int | str]]) -> None:
     with open(path, mode, encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
@@ -80,6 +93,8 @@ def _write_bench_rows(path: str, mode: str, rows: Sequence[Mapping[str, int | st
 
 
 def cmd_multiply(args: argparse.Namespace) -> int:
+    if args.ops:
+        _check_csv_header(args.ops)
     a = _read_matrix(args.a)
     b = _read_matrix(args.b)
     machine = make_machine(args.backend, a.n)

@@ -49,14 +49,13 @@ single charges. Only sensing also has a per-row path; see MvpMachine.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError, _flags, _mask
+from .bits import BitMatrix, BitVector, DimensionError, _flags, _Frozen, _mask
 
 
 class MachineStateError(RuntimeError):
@@ -83,7 +82,11 @@ class OpCategory(Enum):
     __hash__ = object.__hash__
 
 
-class OpCounts:
+_CATEGORIES = tuple(OpCategory)
+_INDEX = {c: k for k, c in enumerate(_CATEGORIES)}
+
+
+class OpCounts(_Frozen):
     """Immutable snapshot of an OpLog.
 
     `phase_ops[k]` is the number of operations charged during the k-th
@@ -99,35 +102,32 @@ class OpCounts:
     later one.
     """
 
-    __slots__ = ("counts", "_phases", "_stop")
-
-    counts: Mapping[OpCategory, int]
+    __slots__ = ("_counts", "_phases", "_stop")
 
     def __new__(cls, counts: Mapping[OpCategory, int], phase_ops: Sequence[int] = ()) -> "OpCounts":
         full = dict.fromkeys(OpCategory, 0)
         full.update(counts)
         if len(full) != len(OpCategory):
             raise ValueError(f"unknown operation categories in {counts!r}")
-        return cls._view(full, tuple(phase_ops))
+        return cls._view(tuple(full.values()), tuple(phase_ops))
 
     @classmethod
-    def _view(cls, counts: dict[OpCategory, int], phases: Sequence[int]) -> "OpCounts":
-        """A snapshot over `counts`, which holds every category, and the
-        current entries of `phases`; neither is copied."""
+    def _view(cls, counts: tuple[int, ...], phases: Sequence[int]) -> "OpCounts":
+        """A snapshot of `counts`, one per category in OpCategory order, and
+        the current entries of `phases`, which is not copied."""
         snap = object.__new__(cls)
-        object.__setattr__(snap, "counts", counts)
+        object.__setattr__(snap, "_counts", counts)
         object.__setattr__(snap, "_phases", phases)
         object.__setattr__(snap, "_stop", len(phases))
         return snap
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return OpCounts, (self.counts, self.phase_ops)
+
+    @property
+    def counts(self) -> dict[OpCategory, int]:
+        """The count of every category, as a new dict."""
+        return dict(zip(_CATEGORIES, self._counts))
 
     @property
     def phase_ops(self) -> tuple[int, ...]:
@@ -135,19 +135,19 @@ class OpCounts:
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self._counts)
 
     @property
     def parallel_phases(self) -> int:
         return self._stop
 
     def count(self, category: OpCategory) -> int:
-        return self.counts[category]
+        return self._counts[_INDEX[category]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpCounts):
             return NotImplemented
-        return self.counts == other.counts and self.phase_ops == other.phase_ops
+        return self._counts == other._counts and self.phase_ops == other.phase_ops
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -163,9 +163,8 @@ class OpCounts:
             if phases[:start] != earlier.phase_ops:
                 raise ValueError("snapshots do not share a machine history")
             phases = phases[start:]
-        before = earlier.counts
-        counts = {c: v - before[c] for c, v in self.counts.items()}
-        if min(counts.values()) < 0:
+        counts = tuple(map(sub, self._counts, earlier._counts))
+        if min(counts) < 0:
             raise ValueError("snapshots do not share a machine history")
         return OpCounts._view(counts, phases)
 
@@ -224,7 +223,7 @@ class OpLog:
         return self._counts[category]
 
     def snapshot(self) -> OpCounts:
-        return OpCounts._view(dict(self._counts), self._phase_ops)
+        return OpCounts._view(tuple(self._counts.values()), self._phase_ops)
 
     def reset(self) -> None:
         if self._phase_start is not None:
@@ -300,7 +299,7 @@ class MvpMachine(ABC):
 
     def loaded_matrix(self) -> BitMatrix:
         """Current content of the input array."""
-        return BitMatrix._of(tuple(zip(*(_flags(c, self.n) for c in self._cols))))
+        return BitMatrix._of(tuple(self._cols))
 
     def loaded_vector(self) -> BitVector | None:
         return self._vector
@@ -385,9 +384,9 @@ class MvpMachine(ABC):
         """Switch off every active column."""
         self._toggle_columns(self._active)
 
-    def _load_column(self, j: int, bits: Sequence[int]) -> None:
-        """Write `bits` into the (inactive) column j (n CellLoad)."""
-        self._cols[j] = _mask(bits)
+    def _load_column(self, j: int, col: int) -> None:
+        """Write the mask `col` into the (inactive) column j (n CellLoad)."""
+        self._cols[j] = col
         self._log.charge(OpCategory.CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:
@@ -400,7 +399,7 @@ class MvpMachine(ABC):
 
     def _wanted_columns(self) -> int:
         """The column mask the loaded vector selects (bit j = coordinate j)."""
-        return _mask(self._vector.coords)
+        return self._vector._bits
 
     # -- the six contract operations ------------------------------------------
 
@@ -412,8 +411,8 @@ class MvpMachine(ABC):
         """
         self._begin_matrix_load(a)
         self._release_columns()
-        for j, bits in enumerate(zip(*a.rows)):
-            self._load_column(j, bits)
+        for j, col in enumerate(a._cols):
+            self._load_column(j, col)
 
     def load_vector(self, v: BitVector) -> None:
         """Read a vector into the input vector (n operations). Does not
@@ -469,7 +468,7 @@ class MvpMachine(ABC):
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
         self._log.charge(OpCategory.OUTPUT_COORD_REPORT, self.n)
-        return BitVector._of(tuple(self._sections))
+        return BitVector._of(_mask(self._sections), self.n)
 
     def reset_output(self) -> None:
         """Restore the output mechanism to its initial state (at most 2n

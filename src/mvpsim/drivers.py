@@ -103,7 +103,6 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
         machine.parallel_load_matrix(a)
     else:
         machine.load_matrix(a)
-    out_columns = [matvec(machine, col, mode).result for col in b.columns()]
-    result = BitMatrix.from_columns(out_columns)
+    result = BitMatrix._of(tuple([matvec(machine, col, mode).result._bits for col in b.columns()]))
     ops = machine.oplog.snapshot() - before
     return RunReport(result, ops, machine.backend, mode, machine.n)

@@ -149,6 +149,18 @@ class TestMultiply:
             assert int(row["total_ops"]) <= 9 * 16
             assert int(row["usec"]) >= 0
 
+    @pytest.mark.parametrize("first", ["n,backend,mode,total_ops,wall_shift\n", "garbage"])
+    def test_ops_file_with_another_header_exits_2(self, tmp_path, capsys, first):
+        a = write_matrix(tmp_path / "a.txt", A4)
+        ops, out = tmp_path / "ops.csv", tmp_path / "o.txt"
+        ops.write_text(first, encoding="utf-8")
+        args = ["multiply", "--a", a, "--b", a, "--backend", "axis", "--mode", "seq",
+                "--ops", str(ops), "--out", str(out)]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert ops.read_text(encoding="utf-8") == first
+        assert not out.exists()
+
 
 class TestBench:
     def run(self, tmp_path, name, extra=()):
@@ -292,6 +304,13 @@ class TestSelftest:
         text = out.getvalue()
         assert "FAIL" in text
         assert "A:" in text  # counterexample is printed
+
+    def test_oracle_checks_alone_catch_inverted_blocking(self):
+        # With no wall machine there is no agreement check: the reported
+        # products must carry the inverted machine's sections to the oracle.
+        out = io.StringIO()
+        assert run_selftest(out=out, machine_factories={"axis": InvertedLadderMachine}) == 1
+        assert "matvec disagrees with oracle" in out.getvalue()
 
     def test_catches_lying_stroke_report(self):
         # Results stay correct, so only the cross-backend agreement check

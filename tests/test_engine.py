@@ -11,6 +11,8 @@ bit-packed state that drops a high bit or mixes up rows shows here.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from random import Random
 
 import pytest
@@ -23,6 +25,8 @@ from mvpsim import (
     WallLightMachine,
     matmul,
     matvec,
+    oracle_matmul,
+    oracle_matvec,
     parse_matrix,
     parse_vector,
     serialize_matrix,
@@ -237,3 +241,56 @@ def test_built_values_hold_exact_int_bits(cls, mode, n):
     m.sync_columns()
     m.set_output()
     _assert_exact_bits(m.report_output())
+
+
+def _assert_same_value(values, view) -> None:
+    """Every value in `values` equals the first, hashes alike, has the repr
+    of the public constructor over `view`, holds exactly `view` as its
+    rows/coords, and survives pickle and deepcopy."""
+    kind = "rows" if isinstance(values[0], BitMatrix) else "coords"
+    for value in values:
+        for twin in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == values[0] and hash(twin) == hash(values[0])
+            assert repr(twin) == f"{type(twin).__name__}({kind}={view!r})"
+            assert getattr(twin, kind) == view
+            _assert_exact_bits(twin)
+
+
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 256))
+def test_construction_paths_agree(n):
+    """A value is the same whichever way it was built: public tuples (bools
+    too), text, generation, columns, a machine's state or a product."""
+    seed = f"paths-agree:{n}"
+    rng = Random(seed)
+    rows = tuple(tuple(1 if rng.random() < 0.5 else 0 for _ in range(n)) for _ in range(n))
+    a = BitMatrix.random(n, Random(seed))  # the same row-major draws
+    cols = tuple(zip(*rows))
+    m = AxisLadderMachine(n)
+    m.load_matrix(a)
+    _assert_same_value([
+        a, BitMatrix(rows), BitMatrix(tuple(tuple(map(bool, r)) for r in rows)),
+        parse_matrix(serialize_matrix(a)), BitMatrix.from_columns(list(a.columns())),
+        BitMatrix.from_columns([BitVector(c) for c in cols]), m.loaded_matrix(),
+    ], rows)
+    for j in {0, n // 2, n - 1}:
+        vectors = [a.column(j), list(a.columns())[j], BitVector(cols[j]),
+                   BitVector(tuple(map(bool, cols[j]))), parse_vector(serialize_vector(a.column(j)))]
+        _assert_same_value(vectors, cols[j])
+    v = BitVector.random(n, Random(seed))
+    _assert_same_value([v, BitVector(rows[0])], rows[0])
+    want = oracle_matvec(a, v)
+    got = matvec(m, v).result
+    m.load_vector(v)
+    m.sync_columns()
+    m.set_output()
+    _assert_same_value([want, got, m.report_output()], want.coords)
+    # A permutation matrix: column j of the product is column p[j] of a.
+    p = list(range(n))
+    rng.shuffle(p)
+    b = BitMatrix(tuple(tuple(int(i == p[j]) for j in range(n)) for i in range(n)))
+    want = tuple(tuple(r[p[j]] for j in range(n)) for r in rows)
+    products = [matmul(AxisLadderMachine(n), a, b, mode).result for mode in Mode]
+    _assert_same_value([BitMatrix(want), *products], want)
+    if n < 64:
+        assert oracle_matmul(a, b) == products[0]
+    assert BitVector((0,) * n) != BitVector((0,) * (n + 1))

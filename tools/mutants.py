@@ -118,7 +118,7 @@ MUTANTS = (
     Mutant(
         "negative deltas accepted",
         "contract.py",
-        "if min(counts.values()) < 0:",
+        "if min(counts) < 0:",
         "if False:",
         ("test_contract.py",),
     ),
@@ -128,6 +128,27 @@ MUTANTS = (
         "if type(v) is bool or (type(v) is int and v in _BIT_VALUES):",
         "if v in _BIT_VALUES:",
         ("test_bits.py",),
+    ),
+    Mutant(
+        "column masks cut to 64 bits",
+        "bits.py",
+        "return tuple([int(digits[j::n][::-1], 2) for j in range(n)])",
+        "return tuple([int(digits[j::n][::-1], 2) & (1 << 64) - 1 for j in range(n)])",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "row digits read down the columns",
+        "bits.py",
+        "return [flat[n - 1 - i :: n] for i in range(n)]",
+        "return [flat[i * n : (i + 1) * n][::-1] for i in range(n)]",
+        ("test_bits.py",),
+    ),
+    Mutant(
+        "report read from the blocked mask, not the sections",
+        "contract.py",
+        "return BitVector._of(_mask(self._sections), self.n)",
+        "return BitVector._of(self._blocked_rows(), self.n)",
+        ("test_cli.py",),
     ),
 )
 
