@@ -1,6 +1,17 @@
 """Boolean matrix and vector values, the brute-force product oracle, and
 bit-exact text serialization.
 
+Values are column-packed int bit masks, the layout the machines keep their
+state in: a BitVector is one mask (bit j is coordinate j) plus n, and a
+BitMatrix is its n column masks (bit i of column j is entry (i, j)), so a
+machine loads a matrix column by column and a product streams and
+collects columns without converting them. The tuples `BitVector.coords`
+and `BitMatrix.rows` are views derived from the masks on first read. The
+public constructors validate tuples strictly and seed the views with
+them; generation and parsing build the row-major digit string '0'/'1' of
+the whole matrix and take column j as its stride slice digits[j::n].
+Values built from validated ones are not validated again.
+
 The oracle is the definitional triple loop over Boolean AND and OR. It is
 deliberately naive, with no bit packing and no early exits, so that it is
 obviously correct; every machine backend is checked against it.
@@ -12,7 +23,7 @@ columns in diagnostics are numbered from 1.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from random import Random
@@ -99,21 +110,14 @@ def _random_digits(count: int, rng: Random, density: float) -> bytes:
     return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
 
 
-class _Frozen:
-    """Immutable value. Its builders write the fields into __dict__ once;
-    a derived view is a functools.cached_property, computed on first read
-    unless a builder seeded it."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+# Values are frozen dataclasses over their masks, which alone decide
+# equality and hashing. Their builders write the fields straight into
+# __dict__, and a derived view is a functools.cached_property, computed on
+# first read unless a builder seeded it there.
 
 
-class BitVector(_Frozen):
+@dataclass(frozen=True, init=False)
+class BitVector:
     """An n-dimensional Boolean column vector, n >= 1. Immutable.
 
     Stored as one int mask (bit j is coordinate j) and n. `coords`, the
@@ -155,19 +159,8 @@ class BitVector(_Frozen):
         which must lie in [0, 1]."""
         return cls._of(int(_random_digits(n, rng, density)[::-1], 2), n)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._bits == other._bits and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self._bits, self.n))
-
     def __repr__(self) -> str:
         return f"BitVector(coords={self.coords!r})"
-
-    def __reduce__(self):
-        return BitVector._of, (self._bits, self.n)
 
     def __len__(self) -> int:
         return self.n
@@ -179,7 +172,8 @@ class BitVector(_Frozen):
         return self.coords[i]
 
 
-class BitMatrix(_Frozen):
+@dataclass(frozen=True, init=False)
+class BitMatrix:
     """A square n x n Boolean matrix, n >= 1. Immutable.
 
     Stored as its column masks: bit i of `_cols[j]` is entry (i, j), the
@@ -217,7 +211,8 @@ class BitMatrix(_Frozen):
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([tuple(r.encode().translate(_BITS)) for r in _row_digits(self._cols, self.n)])
+        digits = _row_digits(self._cols, self.n)
+        return tuple([tuple(r.encode().translate(_BITS)) for r in digits])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -252,19 +247,8 @@ class BitMatrix(_Frozen):
                 )
         return cls._of(tuple([col._bits for col in columns]))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._cols == other._cols
-
-    def __hash__(self) -> int:
-        return hash(self._cols)
-
     def __repr__(self) -> str:
         return f"BitMatrix(rows={self.rows!r})"
-
-    def __reduce__(self):
-        return BitMatrix._of, (self._cols,)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.rows[i]

@@ -41,7 +41,10 @@ The contract operations charge in bulk: each category an operation
 charges takes one ledger call, its amount counted from the bit masks (in
 the format of `bits._mask`) with int.bit_count(), and the per-row and
 per-column work runs in C-level calls, so a pass costs O(1) ledger calls
-and O(1) Python steps. The blocked-row mask is computed on each read. The
+and O(1) Python steps. The values are column-packed in that same format
+(see `bits`), so a load installs a matrix's column masks as they are, a
+sync reads the vector's mask, and a report packs the output sections into
+a vector's mask. The blocked-row mask is computed on each read. The
 primitives (activate_column, move_ladder, observe_light, ...) keep their
 single charges. Only sensing also has a per-row path; see MvpMachine.
 """
@@ -49,13 +52,14 @@ single charges. Only sensing also has a per-row path; see MvpMachine.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import reduce
 from itertools import compress
 from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError, _flags, _Frozen, _mask
+from .bits import BitMatrix, BitVector, DimensionError, _flags, _mask
 
 
 class MachineStateError(RuntimeError):
@@ -86,12 +90,14 @@ _CATEGORIES = tuple(OpCategory)
 _INDEX = {c: k for k, c in enumerate(_CATEGORIES)}
 
 
-class OpCounts(_Frozen):
+class OpCounts:
     """Immutable snapshot of an OpLog.
 
-    `phase_ops[k]` is the number of operations charged during the k-th
-    completed parallel phase. Subtracting an earlier snapshot of the same
-    machine yields the counts for the interval between the two.
+    `counts` maps every category to its count; the snapshot holds the
+    counts as a tuple in OpCategory order and builds the mapping when it is
+    read. `phase_ops[k]` is the number of operations charged during the
+    k-th completed parallel phase. Subtracting an earlier snapshot of the
+    same machine yields the counts for the interval between the two.
 
     A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
     it holds the log's phase list, which only grows until `OpLog.reset()`
@@ -120,6 +126,12 @@ class OpCounts(_Frozen):
         object.__setattr__(snap, "_phases", phases)
         object.__setattr__(snap, "_stop", len(phases))
         return snap
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return OpCounts, (self.counts, self.phase_ops)
@@ -242,7 +254,9 @@ class MvpMachine(ABC):
     rows holding a 1 in an active column is not stored: `_blocked_rows()`
     computes it on every read as the OR of the active columns, since each
     pass reads it once, after its sync. The output sections stay a
-    per-row list. Column switching, the six contract operations, the legal
+    per-row list; report_output packs that list, not the blocked mask, so
+    a machine that senses differently is reported as its sections read.
+    Column switching, the six contract operations, the legal
     call order and the shared parts of the cost model live here too.
     Subclasses supply only their physics, how a row is sensed and how the
     output mechanism moves and returns home, through the underscore hooks.

@@ -273,9 +273,10 @@ def test_construction_paths_agree(n):
         BitMatrix.from_columns([BitVector(c) for c in cols]), m.loaded_matrix(),
     ], rows)
     for j in {0, n // 2, n - 1}:
-        vectors = [a.column(j), list(a.columns())[j], BitVector(cols[j]),
-                   BitVector(tuple(map(bool, cols[j]))), parse_vector(serialize_vector(a.column(j)))]
-        _assert_same_value(vectors, cols[j])
+        _assert_same_value([
+            a.column(j), list(a.columns())[j], BitVector(cols[j]),
+            BitVector(tuple(map(bool, cols[j]))), parse_vector(serialize_vector(a.column(j))),
+        ], cols[j])
     v = BitVector.random(n, Random(seed))
     _assert_same_value([v, BitVector(rows[0])], rows[0])
     want = oracle_matvec(a, v)
