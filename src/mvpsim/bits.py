@@ -2,15 +2,11 @@
 bit-exact text serialization.
 
 Values are column-packed int bit masks, the layout the machines keep their
-state in: a BitVector is one mask (bit j is coordinate j) plus n, and a
-BitMatrix is its n column masks (bit i of column j is entry (i, j)), so a
-machine loads a matrix column by column and a product streams and
-collects columns without converting them. The tuples `BitVector.coords`
-and `BitMatrix.rows` are views derived from the masks on first read. The
-public constructors validate tuples strictly and seed the views with
-them; generation and parsing build the row-major digit string '0'/'1' of
-the whole matrix and take column j as its stride slice digits[j::n].
-Values built from validated ones are not validated again.
+state in, so a machine loads a matrix column by column and a product
+streams and collects columns without converting them. Generation and
+parsing build the row-major digit string '0'/'1' of the whole matrix and
+take column j as its stride slice digits[j::n]. Values built from
+validated ones are not validated again.
 
 The oracle is the definitional triple loop over Boolean AND and OR. It is
 deliberately naive, with no bit packing and no early exits, so that it is
@@ -111,9 +107,11 @@ def _random_digits(count: int, rng: Random, density: float) -> bytes:
 
 
 # Values are frozen dataclasses over their masks, which alone decide
-# equality and hashing. Their builders write the fields straight into
-# __dict__, and a derived view is a functools.cached_property, computed on
-# first read unless a builder seeded it there.
+# equality and hashing. Their builders write the fields with _set, past the
+# frozen __setattr__; unlike a __dict__.update, that keeps the attribute
+# values inline, at less than half the size per value. A derived view is a
+# functools.cached_property, computed on first read unless a builder seeded it.
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, init=False)
@@ -132,13 +130,16 @@ class BitVector:
         coords, flags = _as_bits(coords, "vector coordinate")
         if not coords:
             raise ValueError("empty vectors are not supported (n >= 1)")
-        self.__dict__.update(n=len(coords), _bits=_mask(flags), coords=coords)
+        _set(self, "n", len(coords))
+        _set(self, "_bits", _mask(flags))
+        _set(self, "coords", coords)
 
     @classmethod
     def _of(cls, bits: int, n: int) -> "BitVector":
         """The vector of the mask `bits`, which has no bit at n or above, n >= 1."""
         v = object.__new__(cls)
-        v.__dict__.update(n=n, _bits=bits)
+        _set(v, "n", n)
+        _set(v, "_bits", bits)
         return v
 
     @cached_property
@@ -198,15 +199,17 @@ class BitMatrix:
                     f"row {i + 1} has {len(row)} entries, expected {n} "
                     "(matrix must be square)"
                 )
-        cols = _columns(b"".join(flags).translate(_DIGITS), n)
-        self.__dict__.update(n=n, _cols=cols, rows=rows)
+        _set(self, "n", n)
+        _set(self, "_cols", _columns(b"".join(flags).translate(_DIGITS), n))
+        _set(self, "rows", rows)
 
     @classmethod
     def _of(cls, cols: tuple[int, ...]) -> "BitMatrix":
         """The matrix whose column j is the mask cols[j]: n >= 1 masks with
         no bit at n or above."""
         a = object.__new__(cls)
-        a.__dict__.update(n=len(cols), _cols=cols)
+        _set(a, "n", len(cols))
+        _set(a, "_cols", cols)
         return a
 
     @cached_property
