@@ -49,13 +49,6 @@ def _columns(digits: str | bytes, n: int) -> tuple[int, ...]:
     return tuple([int(digits[j::n][::-1], 2) for j in range(n)])
 
 
-def _row_digits(cols: Sequence[int], n: int) -> list[str]:
-    """Row i of the n x n matrix with column masks `cols`, as n digits
-    '0'/'1', for each i: the inverse of _columns."""
-    flat = "".join([format(c, f"0{n}b") for c in cols])  # column-major, row n-1 first
-    return [flat[n - 1 - i :: n] for i in range(n)]
-
-
 class DimensionError(ValueError):
     """Operand dimensions do not match."""
 
@@ -214,8 +207,7 @@ class BitMatrix:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        digits = _row_digits(self._cols, self.n)
-        return tuple([tuple(r.encode().translate(_BITS)) for r in digits])
+        return tuple(zip(*[_flags(c, self.n) for c in self._cols]))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -317,7 +309,9 @@ def parse_matrix(text: str) -> BitMatrix:
 
 def serialize_matrix(a: BitMatrix) -> str:
     """Render a matrix in the text format, one newline-terminated line per row."""
-    return "".join([r + "\n" for r in _row_digits(a._cols, a.n)])
+    n = a.n
+    flat = "".join([format(c, f"0{n}b") for c in a._cols])  # column-major, row n-1 first
+    return "".join([flat[n - 1 - i :: n] + "\n" for i in range(n)])
 
 
 def parse_vector(text: str) -> BitVector:

@@ -137,10 +137,10 @@ MUTANTS = (
         ("test_engine.py",),
     ),
     Mutant(
-        "row digits read down the columns",
+        "rows view holds the columns",
         "bits.py",
-        "return [flat[n - 1 - i :: n] for i in range(n)]",
-        "return [flat[i * n : (i + 1) * n][::-1] for i in range(n)]",
+        "return tuple(zip(*[_flags(c, self.n) for c in self._cols]))",
+        "return tuple(map(tuple, [_flags(c, self.n) for c in self._cols]))",
         ("test_bits.py",),
     ),
     Mutant(
