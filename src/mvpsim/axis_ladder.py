@@ -28,7 +28,9 @@ class AxisLadderMachine(MvpMachine):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self._ladder_shifted: list[int] = [0] * n  # 1 while away from home
+        # One byte per ladder, 1 while away from home; the per-row path
+        # writes single entries, the bulk stroke installs them all.
+        self._ladder_shifted = bytearray(n)
 
     # -- uncounted inspection --------------------------------------------------
 
@@ -76,17 +78,17 @@ class AxisLadderMachine(MvpMachine):
         self.move_ladder(i)
 
     def _check_output_home(self) -> None:
-        if any(self._ladder_shifted):
+        if 1 in self._ladder_shifted:
             i = self._ladder_shifted.index(1)
             raise MachineStateError(f"ladder {i} is already shifted")
 
     def _move_output_parts(self, clear: int) -> None:
-        self._ladder_shifted = list(_flags(clear, self.n))
+        self._ladder_shifted = bytearray(_flags(clear, self.n))
 
     def _return_output_mechanism(self) -> None:
         # One return step per ladder regardless of where the stroke ended.
         self._log.charge(OpCategory.RESET_STEP, self.n)
-        self._ladder_shifted = [0] * self.n
+        self._ladder_shifted = bytearray(self.n)
 
     # -- machine-wide parallel drives -------------------------------------------
 

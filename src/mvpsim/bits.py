@@ -33,9 +33,9 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mask(bits: Sequence[int]) -> int:
-    """The int whose bit k is bits[k] (0/1 ints, or a bytes of them)."""
-    return int(bytes(bits).translate(_DIGITS)[::-1], 2)
+def _mask(bits: bytes | bytearray) -> int:
+    """The int whose bit k is byte k of `bits` (0/1): the inverse of _flags."""
+    return int(bits.translate(_DIGITS)[::-1], 2)
 
 
 def _flags(mask: int, n: int) -> bytes:

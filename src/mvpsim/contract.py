@@ -44,8 +44,9 @@ per-column work runs in C-level calls, so a pass costs O(1) ledger calls
 and O(1) Python steps. The values are column-packed in that same format
 (see `bits`), so a load installs a matrix's column masks as they are, a
 sync reads the vector's mask, and a report packs the output sections into
-a vector's mask. The blocked-row mask is computed on each read. The
-primitives (activate_column, move_ladder, observe_light, ...) keep their
+a vector's mask. The per-row output state is bytes, one 0/1 byte per row,
+so it is written whole, counted and packed by C-level bytearray calls.
+The blocked-row mask is computed on each read. The primitives (activate_column, move_ladder, observe_light, ...) keep their
 single charges. Only sensing also has a per-row path; see MvpMachine.
 """
 
@@ -253,20 +254,24 @@ class MvpMachine(ABC):
     `_active` the mask of active columns (bit j = column j). The mask of
     rows holding a 1 in an active column is not stored: `_blocked_rows()`
     computes it on every read as the OR of the active columns, since each
-    pass reads it once, after its sync. The output sections stay a
-    per-row list; report_output packs that list, not the blocked mask, so
-    a machine that senses differently is reported as its sections read.
-    Column switching, the six contract operations, the legal
-    call order and the shared parts of the cost model live here too.
+    pass reads it once, after its sync. The output sections are a
+    bytearray, one 0/1 byte per row (`_sections[i]` is section i), and
+    report_output packs those bytes, not the blocked mask, so a machine
+    that senses differently is reported as its sections read. A per-row
+    machine writes single entries (`_sections[i] = 0`), which a bytearray
+    stores like a list. Column switching, the six contract operations,
+    the legal call order and the shared parts of the cost model live here
+    too.
     Subclasses supply only their physics, how a row is sensed and how the
     output mechanism moves and returns home, through the underscore hooks.
 
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks: a sync flips `_active` by
     the mask of differing columns, and set_output ORs the active columns
-    (reduce over itertools.compress) and writes the section list whole
-    from the blocked mask. A pass is therefore O(1) ledger calls and O(1)
-    Python steps; its O(n) work runs inside C-level calls.
+    (reduce over itertools.compress) and installs the section bytes whole
+    from the blocked mask; reset_output counts the 0 bytes. A pass is
+    therefore O(1) ledger calls and O(1) Python steps; its O(n) work runs
+    inside C-level calls.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -302,7 +307,7 @@ class MvpMachine(ABC):
         self._output_set = False
         self._cols: list[int] = [0] * n
         self._active = 0
-        self._sections: list[int] = [1] * n
+        self._sections = bytearray(b"\x01") * n
 
     @property
     def oplog(self) -> OpLog:
@@ -470,7 +475,7 @@ class MvpMachine(ABC):
             self._log.charge(cls._sense_category, self.n)
             self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count())
             # Sections start at 1 and flip to 0 on the clear rows.
-            self._sections = list(_flags(blocked, self.n))
+            self._sections = bytearray(_flags(blocked, self.n))
             self._move_output_parts(clear)
         else:
             for i in range(self.n):
@@ -493,5 +498,5 @@ class MvpMachine(ABC):
         set_output (no resync needed) recomputes the same output."""
         self._return_output_mechanism()
         self._log.charge(OpCategory.RESET_STEP, self._sections.count(0))
-        self._sections = [1] * self.n
+        self._sections = bytearray(b"\x01") * self.n
         self._output_set = False

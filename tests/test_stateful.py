@@ -4,8 +4,8 @@ order, against a shadow model of the machine kept by the test itself.
 
 Every call's ledger delta is checked against the cost model, and after
 every step the blocked rows, the output sections, the active columns and
-the ledger's own sums must agree with the shadow. Failing sequences shrink
-to a short one. Sizes include 1 and 65, past the 64-bit word.
+the ledger's own sums must agree with the shadow. A failing sequence is
+reported as found, not shrunk. Sizes include 1 and 65, past the 64-bit word.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -248,7 +248,10 @@ class MachineModel(RuleBasedStateMachine):
         assert sum(log.phase_ops) == self.phased
 
 
+# No shrink phase: a failure at n = 65 shrinks for minutes before it is
+# reported, and a stalled run hides the failure it has already found.
 MachineModel.TestCase.settings = settings(
-    derandomize=True, max_examples=120, stateful_step_count=50, deadline=None
+    derandomize=True, max_examples=120, stateful_step_count=50, deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
 )
 TestMachineModel = MachineModel.TestCase

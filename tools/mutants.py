@@ -150,6 +150,27 @@ MUTANTS = (
         "return BitVector._of(self._blocked_rows(), self.n)",
         ("test_cli.py",),
     ),
+    Mutant(
+        "home check never refuses",
+        "axis_ladder.py",
+        "if 1 in self._ladder_shifted:",
+        "if 2 in self._ladder_shifted:",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "reset restores the sections to 0s",
+        "contract.py",
+        'self._sections = bytearray(b"\\x01") * self.n',
+        "self._sections = bytearray(self.n)",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "ladders set from the blocked mask, not the clear one",
+        "axis_ladder.py",
+        "self._ladder_shifted = bytearray(_flags(clear, self.n))",
+        "self._ladder_shifted = bytearray(_flags(self._blocked_rows(), self.n))",
+        ("test_engine.py",),
+    ),
 )
 
 
