@@ -46,8 +46,9 @@ and O(1) Python steps. The values are column-packed in that same format
 sync reads the vector's mask, and a report packs the output sections into
 a vector's mask. The per-row output state is bytes, one 0/1 byte per row,
 so it is written whole, counted and packed by C-level bytearray calls.
-The blocked-row mask is computed on each read. The primitives (activate_column, move_ladder, observe_light, ...) keep their
-single charges. Only sensing also has a per-row path; see MvpMachine.
+The blocked-row mask is computed on each read. The primitives
+(activate_column, move_ladder, observe_light, ...) keep their single
+charges. Only sensing also has a per-row path; see MvpMachine.
 """
 
 from __future__ import annotations

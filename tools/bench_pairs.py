@@ -94,7 +94,8 @@ def export(rev: str, dest: str) -> None:
 
 def bench(root: str, workload: str, seed: int, seconds: int) -> dict:
     """One run of perfbench/run.py in the tree at `root`: its info and
-    result lines, or its exit code and error output if it printed none."""
+    result lines. Raises RuntimeError, with the run's error output, if it
+    exits non-zero or prints no result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
