@@ -7,18 +7,19 @@ Run from the repository root:
 
 It exports the parent commit with `git archive` into a temporary directory
 and refuses unless `perfbench/` and `BENCHMARK.json` are the same there as
-in the working tree, so both sides run the same harness. Each seed (times
---repeat) is one pair: `perfbench/run.py` runs once on each side, and the
-side that runs first alternates from pair to pair. Every `info` and result
-line is kept. For each workload and end-to-end metric the output holds the
-parent's and the change's medians and quartiles, and how many pairs each
-side won: a pair is won by the side whose value is strictly better in the
-metric's direction, and a tie counts for neither; and whether the gap
+in the working tree, so both sides run the same harness. Each seed is one
+pair (a seed given k times makes k pairs): `perfbench/run.py` runs once on
+each side, and the side that runs first alternates from pair to pair.
+Every `info` and result line is kept, so each run's `correct` and `failed`
+are in the output. For each workload and end-to-end metric it also holds
+the parent's and the change's medians and quartiles, and how many pairs
+each side won: a pair is won by the side whose value is strictly better in
+the metric's direction, and a tie counts for neither; and whether the gap
 between the medians, in the better direction, exceeds the spread between
-the parent's quartiles. Each run's `correct` and
-`failed`, the Python version, nproc and both commits are recorded too. An
-existing --out file gets this invocation appended as one more batch.
-Standard library only.
+the parent's quartiles. The Python version, nproc and both commits are
+recorded too, with the files where the working tree differs from its
+commit. An existing --out file gets this invocation appended as one more
+batch. Standard library only.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="the commit to compare against")
     p.add_argument("--workload", required=True, action="append")
     p.add_argument("--seeds", required=True, type=int, nargs="+")
-    p.add_argument("--repeat", type=int, default=1, help="pairs per seed")
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
@@ -131,29 +131,27 @@ def main(argv=None) -> int:
         roots = {"parent": tmp, "change": ROOT}
         for workload in args.workload:
             for seed in args.seeds:
-                for _ in range(args.repeat):
-                    order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
-                    pair = {"workload": workload, "seed": seed, "first": order[0]}
-                    for side in order:
-                        start = time.perf_counter()
-                        run = bench(roots[side], workload, seed, args.seconds)
-                        pair[side] = run["result"]
-                        pair[f"{side}_info"] = run["info"]
-                        r = run["result"]
-                        print(f"{workload} seed {seed} {side:6} correct={r['correct']} "
-                              f"failed={r['failed']} {time.perf_counter() - start:.0f}s",
-                              file=sys.stderr, flush=True)
-                    pairs.append(pair)
+                order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
+                pair = {"workload": workload, "seed": seed, "first": order[0]}
+                for side in order:
+                    start = time.perf_counter()
+                    run = bench(roots[side], workload, seed, args.seconds)
+                    pair[side] = run["result"]
+                    pair[f"{side}_info"] = run["info"]
+                    r = run["result"]
+                    print(f"{workload} seed {seed} {side:6} correct={r['correct']} "
+                          f"failed={r['failed']} {time.perf_counter() - start:.0f}s",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
     batch = {
         "parent": parent,
         "change": git("rev-parse", "HEAD"),
-        "change_modified": git("diff", "--name-only", "HEAD").split(),
+        # The runs use the working tree: its edits and its untracked sources.
+        "change_modified": git("diff", "--name-only", "HEAD").split()
+        + git("ls-files", "--others", "--exclude-standard", "--", "src").split(),
         "python": sys.version.split()[0],
         "nproc": len(os.sched_getaffinity(0)),
         "seconds": args.seconds,
-        "runs": [{"workload": x["workload"], "seed": x["seed"], "first": x["first"],
-                  **{f"{s}_{k}": x[s][k] for s in ("parent", "change")
-                     for k in ("correct", "attempted", "failed")}} for x in pairs],
         "summary": summarize(pairs, metrics),
         "pairs": pairs,
     }
