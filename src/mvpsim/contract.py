@@ -46,7 +46,10 @@ and O(1) Python steps. The values are column-packed in that same format
 sync reads the vector's mask, and a report packs the output sections into
 a vector's mask. The per-row output state is bytes, one 0/1 byte per row,
 so it is written whole, counted and packed by C-level bytearray calls.
-The blocked-row mask is computed on each read. The primitives
+The blocked-row mask is computed on each read, as the OR of the active
+columns until a load's reads have spent as many ORs as lookup tables of
+the loaded columns take to build, and from those tables after; see
+MvpMachine. The primitives
 (activate_column, move_ladder, observe_light, ...) keep their single
 charges. Only sensing also has a per-row path; see MvpMachine.
 """
@@ -254,9 +257,9 @@ class MvpMachine(ABC):
     `bits._mask`: `_cols[j]` is column j as a row mask (bit i = row i) and
     `_active` the mask of active columns (bit j = column j). The mask of
     rows holding a 1 in an active column is not stored: `_blocked_rows()`
-    computes it on every read as the OR of the active columns, since each
-    pass reads it once, after its sync. The output sections are a
-    bytearray, one 0/1 byte per row (`_sections[i]` is section i), and
+    computes it on every read, since each pass reads it once, after its
+    sync. The output sections are a bytearray, one 0/1 byte per row
+    (`_sections[i]` is section i), and
     report_output packs those bytes, not the blocked mask, so a machine
     that senses differently is reported as its sections read. A per-row
     machine writes single entries (`_sections[i] = 0`), which a bytearray
@@ -269,10 +272,25 @@ class MvpMachine(ABC):
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks: a sync flips `_active` by
     the mask of differing columns, and set_output ORs the active columns
-    (reduce over itertools.compress) and installs the section bytes whole
+    (reduce over itertools.compress, or over the tables below) and
+    installs the section bytes whole
     from the blocked mask; reset_output counts the 0 bytes. A pass is
     therefore O(1) ledger calls and O(1) Python steps; its O(n) work runs
     inside C-level calls.
+
+    Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970). The OR of the active columns takes one OR per active
+    column, O(n^3 / word size) over a product. Split into groups of 8
+    (the last may hold fewer), the loaded columns give one table per
+    group whose entry m is the OR of the group's columns that the bits of
+    m select, so a read takes one lookup and one OR per group: n/8, all
+    C-level. Building them takes 2^k - 1 ORs for a group of k columns,
+    about 32n. They are built inside `_blocked_rows()` once the ORs that
+    reads have spent since the last load reach that cost, so a load whose
+    reads stay sparse (a few active columns a pass) never pays for them.
+    They depend only on `_cols`, so they stay valid across passes, and
+    `_load_column` voids them and the count. No operation is charged for
+    them either way.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -309,6 +327,12 @@ class MvpMachine(ABC):
         self._cols: list[int] = [0] * n
         self._active = 0
         self._sections = bytearray(b"\x01") * n
+        # The tables of the blocked-row OR (see _blocked_rows), the ORs
+        # spent without them since the last load, and the ORs their build
+        # takes: 2^k - 1 for a group of k columns.
+        self._tables: list[list[int]] | None = None
+        self._ors = 0
+        self._table_ors = 255 * (n // 8) + (1 << n % 8) - 1
 
     @property
     def oplog(self) -> OpLog:
@@ -369,8 +393,29 @@ class MvpMachine(ABC):
         self._active ^= diff
 
     def _blocked_rows(self) -> int:
-        """The mask of rows holding a 1 in some active column."""
-        return reduce(or_, compress(self._cols, _flags(self._active, self.n)), 0)
+        """The mask of rows holding a 1 in some active column: one OR per
+        active column until the ORs spent since the load, this read's
+        included, reach the cost of the tables; then the tables are built
+        and a read takes one OR per group of 8 columns."""
+        active = self._active
+        tables = self._tables
+        if tables is None:
+            self._ors += active.bit_count()
+            if self._ors < self._table_ors:
+                return reduce(or_, compress(self._cols, _flags(active, self.n)), 0)
+            tables = self._tables = self._build_tables()
+        return reduce(or_, map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), 0)
+
+    def _build_tables(self) -> list[list[int]]:
+        """One table per group of 8 columns (the last may hold fewer): at
+        index m, the OR of the group's columns that the bits of m select."""
+        tables = []
+        for g in range(0, self.n, 8):
+            table = [0]
+            for col in self._cols[g : g + 8]:
+                table += [x | col for x in table]
+            tables.append(table)
+        return tables
 
     # -- physics hooks supplied by backends -----------------------------------
 
@@ -407,6 +452,8 @@ class MvpMachine(ABC):
     def _load_column(self, j: int, col: int) -> None:
         """Write the mask `col` into the (inactive) column j (n CellLoad)."""
         self._cols[j] = col
+        self._tables = None
+        self._ors = 0
         self._log.charge(OpCategory.CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:

@@ -3,7 +3,9 @@ primitives, checked after every step against a shadow model kept by the
 test itself: the loaded columns and the active set, from which every
 blocked row and every protrusion follows by the definition. Then the bulk
 set_output against the per-row one that a subclass overriding the sensing
-primitive gets: the same results, ledgers and machine state.
+primitive gets: the same results, ledgers and machine state. Then the
+tables of the blocked-row OR: built mid-stream once a load's ORs repay
+them, voided by the next load, and never built for sparse traffic.
 
 Sizes straddle the 30-bit digit and the 64-bit word of Python's int, so a
 bit-packed state that drops a high bit or mixes up rows shows here.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -22,6 +25,7 @@ from mvpsim import (
     BitMatrix,
     BitVector,
     Mode,
+    OpCategory,
     WallLightMachine,
     matmul,
     matvec,
@@ -33,6 +37,7 @@ from mvpsim import (
     serialize_vector,
 )
 from conftest import PerRowAxisMachine, PerRowWallMachine
+from test_ledger import expected_pass_counts
 
 SIZES = (1, 31, 64, 65)
 STEPS = 150
@@ -295,3 +300,91 @@ def test_construction_paths_agree(n):
     if n < 64:
         assert oracle_matmul(a, b) == products[0]
     assert BitVector((0,) * n) != BitVector((0,) * (n + 1))
+
+
+def _load(m, a: BitMatrix, mode: Mode) -> None:
+    if mode is Mode.PAR:
+        m.parallel_load_matrix(a)
+    else:
+        m.load_matrix(a)
+
+
+@lru_cache(maxsize=None)
+def _table_inputs(n: int) -> tuple:
+    """Two dense products whose matrices differ in every cell, with their
+    oracle results (computed once per size: the oracle takes about a
+    second at n = 256)."""
+    rng = Random(f"tables:{n}")
+    a, b = BitMatrix.random(n, rng, 0.5), BitMatrix.random(n, rng, 0.5)
+    a2 = BitMatrix(tuple(tuple(1 - x for x in row) for row in a.rows))
+    b2 = BitMatrix.random(n, rng, 0.5)
+    return (a, b, oracle_matmul(a, b)), (a2, b2, oracle_matmul(a2, b2))
+
+
+def _check_matmul(m, a: BitMatrix, b: BitMatrix, want: BitMatrix, mode: Mode) -> None:
+    """One product: the oracle's result, and the closed-form ledger of a
+    load after the machine's active columns plus one pass per column."""
+    n = a.n
+    prev = m.active_columns()
+    counts = dict.fromkeys(OpCategory, 0)
+    counts[OpCategory.CELL_LOAD] = n * n
+    counts[OpCategory.COLUMN_DEACTIVATE] = len(prev)
+    phases = ((len(prev),) + (n,) * n) if mode is Mode.PAR else ()
+    prev = frozenset()
+    for v in b.columns():
+        pass_counts, pass_phases = expected_pass_counts(a, prev, v, m.backend, mode)
+        for c, k in pass_counts.items():
+            counts[c] += k
+        phases += pass_phases
+        prev = frozenset(j for j in range(n) if v[j])
+    report = matmul(m, a, b, mode)
+    assert report.result == want
+    assert report.ops.counts == counts
+    assert report.ops.phase_ops == phases
+
+
+def _check_matvec(m, a: BitMatrix, v: BitVector, mode: Mode) -> None:
+    counts, phases = expected_pass_counts(a, m.active_columns(), v, m.backend, mode)
+    report = matvec(m, v, mode)
+    assert report.result == oracle_matvec(a, v)
+    assert report.ops.counts == counts and report.ops.phase_ops == phases
+
+
+@pytest.mark.parametrize(
+    "cls,mode",
+    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
+    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
+)
+@pytest.mark.parametrize("n", (1, 7, 8, 9, 63, 65, 256))
+def test_blocked_row_tables_across_loads(cls, mode, n):
+    (a, b, ab), (a2, b2, ab2) = _table_inputs(n)
+    m = cls(n)
+    _check_matmul(m, a, b, ab, mode)
+    # A product of a bulk machine at n < 32 spends fewer ORs than the
+    # tables cost: all-ones passes on the same load build them.
+    for _ in range(n * n):
+        if m._tables is not None:
+            break
+        _check_matvec(m, a, BitVector.ones(n), mode)
+    assert m._tables is not None
+    # Unit vectors: rows blocked by a single column, the first and the
+    # last group's included, read from the tables.
+    for j in sorted({0, 7 % n, n // 2, n - 1}):
+        _check_matvec(m, a, BitVector(tuple(int(i == j) for i in range(n))), mode)
+    # The second matrix is the first one's complement, so tables kept
+    # from the first load would give a wrong product.
+    _check_matmul(m, a2, b2, ab2, mode)
+    _load(m, a, mode)
+    assert m._tables is None
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_sparse_product_never_builds_the_tables(bulk_cls, row_cls, mode):
+    # About 4 active columns a pass: 128 passes spend some 500 ORs, far
+    # below the 4080 that the tables for n = 128 take.
+    n = 128
+    rng = Random("tables:sparse")
+    a, b = BitMatrix.random(n, rng, 0.03), BitMatrix.random(n, rng, 0.03)
+    m = bulk_cls(n)
+    assert matmul(m, a, b, mode).result == oracle_matmul(a, b)
+    assert m._tables is None

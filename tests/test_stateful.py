@@ -168,6 +168,19 @@ class MachineModel(RuleBasedStateMachine):
         self.run(call, {C.RESET_STEP: steps}, (steps,) if par else (), phased=par)
         self.sections, self.ladders, self.output_set = [1] * self.n, [0] * self.n, False
 
+    @rule(seed=SEEDS, density=DENSITIES, par=st.booleans())
+    def stroke(self, seed, density, par):
+        """Load (if needed), load a vector, sync and set the output, each step
+        checked by its rule: the standalone rules seldom line these up, so
+        without this a bulk stroke at n = 65 with blocked rows is rare. The
+        stroke is left for the invariant and the rules that follow."""
+        if not self.loaded:
+            self.load_matrix(seed, density, par)
+        self.reset_output(par)
+        self.load_vector(seed + 1, density, par, False)
+        self.sync(par)
+        self.set_output(par)
+
     # -- primitives -------------------------------------------------------------
 
     @rule(raw=INDICES, on=st.booleans(), wall_name=st.booleans())

@@ -76,9 +76,30 @@ MUTANTS = (
     Mutant(
         "first column never blocks",
         "contract.py",
-        "return reduce(or_, compress(self._cols, _flags(self._active, self.n)), 0)",
-        "return reduce(or_, compress(self._cols[1:], _flags(self._active, self.n)[1:]), 0)",
+        "return reduce(or_, compress(self._cols, _flags(active, self.n)), 0)",
+        "return reduce(or_, compress(self._cols[1:], _flags(active, self.n)[1:]), 0)",
         ("test_stateful.py",),
+    ),
+    Mutant(
+        "table path drops the first column",
+        "contract.py",
+        'active.to_bytes(len(tables), "little")',
+        '(active & ~1).to_bytes(len(tables), "little")',
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "last partial group dropped",
+        "contract.py",
+        "for g in range(0, self.n, 8):",
+        "for g in range(0, self.n - self.n % 8, 8):",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "tables kept across a load",
+        "contract.py",
+        "        self._cols[j] = col\n        self._tables = None\n",
+        "        self._cols[j] = col\n",
+        ("test_engine.py",),
     ),
     Mutant(
         "sensing always bulk, overrides bypassed",
@@ -169,7 +190,7 @@ MUTANTS = (
         "axis_ladder.py",
         "self._ladder_shifted = bytearray(_flags(clear, self.n))",
         "self._ladder_shifted = bytearray(_flags(self._blocked_rows(), self.n))",
-        ("test_engine.py",),
+        ("test_engine.py", "test_stateful.py"),
     ),
 )
 
