@@ -259,13 +259,12 @@ class MvpMachine(ABC):
     rows holding a 1 in an active column is not stored: `_blocked_rows()`
     computes it on every read, since each pass reads it once, after its
     sync. The output sections are a bytearray, one 0/1 byte per row
-    (`_sections[i]` is section i), and
-    report_output packs those bytes, not the blocked mask, so a machine
-    that senses differently is reported as its sections read. A per-row
-    machine writes single entries (`_sections[i] = 0`), which a bytearray
-    stores like a list. Column switching, the six contract operations,
-    the legal call order and the shared parts of the cost model live here
-    too.
+    (`_sections[i]` is section i), and report_output packs those bytes,
+    not the blocked mask, so a machine that senses differently is reported
+    as its sections read. A per-row machine writes single entries
+    (`_sections[i] = 0`), which a bytearray stores like a list. Column
+    switching, the six contract operations, the legal call order and the
+    shared parts of the cost model live here too.
     Subclasses supply only their physics, how a row is sensed and how the
     output mechanism moves and returns home, through the underscore hooks.
 
@@ -273,8 +272,8 @@ class MvpMachine(ABC):
     once, with the amount counted from the masks: a sync flips `_active` by
     the mask of differing columns, and set_output ORs the active columns
     (reduce over itertools.compress, or over the tables below) and
-    installs the section bytes whole
-    from the blocked mask; reset_output counts the 0 bytes. A pass is
+    installs the section bytes whole from the blocked mask; reset_output
+    counts the 0 bytes. A pass is
     therefore O(1) ledger calls and O(1) Python steps; its O(n) work runs
     inside C-level calls.
 
@@ -327,9 +326,8 @@ class MvpMachine(ABC):
         self._cols: list[int] = [0] * n
         self._active = 0
         self._sections = bytearray(b"\x01") * n
-        # The tables of the blocked-row OR (see _blocked_rows), the ORs
-        # spent without them since the last load, and the ORs their build
-        # takes: 2^k - 1 for a group of k columns.
+        # The blocked-row tables, the ORs spent without them since the
+        # last load, and the ORs their build takes.
         self._tables: list[list[int]] | None = None
         self._ors = 0
         self._table_ors = 255 * (n // 8) + (1 << n % 8) - 1
@@ -393,10 +391,9 @@ class MvpMachine(ABC):
         self._active ^= diff
 
     def _blocked_rows(self) -> int:
-        """The mask of rows holding a 1 in some active column: one OR per
-        active column until the ORs spent since the load, this read's
-        included, reach the cost of the tables; then the tables are built
-        and a read takes one OR per group of 8 columns."""
+        """The mask of rows holding a 1 in some active column, from the
+        tables once the ORs spent since the load, this read's included,
+        reach their build cost."""
         active = self._active
         tables = self._tables
         if tables is None:
