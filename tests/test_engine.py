@@ -302,13 +302,6 @@ def test_construction_paths_agree(n):
     assert BitVector((0,) * n) != BitVector((0,) * (n + 1))
 
 
-def _load(m, a: BitMatrix, mode: Mode) -> None:
-    if mode is Mode.PAR:
-        m.parallel_load_matrix(a)
-    else:
-        m.load_matrix(a)
-
-
 @lru_cache(maxsize=None)
 def _table_inputs(n: int) -> tuple:
     """Two dense products whose matrices differ in every cell, with their
@@ -325,12 +318,12 @@ def _check_matmul(m, a: BitMatrix, b: BitMatrix, want: BitMatrix, mode: Mode) ->
     """One product: the oracle's result, and the closed-form ledger of a
     load after the machine's active columns plus one pass per column."""
     n = a.n
-    prev = m.active_columns()
+    released = len(m.active_columns())
     counts = dict.fromkeys(OpCategory, 0)
     counts[OpCategory.CELL_LOAD] = n * n
-    counts[OpCategory.COLUMN_DEACTIVATE] = len(prev)
-    phases = ((len(prev),) + (n,) * n) if mode is Mode.PAR else ()
-    prev = frozenset()
+    counts[OpCategory.COLUMN_DEACTIVATE] = released
+    phases = ((released,) + (n,) * n) if mode is Mode.PAR else ()
+    prev: frozenset[int] = frozenset()
     for v in b.columns():
         pass_counts, pass_phases = expected_pass_counts(a, prev, v, m.backend, mode)
         for c, k in pass_counts.items():
@@ -371,11 +364,11 @@ def test_blocked_row_tables_across_loads(cls, mode, n):
     # last group's included, read from the tables.
     for j in sorted({0, 7 % n, n // 2, n - 1}):
         _check_matvec(m, a, BitVector(tuple(int(i == j) for i in range(n))), mode)
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a2)
+    assert m._tables is None
     # The second matrix is the first one's complement, so tables kept
     # from the first load would give a wrong product.
     _check_matmul(m, a2, b2, ab2, mode)
-    _load(m, a, mode)
-    assert m._tables is None
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)

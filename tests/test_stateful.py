@@ -170,10 +170,11 @@ class MachineModel(RuleBasedStateMachine):
 
     @rule(seed=SEEDS, density=DENSITIES, par=st.booleans())
     def stroke(self, seed, density, par):
-        """Load (if needed), load a vector, sync and set the output, each step
-        checked by its rule: the standalone rules seldom line these up, so
-        without this a bulk stroke at n = 65 with blocked rows is rare. The
-        stroke is left for the invariant and the rules that follow."""
+        """Load a matrix if none is loaded, reset, load a vector, sync and
+        set the output, each step checked by its rule: the standalone rules
+        seldom line these up, so without this a bulk stroke at n = 65 with
+        blocked rows is rare. The stroke is left for the invariant and the
+        rules that follow."""
         if not self.loaded:
             self.load_matrix(seed, density, par)
         self.reset_output(par)
