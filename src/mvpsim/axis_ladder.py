@@ -115,7 +115,7 @@ class AxisLadderMachine(MvpMachine):
         with self._log.phase():
             self._release_columns()
         with self._log.phase():
-            self._toggle_columns(self._wanted_columns())
+            self._toggle_columns(self._vector._bits)
         self._synced = True
 
     def parallel_ladder_step(self) -> None:

@@ -24,7 +24,6 @@ from typing import Callable, Iterator, Mapping, Sequence, TextIO
 from .bits import (
     BitMatrix,
     BitVector,
-    DimensionError,
     ParseError,
     oracle_matmul,
     oracle_matvec,
@@ -157,30 +156,20 @@ def _all_matrices(n: int) -> Iterator[BitMatrix]:
         yield BitMatrix(tuple(cells[i * n : (i + 1) * n] for i in range(n)))
 
 
-def _print_matvec_failure(
-    out: TextIO, backend: str, a: BitMatrix, v: BitVector, got: BitVector, want: BitVector
-) -> None:
-    out.write(f"selftest: FAIL [{backend}]: matvec disagrees with oracle\n")
+def _print_failure(out: TextIO, name: str, a: BitMatrix, *values: BitVector | BitMatrix) -> None:
+    """Print a counterexample: `values` are the right-hand operand (a vector
+    for matvec, a matrix for matmul), the machine's result and the oracle's.
+    A vector follows its label on the label's line, a matrix the line after."""
+    vec = isinstance(values[0], BitVector)
+    out.write(f"selftest: FAIL [{name}]: {'matvec' if vec else 'matmul'} disagrees with oracle\n")
     out.write("A:\n" + serialize_matrix(a))
-    out.write("V:       " + serialize_vector(v))
-    out.write("machine: " + serialize_vector(got))
-    out.write("oracle:  " + serialize_vector(want))
-
-
-def _print_matmul_failure(
-    out: TextIO, backend: str, a: BitMatrix, b: BitMatrix, got: BitMatrix, want: BitMatrix
-) -> None:
-    out.write(f"selftest: FAIL [{backend}]: matmul disagrees with oracle\n")
-    out.write("A:\n" + serialize_matrix(a))
-    out.write("B:\n" + serialize_matrix(b))
-    out.write("machine:\n" + serialize_matrix(got))
-    out.write("oracle:\n" + serialize_matrix(want))
+    for label, value in zip(("V:" if vec else "B:", "machine:", "oracle:"), values):
+        text = serialize_vector(value) if vec else serialize_matrix(value)
+        out.write(f"{label:9}{text}" if vec else f"{label}\n{text}")
 
 
 def run_selftest(
-    out: TextIO | None = None,
-    machine_factories: Mapping[str, MachineFactory] | None = None,
-    duality_configs: int = 1000,
+    out: TextIO | None = None, machine_factories: Mapping[str, MachineFactory] | None = None
 ) -> int:
     """Exhaustive small-instance checks against the brute-force oracle,
     plus the cross-backend blocking/occlusion agreement check.
@@ -204,7 +193,7 @@ def run_selftest(
                     got = matvec(machine, v).result
                     want = oracle_matvec(a, v)
                     if got != want:
-                        _print_matvec_failure(out, name, a, v, got, want)
+                        _print_failure(out, name, a, v, got, want)
                         return 1
         out.write(f"selftest: matvec vs oracle, exhaustive n<=3 [{name}]: ok\n")
 
@@ -214,13 +203,13 @@ def run_selftest(
                 got = matmul(factory(2), a, b).result
                 want = oracle_matmul(a, b)
                 if got != want:
-                    _print_matmul_failure(out, name, a, b, got, want)
+                    _print_failure(out, name, a, b, got, want)
                     return 1
         out.write(f"selftest: matmul vs oracle, exhaustive n=2 [{name}]: ok\n")
 
     if "axis" in factories and "wall" in factories:
         rng = Random("mvpsim-selftest:duality")
-        for _ in range(duality_configs):
+        for _ in range(1000):
             n = rng.randint(1, 8)
             a = BitMatrix.random(n, rng)
             active = [j for j in range(n) if rng.random() < 0.5]
@@ -237,13 +226,9 @@ def run_selftest(
                     out.write("A:\n" + serialize_matrix(a))
                     out.write(f"active columns: {sorted(active)}, row: {i}\n")
                     return 1
-        out.write(f"selftest: ladder/light agreement on {duality_configs} configs: ok\n")
+        out.write("selftest: ladder/light agreement on 1000 configs: ok\n")
 
     return 0
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    return run_selftest()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("selftest", help="exhaustive small-instance checks against the oracle")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=lambda args: run_selftest())
     return parser
 
 
@@ -298,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DimensionError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

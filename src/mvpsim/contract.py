@@ -37,21 +37,9 @@ bounds as exact arithmetic inequalities. Parallel drives (where a backend
 offers one) group charges into phases: one phase is one machine-wide
 motion, and the ledger records the operations charged inside each phase.
 
-The contract operations charge in bulk: each category an operation
-charges takes one ledger call, its amount counted from the bit masks (in
-the format of `bits._mask`) with int.bit_count(), and the per-row and
-per-column work runs in C-level calls, so a pass costs O(1) ledger calls
-and O(1) Python steps. The values are column-packed in that same format
-(see `bits`), so a load installs a matrix's column masks as they are, a
-sync reads the vector's mask, and a report packs the output sections into
-a vector's mask. The per-row output state is bytes, one 0/1 byte per row,
-so it is written whole, counted and packed by C-level bytearray calls.
-The blocked-row mask is computed on each read, as the OR of the active
-columns until a load's reads have spent as many ORs as lookup tables of
-the loaded columns take to build, and from those tables after; see
-MvpMachine. The primitives
-(activate_column, move_ladder, observe_light, ...) keep their single
-charges. Only sensing also has a per-row path; see MvpMachine.
+How the machine keeps its state and charges it (bit masks, bulk
+charging, the per-row output bytes and the blocked-row tables) is told
+in the MvpMachine docstring.
 """
 
 from __future__ import annotations
@@ -166,8 +154,6 @@ class OpCounts:
             return NotImplemented
         return self._counts == other._counts and self.phase_ops == other.phase_ops
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"OpCounts(counts={self.counts!r}, phase_ops={self.phase_ops!r})"
 
@@ -269,13 +255,16 @@ class MvpMachine(ABC):
     output mechanism moves and returns home, through the underscore hooks.
 
     Bulk charging. A contract operation charges each of its categories
-    once, with the amount counted from the masks: a sync flips `_active` by
-    the mask of differing columns, and set_output ORs the active columns
-    (reduce over itertools.compress, or over the tables below) and
-    installs the section bytes whole from the blocked mask; reset_output
-    counts the 0 bytes. A pass is
-    therefore O(1) ledger calls and O(1) Python steps; its O(n) work runs
-    inside C-level calls.
+    once, with the amount counted from the masks. A load installs the
+    matrix's column masks as they are, a sync flips `_active` by the mask
+    of the columns that differ from the vector's mask, set_output ORs the
+    active columns (reduce over itertools.compress, or over the tables
+    below) and installs the section bytes whole from the blocked mask,
+    report_output packs the section bytes into a vector's mask, and
+    reset_output counts the 0 bytes. A pass is therefore O(1) ledger calls
+    and O(1) Python steps; its O(n) work runs inside C-level calls. The
+    primitives (activate_column, move_ladder, observe_light, ...) keep
+    their single charges.
 
     Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
     Faradzev, 1970). The OR of the active columns takes one OR per active
@@ -461,10 +450,6 @@ class MvpMachine(ABC):
         if self._output_set:
             raise MachineStateError("column sync before reset_output")
 
-    def _wanted_columns(self) -> int:
-        """The column mask the loaded vector selects (bit j = coordinate j)."""
-        return self._vector._bits
-
     # -- the six contract operations ------------------------------------------
 
     def load_matrix(self, a: BitMatrix) -> None:
@@ -496,7 +481,7 @@ class MvpMachine(ABC):
         """
         self._check_syncable()
         self._log.charge(OpCategory.SCAN_STEP, self.n)
-        self._toggle_columns(self._wanted_columns() ^ self._active)
+        self._toggle_columns(self._vector._bits ^ self._active)
         self._synced = True
 
     def set_output(self) -> None:

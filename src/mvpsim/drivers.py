@@ -6,6 +6,9 @@ report, reset) against a machine whose matrix is already loaded, and
 matrix through such passes column by column. Both return a RunReport
 carrying the result together with the operations the run charged, taken
 as a snapshot delta so pre-existing ledger content never leaks in.
+Both refuse with ValueError, before anything is charged, a mode that is
+not a Mode member and a parallel run on a backend without a parallel
+drive.
 
 Sequential passes cost at most 8n operations and a fresh-machine matrix
 product at most 9n^2. Parallel passes (axis backend only) consume exactly
@@ -46,7 +49,11 @@ def make_machine(backend: str, n: int) -> MvpMachine:
     return cls(n)
 
 
-def _require_parallel(machine: MvpMachine) -> None:
+def _require_parallel(machine: MvpMachine, mode: object) -> None:
+    """Refuse a run in `mode`, which is not Mode.SEQ, unless it is Mode.PAR
+    on a backend with a parallel drive."""
+    if mode is not Mode.PAR:
+        raise ValueError(f"mode must be a Mode member, got {mode!r}")
     if not machine.supports_parallel:
         raise ValueError(f"backend {machine.backend!r} has no parallel drive")
 
@@ -70,19 +77,19 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     most 8n operations; in parallel mode, exactly six phases.
     """
     before = machine.oplog.snapshot()
-    if mode is Mode.PAR:
-        _require_parallel(machine)
-        machine.parallel_load_vector(v)
-        machine.parallel_sync()
-        machine.parallel_ladder_step()
-        result = machine.parallel_report_output()
-        machine.parallel_reset_output()
-    else:
+    if mode is Mode.SEQ:
         machine.load_vector(v)
         machine.sync_columns()
         machine.set_output()
         result = machine.report_output()
         machine.reset_output()
+    else:
+        _require_parallel(machine, mode)
+        machine.parallel_load_vector(v)
+        machine.parallel_sync()
+        machine.parallel_ladder_step()
+        result = machine.parallel_report_output()
+        machine.parallel_reset_output()
     ops = machine.oplog.snapshot() - before
     return RunReport(result, ops, machine.backend, mode, machine.n)
 
@@ -98,11 +105,11 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
     if a.n != b.n:
         raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
     before = machine.oplog.snapshot()
-    if mode is Mode.PAR:
-        _require_parallel(machine)
-        machine.parallel_load_matrix(a)
-    else:
+    if mode is Mode.SEQ:
         machine.load_matrix(a)
+    else:
+        _require_parallel(machine, mode)
+        machine.parallel_load_matrix(a)
     result = BitMatrix._of(tuple([matvec(machine, col, mode).result._bits for col in b.columns()]))
     ops = machine.oplog.snapshot() - before
     return RunReport(result, ops, machine.backend, mode, machine.n)

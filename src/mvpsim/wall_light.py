@@ -21,7 +21,6 @@ class WallLightMachine(MvpMachine):
     """Matrix-vector processor built from sliding walls and row lights."""
 
     backend = "wall"
-    supports_parallel = False
 
     # -- uncounted inspection --------------------------------------------------
 

@@ -52,6 +52,20 @@ class LyingLadderMachine(AxisLadderMachine):
         return not super().move_ladder(i)
 
 
+class StuckColumnMachine(AxisLadderMachine):
+    """Deliberately broken: a sync that switches every column off leaves
+    column 0 on. The exhaustive matvec checks never make that sync, since
+    the all-ones vector comes last in each matrix's stream there; a matrix
+    product whose right factor has an all-ones column before an all-zeros
+    one does."""
+
+    def sync_columns(self) -> None:
+        all_on = len(self.active_columns()) == self.n
+        super().sync_columns()
+        if all_on and not self.active_columns():
+            self.activate_column(0)
+
+
 class TestMultiply:
     def test_identity_to_stdout(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.txt", A4)
@@ -282,7 +296,7 @@ class TestBench:
 class TestSelftest:
     def test_clean_build_passes(self):
         out = io.StringIO()
-        assert run_selftest(out=out, duality_configs=200) == 0
+        assert run_selftest(out=out) == 0
         text = out.getvalue()
         assert "FAIL" not in text
         assert text.count(": ok") >= 5
@@ -312,6 +326,29 @@ class TestSelftest:
         assert run_selftest(out=out, machine_factories={"axis": InvertedLadderMachine}) == 1
         assert "matvec disagrees with oracle" in out.getvalue()
 
+    def test_matvec_counterexample_text(self):
+        out = io.StringIO()
+        assert run_selftest(out=out, machine_factories={"axis": InvertedLadderMachine}) == 1
+        assert out.getvalue() == (
+            "selftest: FAIL [axis]: matvec disagrees with oracle\n"
+            "A:\n0\n"
+            "V:       0\n"
+            "machine: 1\n"
+            "oracle:  0\n"
+        )
+
+    def test_matmul_counterexample_text(self):
+        out = io.StringIO()
+        assert run_selftest(out=out, machine_factories={"axis": StuckColumnMachine}) == 1
+        assert out.getvalue() == (
+            "selftest: matvec vs oracle, exhaustive n<=3 [axis]: ok\n"
+            "selftest: FAIL [axis]: matmul disagrees with oracle\n"
+            "A:\n00\n10\n"
+            "B:\n10\n10\n"
+            "machine:\n00\n11\n"
+            "oracle:\n00\n10\n"
+        )
+
     def test_catches_lying_stroke_report(self):
         # Results stay correct, so only the cross-backend agreement check
         # can notice this fault; proves that check pulls its weight.
@@ -322,7 +359,6 @@ class TestSelftest:
                 "axis": LyingLadderMachine,
                 "wall": WallLightMachine,
             },
-            duality_configs=50,
         )
         assert rc == 1
         assert "ladder stroke and light observation disagree" in out.getvalue()

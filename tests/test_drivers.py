@@ -214,6 +214,28 @@ class TestRunReport:
         with pytest.raises(ValueError, match="no parallel drive"):
             matmul(WallLightMachine(3), BitMatrix.identity(3), BitMatrix.identity(3), Mode.PAR)
 
+    @pytest.mark.parametrize("mode", ["par", "seq", None])
+    def test_matvec_refuses_a_mode_that_is_not_a_member(self, machine_cls, mode):
+        m = machine_cls(3)
+        m.load_matrix(BitMatrix.identity(3))
+        before = m.oplog.snapshot()
+        with pytest.raises(ValueError, match="mode must be a Mode member"):
+            matvec(m, BitVector.ones(3), mode)
+        assert m.oplog.snapshot() == before
+        assert m.oplog.parallel_phases == 0
+        assert m.loaded_vector() is None
+
+    @pytest.mark.parametrize("mode", ["par", "seq", None])
+    def test_matmul_refuses_a_mode_that_is_not_a_member(self, machine_cls, mode):
+        m = machine_cls(3)
+        m.load_matrix(BitMatrix.ones(3))
+        before = m.oplog.snapshot()
+        with pytest.raises(ValueError, match="mode must be a Mode member"):
+            matmul(m, BitMatrix.identity(3), BitMatrix.identity(3), mode)
+        assert m.oplog.snapshot() == before
+        assert m.oplog.parallel_phases == 0
+        assert m.loaded_matrix() == BitMatrix.ones(3)
+
     def test_matvec_requires_loaded_matrix(self, machine_cls):
         with pytest.raises(MachineStateError):
             matvec(machine_cls(3), BitVector.ones(3))

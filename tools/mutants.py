@@ -192,6 +192,13 @@ MUTANTS = (
         "self._ladder_shifted = bytearray(_flags(self._blocked_rows(), self.n))",
         ("test_engine.py", "test_stateful.py"),
     ),
+    Mutant(
+        "a mode that is not a Mode member let through",
+        "drivers.py",
+        "if mode is not Mode.PAR:",
+        "if False:",
+        ("test_drivers.py",),
+    ),
 )
 
 
