@@ -36,17 +36,17 @@ class AxisLadderMachine(MvpMachine):
 
     def protrusion(self, i: int, j: int) -> bool:
         """Whether column j currently raises a protrusion into row i."""
-        self._check_row(i)
-        self._check_col(j)
+        self._check_index(i, "row")
+        self._check_index(j, "column")
         return bool(self._active >> j & self._cols[j] >> i & 1)
 
     def row_blocked(self, i: int) -> bool:
         """Whether row i carries at least one protrusion."""
-        self._check_row(i)
+        self._check_index(i, "row")
         return bool(self._blocked_rows() >> i & 1)
 
     def ladder_shifted(self, i: int) -> bool:
-        self._check_row(i)
+        self._check_index(i, "row")
         return bool(self._ladder_shifted[i])
 
     # -- counted physical primitives -------------------------------------------
@@ -58,7 +58,7 @@ class AxisLadderMachine(MvpMachine):
         protrusion; a completed stroke flips the row's output section
         from 1 to 0 (one further operation).
         """
-        self._check_row(i)
+        self._check_index(i, "row")
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)

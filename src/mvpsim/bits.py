@@ -26,8 +26,6 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 _VALID_CHARS = frozenset("01")
-_BIT_VALUES = frozenset((0, 1))
-_INT_TYPE = frozenset((int,))
 # Byte tables between the bits 0/1 and the text digits '0'/'1'.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -65,34 +63,34 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _as_bits(values: Iterable[int], what: str) -> tuple[tuple[int, ...], bytes]:
-    """Entries as a tuple of 0/1 ints and as the bytes of it. Bools become
-    0/1; anything else that is not the int 0 or 1 (1.0, "1", None, 2)
-    raises ValueError."""
+def _dimension(n: int) -> int:
+    """`n`, the dimension of a value or a machine, if it is an int >= 1;
+    anything else (0, True, 2.0) raises ValueError."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension must be an int >= 1, got {n!r}")
+    return n
+
+
+def _as_flags(values: Iterable[int], what: str) -> bytes:
+    """The entries as bytes, one 0/1 byte each. Bools count as 0/1; any
+    other entry that is not the int 0 or 1 (1.0, "1", None, 2) raises
+    ValueError naming the first one."""
     out = tuple(values)
-    if set(map(type, out)) <= _INT_TYPE:
+    if set(map(type, out)) <= {int, bool}:
         try:
             flags = bytes(out)
         except ValueError:  # an int outside 0..255
             pass
         else:
             if not flags.translate(None, b"\0\1"):
-                return out, flags
-    out = tuple(_as_bit(v, what) for v in out)
-    return out, bytes(out)
-
-
-def _as_bit(v: object, what: str) -> int:
-    if type(v) is bool or (type(v) is int and v in _BIT_VALUES):
-        return int(v)
-    raise ValueError(f"{what} must be 0 or 1, got {v!r}")
+                return flags
+    bad = next(v for v in out if type(v) not in (int, bool) or v not in (0, 1))
+    raise ValueError(f"{what} must be 0 or 1, got {bad!r}")
 
 
 def _random_digits(count: int, rng: Random, density: float) -> bytes:
     """`count` digits '0'/'1' drawn in order, each '1' with probability
     `density`: row-major, one draw per cell, for a matrix."""
-    if count < 1:
-        raise ValueError(f"dimension must be >= 1, got {count}")
     if not 0 <= density <= 1:  # also rejects NaN
         raise ValueError(f"density must be in [0, 1], got {density}")
     r = rng.random
@@ -113,19 +111,17 @@ class BitVector:
 
     Stored as one int mask (bit j is coordinate j) and n. `coords`, the
     tuple of 0/1 ints, is a view derived from the mask when first read,
-    unless the public constructor seeded it with the validated tuple.
+    unless the public constructor seeded it from the validated entries.
     """
 
     n: int
     _bits: int
 
     def __init__(self, coords: Iterable[int]) -> None:
-        coords, flags = _as_bits(coords, "vector coordinate")
-        if not coords:
-            raise ValueError("empty vectors are not supported (n >= 1)")
-        _set(self, "n", len(coords))
+        flags = _as_flags(coords, "vector coordinate")
+        _set(self, "n", _dimension(len(flags)))
         _set(self, "_bits", _mask(flags))
-        _set(self, "coords", coords)
+        _set(self, "coords", tuple(flags))
 
     @classmethod
     def _of(cls, bits: int, n: int) -> "BitVector":
@@ -141,17 +137,17 @@ class BitVector:
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
-        return cls((0,) * n)
+        return cls._of(0, _dimension(n))
 
     @classmethod
     def ones(cls, n: int) -> "BitVector":
-        return cls((1,) * n)
+        return cls._of((1 << _dimension(n)) - 1, n)
 
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitVector":
         """Each coordinate is 1 independently with probability `density`,
         which must lie in [0, 1]."""
-        return cls._of(int(_random_digits(n, rng, density)[::-1], 2), n)
+        return cls._of(int(_random_digits(_dimension(n), rng, density)[::-1], 2), n)
 
     def __repr__(self) -> str:
         return f"BitVector(coords={self.coords!r})"
@@ -174,19 +170,16 @@ class BitMatrix:
     layout in which a machine loads and a product streams its columns.
     `rows`, the row-major tuple of tuples of 0/1 ints, is a view derived
     from the masks when first read, unless the public constructor seeded
-    it with the validated tuples.
+    it from the validated entries.
     """
 
     n: int
     _cols: tuple[int, ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        checked = [_as_bits(r, "matrix entry") for r in rows]
-        if not checked:
-            raise ValueError("empty matrices are not supported (n >= 1)")
-        rows, flags = zip(*checked)
-        n = len(rows)
-        for i, row in enumerate(rows):
+        flags = [_as_flags(r, "matrix entry") for r in rows]
+        n = _dimension(len(flags))
+        for i, row in enumerate(flags):
             if len(row) != n:
                 raise ValueError(
                     f"row {i + 1} has {len(row)} entries, expected {n} "
@@ -194,7 +187,7 @@ class BitMatrix:
                 )
         _set(self, "n", n)
         _set(self, "_cols", _columns(b"".join(flags).translate(_DIGITS), n))
-        _set(self, "rows", rows)
+        _set(self, "rows", tuple(map(tuple, flags)))
 
     @classmethod
     def _of(cls, cols: tuple[int, ...]) -> "BitMatrix":
@@ -211,30 +204,26 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple([1 << j for j in range(_dimension(n))]))
 
     @classmethod
     def zeros(cls, n: int) -> "BitMatrix":
-        return cls(((0,) * n,) * n)
+        return cls._of((0,) * _dimension(n))
 
     @classmethod
     def ones(cls, n: int) -> "BitMatrix":
-        return cls(((1,) * n,) * n)
+        return cls._of(((1 << _dimension(n)) - 1,) * n)
 
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitMatrix":
         """Each cell is 1 independently with probability `density`, which
         must lie in [0, 1]. Cells are drawn in row-major order."""
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        return cls._of(_columns(_random_digits(n * n, rng, density), n))
+        return cls._of(_columns(_random_digits(_dimension(n) * n, rng, density), n))
 
     @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
         """Assemble a matrix whose j-th column is `columns[j]`."""
-        n = len(columns)
-        if not n:
-            raise ValueError("empty matrices are not supported (n >= 1)")
+        n = _dimension(len(columns))
         for j, col in enumerate(columns):
             if col.n != n:
                 raise DimensionError(

@@ -126,8 +126,6 @@ def _parse_sizes(text: str) -> list[int]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
-    if not 0.0 <= args.density <= 1.0:
-        raise ValueError(f"--density must be in [0, 1], got {args.density}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     mode = Mode(args.mode)

@@ -52,7 +52,7 @@ from itertools import compress
 from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError, _flags, _mask
+from .bits import BitMatrix, BitVector, DimensionError, _dimension, _flags, _mask
 
 
 class MachineStateError(RuntimeError):
@@ -294,6 +294,11 @@ class MvpMachine(ABC):
     operations; they model an observer looking at the machine, not the
     machine working. Computing the blocked rows is bookkeeping only and
     never charges operations.
+
+    Index check. Every primitive and inspector that takes a row or column
+    index passes it through `_check_index` first, which raises IndexError,
+    before anything is charged, unless the index is an int in 0..n-1: a
+    bool or a float is refused too, never read as a number.
     """
 
     backend: ClassVar[str]
@@ -304,9 +309,7 @@ class MvpMachine(ABC):
     _sense_category: ClassVar[OpCategory]
 
     def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"machine dimension must be >= 1, got {n}")
-        self.n = n
+        self.n = _dimension(n)
         self._log = OpLog()
         self._vector: BitVector | None = None
         self._matrix_loaded = False
@@ -337,23 +340,21 @@ class MvpMachine(ABC):
 
     def column_active(self, j: int) -> bool:
         """Whether column j (0-based) is currently switched on."""
-        self._check_col(j)
+        self._check_index(j, "column")
         return bool(self._active >> j & 1)
 
     def active_columns(self) -> frozenset[int]:
         return frozenset(compress(range(self.n), _flags(self._active, self.n)))
 
     def output_section(self, i: int) -> int:
-        self._check_row(i)
+        self._check_index(i, "row")
         return self._sections[i]
 
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"row index {i} out of range for n={self.n}")
-
-    def _check_col(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise IndexError(f"column index {j} out of range for n={self.n}")
+    def _check_index(self, i: int, what: str) -> None:
+        """Refuse `i` as a `what` ("row" or "column") index unless it is an
+        int in 0..n-1."""
+        if type(i) is not int or not 0 <= i < self.n:
+            raise IndexError(f"{what} index must be an int in 0..{self.n - 1}, got {i!r}")
 
     # -- column switching, counted --------------------------------------------
 
@@ -366,7 +367,7 @@ class MvpMachine(ABC):
         self._switch_column(j, False)
 
     def _switch_column(self, j: int, on: bool) -> None:
-        self._check_col(j)
+        self._check_index(j, "column")
         if (self._active >> j & 1) == on:
             raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
         self._toggle_columns(1 << j)

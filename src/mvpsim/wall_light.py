@@ -26,13 +26,13 @@ class WallLightMachine(MvpMachine):
 
     def passes_light(self, i: int, j: int) -> bool:
         """Whether light at row i gets past wall j in its current position."""
-        self._check_row(i)
-        self._check_col(j)
+        self._check_index(i, "row")
+        self._check_index(j, "column")
         return not self._active >> j & self._cols[j] >> i & 1
 
     def row_occluded(self, i: int) -> bool:
         """Whether some shifted wall blocks the light at row i."""
-        self._check_row(i)
+        self._check_index(i, "row")
         return bool(self._blocked_rows() >> i & 1)
 
     # -- counted physical primitives -------------------------------------------
@@ -49,7 +49,7 @@ class WallLightMachine(MvpMachine):
     def observe_light(self, i: int) -> bool:
         """Sense the lamp behind row i (one operation). Returns True when
         the light comes through, i.e. no shifted wall occludes the row."""
-        self._check_row(i)
+        self._check_index(i, "row")
         self._log.charge(OpCategory.LIGHT_OBSERVE)
         return not self._blocked_rows() >> i & 1
 

@@ -81,13 +81,19 @@ class TestPrimitives:
             m.deactivate_column(0)
 
     def test_index_bounds(self):
+        # A bool or a float is refused like an index out of range, never
+        # read as the number it equals, and nothing is charged.
         m = AxisLadderMachine(2)
-        with pytest.raises(IndexError):
-            m.activate_column(2)
-        with pytest.raises(IndexError):
-            m.move_ladder(-1)
-        with pytest.raises(IndexError):
-            m.protrusion(0, 5)
+        m.load_matrix(BitMatrix.ones(2))
+        before = m.oplog.snapshot()
+        calls = (m.activate_column, m.deactivate_column, m.move_ladder, m.row_blocked,
+                 m.ladder_shifted, m.column_active, m.output_section,
+                 lambda k: m.protrusion(k, 0), lambda k: m.protrusion(0, k))
+        for bad in (2, -1, 5, True, 1.0):
+            for call in calls:
+                with pytest.raises(IndexError):
+                    call(bad)
+                assert m.oplog.snapshot() == before
 
     def test_unblocked_stroke_flips_the_section(self):
         m = AxisLadderMachine(2)

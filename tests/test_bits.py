@@ -10,10 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvpsim import (
+    AxisLadderMachine,
     BitMatrix,
     BitVector,
     DimensionError,
     ParseError,
+    WallLightMachine,
+    make_machine,
     oracle_matmul,
     oracle_matvec,
     parse_matrix,
@@ -33,7 +36,7 @@ class TestContainers:
         assert v[0] == 1 and v[1] == 0
 
     def test_empty_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must be an int >= 1, got 0"):
             BitVector(())
 
     def test_non_bit_entries_rejected(self):
@@ -61,10 +64,30 @@ class TestContainers:
         assert BitMatrix(((True, 0), (False, 1))).rows == ((1, 0), (0, 1))
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must be an int >= 1, got 0"):
             BitMatrix(())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must be an int >= 1, got 0"):
             BitMatrix.from_columns([])
+
+    @pytest.mark.parametrize("build", [
+        AxisLadderMachine,
+        WallLightMachine,
+        lambda n: make_machine("axis", n),
+        lambda n: make_machine("wall", n),
+        lambda n: BitVector.random(n, Random(1)),
+        BitVector.zeros,
+        BitVector.ones,
+        lambda n: BitMatrix.random(n, Random(1)),
+        BitMatrix.zeros,
+        BitMatrix.ones,
+        BitMatrix.identity,
+    ], ids=["axis", "wall", "make-axis", "make-wall", "vector-random", "vector-zeros",
+            "vector-ones", "matrix-random", "matrix-zeros", "matrix-ones", "matrix-identity"])
+    def test_bad_dimension_rejected(self, build):
+        # A dimension is an int >= 1: True is not read as 1, nor 2.0 as 2.
+        for n in (True, 2.0, 0, -1):
+            with pytest.raises(ValueError, match=re.escape(f"dimension must be an int >= 1, got {n!r}")):
+                build(n)
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError, match="row 2"):

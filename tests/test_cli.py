@@ -33,8 +33,8 @@ class InvertedLadderMachine(AxisLadderMachine):
     """Deliberately broken: strokes through blocked rows and stops at clear ones."""
 
     def move_ladder(self, i: int) -> bool:
-        self._check_row(i)
-        if self._ladder_shifted[i]:
+        self._check_index(i, "row")
+        if self.ladder_shifted(i):
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)
         if self.row_blocked(i):
@@ -273,13 +273,16 @@ class TestBench:
         )
         assert rc == 2
 
-    def test_bad_density_exits_2(self, tmp_path):
+    def test_bad_density_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
         rc = main(
             ["bench", "--sizes", "2", "--backend", "axis", "--mode", "seq",
-             "--seed", "1", "--trials", "1", "--csv", str(tmp_path / "x.csv"),
+             "--seed", "1", "--trials", "1", "--csv", str(path),
              "--density", "1.5"]
         )
         assert rc == 2
+        assert "density" in capsys.readouterr().err
+        assert not path.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_bad_trials_exit_2(self, tmp_path, trials, capsys):

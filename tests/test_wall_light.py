@@ -61,13 +61,19 @@ class TestWalls:
             m.shift_wall_up(0)
 
     def test_index_bounds(self):
+        # A bool or a float is refused like an index out of range, never
+        # read as the number it equals, and nothing is charged.
         m = WallLightMachine(2)
-        with pytest.raises(IndexError):
-            m.shift_wall_down(9)
-        with pytest.raises(IndexError):
-            m.observe_light(2)
-        with pytest.raises(IndexError):
-            m.passes_light(0, -3)
+        m.load_matrix(BitMatrix.ones(2))
+        before = m.oplog.snapshot()
+        calls = (m.shift_wall_down, m.shift_wall_up, m.activate_column, m.deactivate_column,
+                 m.observe_light, m.row_occluded, m.column_active, m.output_section,
+                 lambda k: m.passes_light(k, 0), lambda k: m.passes_light(0, k))
+        for bad in (9, 2, -3, True, 1.0):
+            for call in calls:
+                with pytest.raises(IndexError):
+                    call(bad)
+                assert m.oplog.snapshot() == before
 
     def test_shift_charges_join_the_activation_tally(self):
         m = WallLightMachine(3)

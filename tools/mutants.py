@@ -146,9 +146,24 @@ MUTANTS = (
     Mutant(
         "float bits coerced",
         "bits.py",
-        "if type(v) is bool or (type(v) is int and v in _BIT_VALUES):",
-        "if v in _BIT_VALUES:",
+        "    if set(map(type, out)) <= {int, bool}:\n        try:\n            flags = bytes(out)\n",
+        "    if set(map(type, out)) <= {int, bool, float}:\n        try:\n"
+        "            flags = bytes(map(int, out))\n",
         ("test_bits.py",),
+    ),
+    Mutant(
+        "a bool dimension let through",
+        "bits.py",
+        "if type(n) is not int or n < 1:",
+        "if n < 1:",
+        ("test_bits.py",),
+    ),
+    Mutant(
+        "a bool index let through",
+        "contract.py",
+        "if type(i) is not int or not 0 <= i < self.n:",
+        "if not 0 <= i < self.n:",
+        ("test_axis_ladder.py", "test_wall_light.py"),
     ),
     Mutant(
         "column masks cut to 64 bits",
