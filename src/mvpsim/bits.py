@@ -8,6 +8,12 @@ parsing build the row-major digit string '0'/'1' of the whole matrix and
 take column j as its stride slice digits[j::n]. Values built from
 validated ones are not validated again.
 
+A random value is drawn cell by cell in row-major order, cell c being 1 when
+the c-th `rng.random()` is below the density. For a plain `random.Random`
+the draws are read in blocks from `getrandbits` instead, which returns the
+same Mersenne Twister outputs and leaves the generator in the same state, so
+a seed gives the same values either way; see `_random_digits`.
+
 The oracle is the definitional triple loop over Boolean AND and OR. It is
 deliberately naive, with no bit packing and no early exits, so that it is
 obviously correct; every machine backend is checked against it.
@@ -20,9 +26,12 @@ columns in diagnostics are numbered from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import ceil
 from random import Random
+from struct import unpack_from
 from typing import Iterable, Iterator, Sequence
 
 _VALID_CHARS = frozenset("01")
@@ -71,6 +80,15 @@ def _dimension(n: int) -> int:
     return n
 
 
+def _index(i: int, n: int, what: str) -> int:
+    """`i`, a `what` ("row", "column", ...) index into a value or machine of
+    dimension n, if it is an int in 0..n-1; anything else (True, -1, 1.0, n)
+    raises IndexError."""
+    if type(i) is not int or not 0 <= i < n:
+        raise IndexError(f"{what} index must be an int in 0..{n - 1}, got {i!r}")
+    return i
+
+
 def _as_flags(values: Iterable[int], what: str) -> bytes:
     """The entries as bytes, one 0/1 byte each. Bools count as 0/1; any
     other entry that is not the int 0 or 1 (1.0, "1", None, 2) raises
@@ -90,11 +108,42 @@ def _as_flags(values: Iterable[int], what: str) -> bytes:
 
 def _random_digits(count: int, rng: Random, density: float) -> bytes:
     """`count` digits '0'/'1' drawn in order, each '1' with probability
-    `density`: row-major, one draw per cell, for a matrix."""
+    `density`: row-major, one draw per cell, for a matrix.
+
+    Digit c is '1' exactly when the c-th `rng.random() < density`. CPython's
+    random() is k / 2**53 with k = (a >> 5) << 26 | b >> 6 over its next two
+    32-bit Mersenne Twister outputs a and b, and `getrandbits(64 * m)`
+    returns the next 2 * m outputs low word first, leaving the generator
+    where m random() calls would. So for a plain Random and an exact
+    threshold t = ceil(density * 2**53) (exact for an int, float or
+    Fraction), digit c is '1' exactly when k < t. The cells are drawn in
+    blocks of m = 2**14, so the 16 bytes a cell takes while it is read are
+    held for one block only. The top byte of a is the top byte of k: one
+    byte table decides every cell whose top byte is not t's, and the ties
+    (1 cell in 256) are settled from the full a and b.
+
+    A subclass of Random may override random(), and a density of another
+    type (a Decimal) has no exact threshold here, so both are drawn one
+    random() call at a time.
+    """
     if not 0 <= density <= 1:  # also rejects NaN
         raise ValueError(f"density must be in [0, 1], got {density}")
-    r = rng.random
-    return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
+    if type(rng) is not Random or not isinstance(density, (int, float, Fraction)):
+        r = rng.random
+        return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
+    t = ceil(density * 2**53)
+    table = (b"1" * (t >> 45) + b"?" + b"0" * 255)[:256]  # '?': a tie
+    digits = bytearray()
+    for start in range(0, count, 1 << 14):
+        m = min(1 << 14, count - start)
+        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        digits += raw[3::8].translate(table)
+        c = digits.find(b"?", start)
+        while c != -1:
+            a, b = unpack_from("<2I", raw, 8 * (c - start))
+            digits[c] = ord("1" if (a >> 5) << 26 | b >> 6 < t else "0")
+            c = digits.find(b"?", c + 1)
+    return bytes(digits)
 
 
 # Values are frozen dataclasses over their masks, which alone decide
@@ -159,7 +208,7 @@ class BitVector:
         return iter(self.coords)
 
     def __getitem__(self, i: int) -> int:
-        return self.coords[i]
+        return self.coords[_index(i, self.n, "coordinate")]
 
 
 @dataclass(frozen=True, init=False)
@@ -235,10 +284,10 @@ class BitMatrix:
         return f"BitMatrix(rows={self.rows!r})"
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
+        return self.rows[_index(i, self.n, "row")]
 
     def column(self, j: int) -> BitVector:
-        return BitVector._of(self._cols[j], self.n)
+        return BitVector._of(self._cols[_index(j, self.n, "column")], self.n)
 
     def columns(self) -> Iterator[BitVector]:
         return map(BitVector._of, self._cols, repeat(self.n))

@@ -52,7 +52,7 @@ from itertools import compress
 from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError, _dimension, _flags, _mask
+from .bits import BitMatrix, BitVector, DimensionError, _dimension, _flags, _index, _mask
 
 
 class MachineStateError(RuntimeError):
@@ -352,9 +352,8 @@ class MvpMachine(ABC):
 
     def _check_index(self, i: int, what: str) -> None:
         """Refuse `i` as a `what` ("row" or "column") index unless it is an
-        int in 0..n-1."""
-        if type(i) is not int or not 0 <= i < self.n:
-            raise IndexError(f"{what} index must be an int in 0..{self.n - 1}, got {i!r}")
+        int in 0..n-1: the values' own index check, `bits._index`."""
+        _index(i, self.n, what)
 
     # -- column switching, counted --------------------------------------------
 

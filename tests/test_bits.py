@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpsim import (
@@ -129,6 +131,15 @@ class TestContainers:
         assert a.column(0) == BitVector((1, 1))
         assert a.column(1) == BitVector((0, 1))
 
+    @pytest.mark.parametrize("bad", [True, False, -1, -2, 2, 1.0, None, slice(0, 1)])
+    def test_accessors_refuse_what_is_not_an_index(self, bad):
+        # No silent coercion: True is not read as 1, nor -1 as the last index.
+        a = BitMatrix(((1, 0), (0, 1)))
+        v = BitVector((1, 0))
+        for what, get in (("row", a.row), ("column", a.column), ("coordinate", v.__getitem__)):
+            with pytest.raises(IndexError, match=re.escape(f"{what} index must be an int in 0..1, got {bad!r}")):
+                get(bad)
+
     @given(bit_matrices(4))
     def test_from_columns_round_trip(self, a):
         assert BitMatrix.from_columns(list(a.columns())) == a
@@ -136,6 +147,67 @@ class TestContainers:
     def test_from_columns_mixed_lengths_rejected(self):
         with pytest.raises(DimensionError):
             BitMatrix.from_columns([BitVector((1, 0)), BitVector((1, 0, 1))])
+
+
+def drawn_one_at_a_time(n: int, rng: Random, density) -> tuple[BitMatrix, BitVector]:
+    """The definition of BitMatrix.random then BitVector.random: cell by cell
+    in row-major order, 1 when the next rng.random() is below `density`."""
+    rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+    return BitMatrix(rows), BitVector([int(rng.random() < density) for _ in range(n)])
+
+
+DENSITIES = [0, 1, 0.0, 1.0, 0.5, 0.1, 1 / 3, 2**-8, 1 - 2**-8, 1e-9, 1 - 1e-9,
+             127 / 256, 0.5 + 2**-9, Fraction(2**60 + 1, 2**61), Fraction(1, 3), Decimal("0.1")]
+
+
+class TestRandomDraw:
+    """BitMatrix.random and BitVector.random read a plain Random's draws in
+    bulk; the values and the generator's state afterwards must be those of
+    the one-draw-at-a-time definition."""
+
+    @staticmethod
+    def check(n: int, seed: int, density) -> tuple[BitMatrix, BitVector]:
+        rng, ref = Random(seed), Random(seed)
+        got = BitMatrix.random(n, rng, density), BitVector.random(n, rng, density)
+        assert got == drawn_one_at_a_time(n, ref, density)
+        assert rng.getstate() == ref.getstate()
+        return got
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 200])
+    @pytest.mark.parametrize("density", DENSITIES, ids=repr)
+    def test_equals_the_per_draw_definition(self, n, density):
+        for seed in (1, 2, 3):
+            self.check(n, seed, density)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**64), st.integers(1, 40), st.floats(0, 1))
+    def test_any_seed_and_density(self, seed, n, density):
+        self.check(n, seed, density)
+
+    @given(st.integers(0, 2**64), st.integers(0, 63))
+    def test_density_equal_to_a_drawn_value(self, seed, c):
+        # The density is exactly draw c, k / 2**53, so cell c sits on the
+        # threshold and is 0. A Fraction 2**-61 above it makes it 1, since
+        # the exact threshold decides and not the nearest float's; one
+        # 2**-61 below keeps it 0.
+        rng = Random(seed)
+        x = [rng.random() for _ in range(c + 1)][c]
+        for density, cell in ((x, 0), (Fraction(x) + Fraction(1, 2**61), 1),
+                              (Fraction(x) - Fraction(1, 2**61), 0)):
+            a, _ = self.check(8, seed, density)
+            assert a.row(c // 8)[c % 8] == cell
+
+    def test_large_matrix(self):
+        self.check(1024, 7, 0.1)
+
+    def test_a_subclass_random_is_honoured(self):
+        class Quarter(Random):
+            def random(self):
+                return 0.25
+
+        assert BitMatrix.random(4, Quarter(1), 0.5) == BitMatrix.ones(4)
+        assert BitMatrix.random(4, Quarter(1), 0.25) == BitMatrix.zeros(4)
+        assert BitVector.random(4, Quarter(1), 0.3) == BitVector.ones(4)
 
 
 class TestOracle:

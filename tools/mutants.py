@@ -160,10 +160,10 @@ MUTANTS = (
     ),
     Mutant(
         "a bool index let through",
-        "contract.py",
-        "if type(i) is not int or not 0 <= i < self.n:",
-        "if not 0 <= i < self.n:",
-        ("test_axis_ladder.py", "test_wall_light.py"),
+        "bits.py",
+        "if type(i) is not int or not 0 <= i < n:",
+        "if not 0 <= i < n:",
+        ("test_axis_ladder.py", "test_wall_light.py", "test_bits.py"),
     ),
     Mutant(
         "column masks cut to 64 bits",
@@ -213,6 +213,20 @@ MUTANTS = (
         "if mode is not Mode.PAR:",
         "if False:",
         ("test_drivers.py",),
+    ),
+    Mutant(
+        "a drawn value equal to the density read as below it",
+        "bits.py",
+        "(a >> 5) << 26 | b >> 6 < t",
+        "(a >> 5) << 26 | b >> 6 <= t",
+        ("test_bits.py",),
+    ),
+    Mutant(
+        "a Random subclass's own random() bypassed",
+        "bits.py",
+        "if type(rng) is not Random or",
+        "if not isinstance(rng, Random) or",
+        ("test_bits.py",),
     ),
 )
 
