@@ -16,7 +16,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 
 from __future__ import annotations
 
-from .bits import BitMatrix, BitVector, _flags
+from .bits import BitMatrix, BitVector, _flags, _index
 from .contract import MachineStateError, MvpMachine, OpCategory
 
 
@@ -28,25 +28,27 @@ class AxisLadderMachine(MvpMachine):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        # One byte per ladder, 1 while away from home; the per-row path
-        # writes single entries, the bulk stroke installs them all.
+        # One byte per ladder, 1 while away from home, which is exactly
+        # where the row's section reads 0 (set_output's home check reads the
+        # sections); the per-row path writes single entries, the bulk
+        # stroke installs them all.
         self._ladder_shifted = bytearray(n)
 
     # -- uncounted inspection --------------------------------------------------
 
     def protrusion(self, i: int, j: int) -> bool:
         """Whether column j currently raises a protrusion into row i."""
-        self._check_index(i, "row")
-        self._check_index(j, "column")
+        _index(i, self.n, "row")
+        _index(j, self.n, "column")
         return bool(self._active >> j & self._cols[j] >> i & 1)
 
     def row_blocked(self, i: int) -> bool:
         """Whether row i carries at least one protrusion."""
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         return bool(self._blocked_rows() >> i & 1)
 
     def ladder_shifted(self, i: int) -> bool:
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         return bool(self._ladder_shifted[i])
 
     # -- counted physical primitives -------------------------------------------
@@ -58,7 +60,7 @@ class AxisLadderMachine(MvpMachine):
         protrusion; a completed stroke flips the row's output section
         from 1 to 0 (one further operation).
         """
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)
@@ -76,11 +78,6 @@ class AxisLadderMachine(MvpMachine):
 
     def _sense_row(self, i: int) -> None:
         self.move_ladder(i)
-
-    def _check_output_home(self) -> None:
-        if 1 in self._ladder_shifted:
-            i = self._ladder_shifted.index(1)
-            raise MachineStateError(f"ladder {i} is already shifted")
 
     def _move_output_parts(self, clear: int) -> None:
         self._ladder_shifted = bytearray(_flags(clear, self.n))

@@ -122,13 +122,16 @@ def _random_digits(count: int, rng: Random, density: float) -> bytes:
     byte table decides every cell whose top byte is not t's, and the ties
     (1 cell in 256) are settled from the full a and b.
 
-    A subclass of Random may override random(), and a density of another
-    type (a Decimal) has no exact threshold here, so both are drawn one
-    random() call at a time.
+    The density must be an int, float or Fraction, the types with an exact
+    threshold here, and not a bool; anything else (True, "0.5", None, a
+    Decimal) raises ValueError before any draw. A subclass of Random may
+    override random(), so it is drawn one random() call at a time.
     """
+    if type(density) is bool or not isinstance(density, (int, float, Fraction)):
+        raise ValueError(f"density must be an int, float or Fraction, got {density!r}")
     if not 0 <= density <= 1:  # also rejects NaN
         raise ValueError(f"density must be in [0, 1], got {density}")
-    if type(rng) is not Random or not isinstance(density, (int, float, Fraction)):
+    if type(rng) is not Random:
         r = rng.random
         return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
     t = ceil(density * 2**53)
@@ -195,7 +198,7 @@ class BitVector:
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitVector":
         """Each coordinate is 1 independently with probability `density`,
-        which must lie in [0, 1]."""
+        an int, float or Fraction in [0, 1] (not a bool)."""
         return cls._of(int(_random_digits(_dimension(n), rng, density)[::-1], 2), n)
 
     def __repr__(self) -> str:
@@ -265,8 +268,9 @@ class BitMatrix:
 
     @classmethod
     def random(cls, n: int, rng: Random, density: float = 0.5) -> "BitMatrix":
-        """Each cell is 1 independently with probability `density`, which
-        must lie in [0, 1]. Cells are drawn in row-major order."""
+        """Each cell is 1 independently with probability `density`, an int,
+        float or Fraction in [0, 1] (not a bool). Cells are drawn in
+        row-major order."""
         return cls._of(_columns(_random_digits(_dimension(n) * n, rng, density), n))
 
     @classmethod

@@ -14,7 +14,9 @@ silently doing nothing, so driver bugs surface early. Column activation
 survives reset_output; it only changes when the next vector is synced.
 MvpMachine keeps this state and switches the columns for every backend;
 a backend adds only its physics, how a row is sensed and how its output
-mechanism returns home.
+mechanism returns home. A stroke starts only from home, every output
+section at 1: after set_output, even one that raised part way, the next
+set_output is refused until reset_output.
 
 Cost model. Every mechanical primitive charges exactly one category:
 
@@ -93,12 +95,12 @@ class OpCounts:
     same machine yields the counts for the interval between the two.
 
     A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
-    it holds the log's phase list, which only grows until `OpLog.reset()`
-    replaces it, and the list's length at the time. Subtracting two such
-    snapshots of one list slices out only the interval, so a snapshot and
-    a delta cost O(categories + phases in the interval). Any other pair is
-    checked by comparing the earlier phase history with a prefix of the
-    later one.
+    it holds the log's phase list, which only ever grows, and the list's
+    length at the time. Subtracting two snapshots of one log slices out
+    only the interval, so a snapshot and a delta cost O(categories + phases
+    in the interval). Any other pair (snapshots of two logs, or built or
+    unpickled ones) is checked by comparing the earlier phase history with
+    a prefix of the later one.
     """
 
     __slots__ = ("_counts", "_phases", "_stop")
@@ -175,15 +177,17 @@ class OpCounts:
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
-    Machines charge into it; harnesses read it between operations via
-    `snapshot()`. `total` always equals the sum over categories. Counts
-    only grow until `reset()` is called explicitly.
+    Machines charge into it and group charges into phases; everything else
+    reads it only through `snapshot()`, whose OpCounts has the readers
+    (counts, totals, phases). Counts and phases only grow: there is no way
+    to wipe a log, so every delta between two of its snapshots is a real
+    interval of the machine's work.
     """
 
     def __init__(self) -> None:
         self._counts: dict[OpCategory, int] = dict.fromkeys(OpCategory, 0)
-        self._total = 0
-        self._phase_ops: list[int] = []  # only appended to; reset() replaces it
+        self._total = 0  # the sum over categories; phases are measured from it
+        self._phase_ops: list[int] = []  # only appended to
         self._phase_start: int | None = None  # the total when the open phase began
 
     def charge(self, category: OpCategory, amount: int = 1) -> None:
@@ -210,30 +214,8 @@ class OpLog:
         if exc_type is None or charged:
             self._phase_ops.append(charged)
 
-    @property
-    def total(self) -> int:
-        return self._total
-
-    @property
-    def parallel_phases(self) -> int:
-        return len(self._phase_ops)
-
-    @property
-    def phase_ops(self) -> tuple[int, ...]:
-        return tuple(self._phase_ops)
-
-    def count(self, category: OpCategory) -> int:
-        return self._counts[category]
-
     def snapshot(self) -> OpCounts:
         return OpCounts._view(tuple(self._counts.values()), self._phase_ops)
-
-    def reset(self) -> None:
-        if self._phase_start is not None:
-            raise MachineStateError("the ledger cannot be reset inside a parallel phase")
-        self._counts = dict.fromkeys(OpCategory, 0)
-        self._total = 0
-        self._phase_ops = []
 
 
 class MvpMachine(ABC):
@@ -295,8 +277,16 @@ class MvpMachine(ABC):
     machine working. Computing the blocked rows is bookkeeping only and
     never charges operations.
 
+    Output home. Every writer of the sections keeps a backend's moving
+    output part away from home exactly where its section reads 0 (on the
+    axis, ladder i is shifted exactly when section i is 0), so set_output
+    reads "the output is home" as "no section reads 0" for both backends
+    and refuses a stroke otherwise. That holds after a stroke that raised
+    part way too: the rows it switched stay switched, and charging them
+    again before reset_output would count more OutputSwitch than ResetStep.
+
     Index check. Every primitive and inspector that takes a row or column
-    index passes it through `_check_index` first, which raises IndexError,
+    index passes it through `bits._index` first, which raises IndexError,
     before anything is charged, unless the index is an int in 0..n-1: a
     bool or a float is refused too, never read as a number.
     """
@@ -340,20 +330,15 @@ class MvpMachine(ABC):
 
     def column_active(self, j: int) -> bool:
         """Whether column j (0-based) is currently switched on."""
-        self._check_index(j, "column")
+        _index(j, self.n, "column")
         return bool(self._active >> j & 1)
 
     def active_columns(self) -> frozenset[int]:
         return frozenset(compress(range(self.n), _flags(self._active, self.n)))
 
     def output_section(self, i: int) -> int:
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         return self._sections[i]
-
-    def _check_index(self, i: int, what: str) -> None:
-        """Refuse `i` as a `what` ("row" or "column") index unless it is an
-        int in 0..n-1: the values' own index check, `bits._index`."""
-        _index(i, self.n, what)
 
     # -- column switching, counted --------------------------------------------
 
@@ -366,7 +351,7 @@ class MvpMachine(ABC):
         self._switch_column(j, False)
 
     def _switch_column(self, j: int, on: bool) -> None:
-        self._check_index(j, "column")
+        _index(j, self.n, "column")
         if (self._active >> j & 1) == on:
             raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
         self._toggle_columns(1 << j)
@@ -409,9 +394,6 @@ class MvpMachine(ABC):
     def _sense_row(self, i: int) -> None:
         """Sense row i through the sensing primitive, with charges, flipping
         its output section when the row is clear (per-row set_output)."""
-
-    def _check_output_home(self) -> None:
-        """Refuse a stroke while a moving output part is away from home."""
 
     def _move_output_parts(self, clear: int) -> None:
         """Move the output parts of the rows in the mask `clear` as their
@@ -488,16 +470,17 @@ class MvpMachine(ABC):
         """Compute every output coordinate from the active columns
         (at most 2n operations).
 
-        Refused with MachineStateError, before anything is charged, while
-        a moving output part is away from home (on the axis backend, a
-        ladder moved by hand since the last reset_output). A subclass that
-        overrides the sensing primitive is driven through it row by row.
+        Refused with MachineStateError, before anything is charged, until
+        reset_output has run since the last stroke: while the output is set,
+        and while any output section reads 0, as a stroke that raised part
+        way or, on the axis, a ladder moved by hand leaves it. A subclass
+        that overrides the sensing primitive is driven through it row by
+        row.
         """
         if not self._synced:
             raise MachineStateError("set_output called before sync_columns")
-        if self._output_set:
+        if self._output_set or 0 in self._sections:
             raise MachineStateError("set_output called before reset_output")
-        self._check_output_home()
         cls = type(self)
         if getattr(cls, cls._sensor.__name__) is cls._sensor:
             blocked = self._blocked_rows()

@@ -14,6 +14,7 @@ This backend has no machine-wide parallel drive.
 
 from __future__ import annotations
 
+from .bits import _index
 from .contract import MvpMachine, OpCategory
 
 
@@ -26,13 +27,13 @@ class WallLightMachine(MvpMachine):
 
     def passes_light(self, i: int, j: int) -> bool:
         """Whether light at row i gets past wall j in its current position."""
-        self._check_index(i, "row")
-        self._check_index(j, "column")
+        _index(i, self.n, "row")
+        _index(j, self.n, "column")
         return not self._active >> j & self._cols[j] >> i & 1
 
     def row_occluded(self, i: int) -> bool:
         """Whether some shifted wall blocks the light at row i."""
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         return bool(self._blocked_rows() >> i & 1)
 
     # -- counted physical primitives -------------------------------------------
@@ -49,7 +50,7 @@ class WallLightMachine(MvpMachine):
     def observe_light(self, i: int) -> bool:
         """Sense the lamp behind row i (one operation). Returns True when
         the light comes through, i.e. no shifted wall occludes the row."""
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         self._log.charge(OpCategory.LIGHT_OBSERVE)
         return not self._blocked_rows() >> i & 1
 

@@ -101,8 +101,9 @@ class TestPrimitives:
         assert m.move_ladder(0) is True
         assert m.ladder_shifted(0)
         assert m.output_section(0) == 0
-        assert m.oplog.count(OpCategory.LADDER_MOVE) == 1
-        assert m.oplog.count(OpCategory.OUTPUT_SWITCH) == 1
+        ops = m.oplog.snapshot()
+        assert ops.count(OpCategory.LADDER_MOVE) == 1
+        assert ops.count(OpCategory.OUTPUT_SWITCH) == 1
 
     def test_blocked_stroke_leaves_the_section(self):
         m = AxisLadderMachine(2)
@@ -111,7 +112,7 @@ class TestPrimitives:
         assert m.move_ladder(0) is False
         assert not m.ladder_shifted(0)
         assert m.output_section(0) == 1
-        assert m.oplog.count(OpCategory.OUTPUT_SWITCH) == 0
+        assert m.oplog.snapshot().count(OpCategory.OUTPUT_SWITCH) == 0
 
     def test_shifted_ladder_cannot_stroke_again(self):
         m = AxisLadderMachine(2)
@@ -186,13 +187,13 @@ class TestOutputMechanism:
         with log.phase():
             assert m.move_ladder(n - 1)  # every row is clear: ladder 3 stays away
         before = log.snapshot()
-        with pytest.raises(MachineStateError, match=f"ladder {n - 1} is already shifted"):
+        with pytest.raises(MachineStateError, match="set_output called before reset_output"):
             if parallel:
                 m.parallel_ladder_step()
             else:
                 m.set_output()
         assert log.snapshot() == before  # nothing charged, no phase recorded
-        assert log.total == sum(log.phase_ops)
+        assert before.total == sum(before.phase_ops)
         m.reset_output()
         m.set_output()
         assert m.report_output() == BitVector.zeros(n)
@@ -285,10 +286,10 @@ class TestParallelDrive:
         with pytest.raises(RuntimeError):
             m.parallel_ladder_step()
         m.parallel_reset_output()
-        log = m.oplog
-        assert log.total == sum(log.phase_ops)
+        ops = m.oplog.snapshot()
+        assert ops.total == sum(ops.phase_ops)
         # Strokes of rows 0-2 (only row 2 is clear) and the jammed stroke.
-        assert log.phase_ops[-2:] == (5, 5)
+        assert ops.phase_ops[-2:] == (5, 5)
 
     def test_running_total_survives_refused_and_raising_calls(self):
         m = JammedLadderMachine(4)
@@ -297,16 +298,18 @@ class TestParallelDrive:
 
         def call(fn, *args, refused=None):
             nonlocal in_phases
-            before = log.total
+            before = log.snapshot().total
             if refused is None:
                 fn(*args)
             else:
                 with pytest.raises(refused):
                     fn(*args)
+            after = log.snapshot()
             if fn.__name__.startswith("parallel_"):
-                in_phases += log.total - before
-            assert log.total == sum(log.snapshot().counts.values())
-            assert sum(log.phase_ops) == in_phases
+                in_phases += after.total - before
+            # Phases are measured from the log's running total, the
+            # snapshot's total from its counts: the two must agree.
+            assert sum(after.phase_ops) == in_phases
 
         call(m.parallel_sync, refused=MachineStateError)
         call(m.parallel_load_matrix, A4)
@@ -325,14 +328,15 @@ class TestParallelDrive:
                 with log.phase():
                     pass
         call(m.load_matrix, BitMatrix.identity(4))
-        assert log.phase_ops[-4:] == (2, 2, 5, 5)  # release, rotate, jam, reset
-        assert log.total > in_phases
+        ops = log.snapshot()
+        assert ops.phase_ops[-4:] == (2, 2, 5, 5)  # release, rotate, jam, reset
+        assert ops.total > in_phases
 
     def test_parallel_reset_is_legal_in_any_state(self):
         m = AxisLadderMachine(3)
-        phases_before = m.oplog.parallel_phases
+        phases_before = m.oplog.snapshot().parallel_phases
         m.parallel_reset_output()  # idle machine: one phase, ladders rehomed
-        assert m.oplog.parallel_phases == phases_before + 1
+        assert m.oplog.snapshot().parallel_phases == phases_before + 1
         assert all(m.output_section(i) == 1 for i in range(3))
 
     def test_repeated_parallel_sync_still_charges_two_phases(self):

@@ -125,6 +125,17 @@ class TestContainers:
         with pytest.raises(ValueError, match="density"):
             BitVector.random(4, Random(1), density)
 
+    @pytest.mark.parametrize("density", [True, False, "0.5", None, Decimal("0.1"), 0.5j], ids=repr)
+    def test_random_density_of_another_type_rejected(self, density):
+        # No silent coercion: True is not read as 1. A Decimal has no exact
+        # threshold. Refused before any draw, so the generator is untouched.
+        rng = Random(1)
+        state = rng.getstate()
+        for make in (BitMatrix.random, BitVector.random):
+            with pytest.raises(ValueError, match="density must be an int, float or Fraction, got "):
+                make(4, rng, density)
+        assert rng.getstate() == state
+
     def test_row_column_access(self):
         a = BitMatrix(((1, 0), (1, 1)))
         assert a.row(0) == (1, 0)
@@ -157,7 +168,8 @@ def drawn_one_at_a_time(n: int, rng: Random, density) -> tuple[BitMatrix, BitVec
 
 
 DENSITIES = [0, 1, 0.0, 1.0, 0.5, 0.1, 1 / 3, 2**-8, 1 - 2**-8, 1e-9, 1 - 1e-9,
-             127 / 256, 0.5 + 2**-9, Fraction(2**60 + 1, 2**61), Fraction(1, 3), Decimal("0.1")]
+             127 / 256, 0.5 + 2**-9, Fraction(2**60 + 1, 2**61), Fraction(1, 3),
+             Decimal("0.1")]
 
 
 class TestRandomDraw:
@@ -167,8 +179,12 @@ class TestRandomDraw:
 
     @staticmethod
     def check(n: int, seed: int, density) -> tuple[BitMatrix, BitVector]:
+        # A Decimal is refused (TestContainers), but its exact value as a
+        # Fraction must draw what the definition draws with the Decimal,
+        # which float < Decimal compares exactly.
+        given = Fraction(density) if isinstance(density, Decimal) else density
         rng, ref = Random(seed), Random(seed)
-        got = BitMatrix.random(n, rng, density), BitVector.random(n, rng, density)
+        got = BitMatrix.random(n, rng, given), BitVector.random(n, rng, given)
         assert got == drawn_one_at_a_time(n, ref, density)
         assert rng.getstate() == ref.getstate()
         return got

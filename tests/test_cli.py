@@ -18,6 +18,7 @@ from mvpsim import (
     parse_matrix,
     serialize_matrix,
 )
+from mvpsim.bits import _index
 from mvpsim.cli import CSV_FIELDS, main, run_selftest
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
@@ -33,7 +34,7 @@ class InvertedLadderMachine(AxisLadderMachine):
     """Deliberately broken: strokes through blocked rows and stops at clear ones."""
 
     def move_ladder(self, i: int) -> bool:
-        self._check_index(i, "row")
+        _index(i, self.n, "row")
         if self.ladder_shifted(i):
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(OpCategory.LADDER_MOVE)

@@ -91,7 +91,7 @@ class TestProtocol:
     def test_reset_is_legal_in_any_state(self, machine_cls):
         m = machine_cls(4)
         m.reset_output()  # fresh machine: nothing observable happens
-        assert m.oplog.total <= 2 * 4
+        assert m.oplog.snapshot().total <= 2 * 4
         m.load_matrix(A4)
         run_pass(m, BitVector((1, 0, 1, 0)))
         m.reset_output()  # extra reset after a completed pass is fine too
@@ -141,10 +141,10 @@ class TestCharges:
     def test_load_matrix_fresh(self, machine_cls):
         m = machine_cls(4)
         m.load_matrix(A4)
-        log = m.oplog
-        assert log.count(OpCategory.CELL_LOAD) == 16
-        assert log.count(OpCategory.COLUMN_DEACTIVATE) == 0
-        assert log.total == 16
+        ops = m.oplog.snapshot()
+        assert ops.count(OpCategory.CELL_LOAD) == 16
+        assert ops.count(OpCategory.COLUMN_DEACTIVATE) == 0
+        assert ops.total == 16
 
     def test_load_matrix_clears_active_columns(self, machine_cls):
         m = machine_cls(4)
@@ -280,7 +280,6 @@ class TestOpLog:
         run_pass(m, BitVector.ones(3))
         snap = m.oplog.snapshot()
         assert snap.total == sum(snap.counts[c] for c in OpCategory)
-        assert m.oplog.total == snap.total
 
     def test_counts_only_grow(self, machine_cls):
         m = machine_cls(3)
@@ -288,7 +287,7 @@ class TestOpLog:
         totals = []
         for _ in range(3):
             run_pass(m, BitVector.ones(3))
-            totals.append(m.oplog.total)
+            totals.append(m.oplog.snapshot().total)
         assert totals == sorted(totals)
         assert totals[0] > 0
 
@@ -415,19 +414,6 @@ class TestOpLog:
         with pytest.raises(ValueError, match="do not share a machine history"):
             earlier - log.snapshot()
 
-    def test_delta_across_reset_is_refused(self):
-        log = OpLog()
-        log.charge(OpCategory.CELL_LOAD, 5)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
-        before = log.snapshot()
-        log.reset()
-        log.charge(OpCategory.CELL_LOAD, 9)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 9)
-        with pytest.raises(ValueError, match="do not share a machine history"):
-            log.snapshot() - before
-
     def test_long_parallel_stream_delta_holds_only_its_phases(self):
         m = AxisLadderMachine(4)
         m.load_matrix(A4)
@@ -436,7 +422,7 @@ class TestOpLog:
             rep = matvec(m, v, Mode.PAR)
         # release 2: the previous pass left columns 0 and 2 active.
         assert rep.ops.phase_ops == (4, 2, 2, 5, 4, 5)
-        assert m.oplog.parallel_phases == 6 * 2000
+        assert m.oplog.snapshot().parallel_phases == 6 * 2000
 
     def test_phases_do_not_nest(self):
         log = OpLog()
@@ -454,25 +440,6 @@ class TestOpLog:
         with pytest.raises(RuntimeError):
             with log.phase():
                 raise RuntimeError("motion refused")
-        assert log.total == 3
-        assert log.phase_ops == (3,)
-
-    def test_reset_clears_everything(self):
-        log = OpLog()
-        log.charge(OpCategory.CELL_LOAD, 7)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP)
-        log.reset()
-        assert log.total == 0
-        assert log.parallel_phases == 0
-        assert log.phase_ops == ()
-
-    def test_reset_inside_a_phase_is_refused(self):
-        log = OpLog()
-        log.charge(OpCategory.CELL_LOAD, 10)
-        with pytest.raises(MachineStateError):
-            with log.phase():
-                log.charge(OpCategory.SCAN_STEP, 2)
-                log.reset()
-        assert log.total == 12
-        assert log.phase_ops == (2,)
+        ops = log.snapshot()
+        assert ops.total == 3
+        assert ops.phase_ops == (3,)

@@ -222,7 +222,7 @@ class TestRunReport:
         with pytest.raises(ValueError, match="mode must be a Mode member"):
             matvec(m, BitVector.ones(3), mode)
         assert m.oplog.snapshot() == before
-        assert m.oplog.parallel_phases == 0
+        assert m.oplog.snapshot().parallel_phases == 0
         assert m.loaded_vector() is None
 
     @pytest.mark.parametrize("mode", ["par", "seq", None])
@@ -233,7 +233,7 @@ class TestRunReport:
         with pytest.raises(ValueError, match="mode must be a Mode member"):
             matmul(m, BitMatrix.identity(3), BitMatrix.identity(3), mode)
         assert m.oplog.snapshot() == before
-        assert m.oplog.parallel_phases == 0
+        assert m.oplog.snapshot().parallel_phases == 0
         assert m.loaded_matrix() == BitMatrix.ones(3)
 
     def test_matvec_requires_loaded_matrix(self, machine_cls):

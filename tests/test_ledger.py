@@ -8,7 +8,17 @@ from random import Random
 
 import pytest
 
-from mvpsim import BitMatrix, BitVector, Mode, OpCategory, make_machine, matvec
+from mvpsim import (
+    AxisLadderMachine,
+    BitMatrix,
+    BitVector,
+    MachineStateError,
+    Mode,
+    OpCategory,
+    WallLightMachine,
+    make_machine,
+    matvec,
+)
 
 CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
 CONFIG_IDS = [f"{backend}-{mode.value}" for backend, mode in CONFIGS]
@@ -112,3 +122,59 @@ def test_seeded_matmul(backend, mode, n, density):
     a = BitMatrix.random(n, rng, density)
     b = BitMatrix.random(n, rng, density)
     check_run(backend, mode, a, list(b.columns()))
+
+
+class JammedLadderOnce(AxisLadderMachine):
+    """The last row's ladder raises once, before it is charged."""
+
+    jammed = False
+
+    def move_ladder(self, i: int) -> bool:
+        if i == self.n - 1 and not self.jammed:
+            self.jammed = True
+            raise RuntimeError("sensor jammed")
+        return super().move_ladder(i)
+
+
+class JammedLightOnce(WallLightMachine):
+    """The last row's light sensor raises once, before it is charged."""
+
+    jammed = False
+
+    def observe_light(self, i: int) -> bool:
+        if i == self.n - 1 and not self.jammed:
+            self.jammed = True
+            raise RuntimeError("sensor jammed")
+        return super().observe_light(i)
+
+
+@pytest.mark.parametrize(
+    "cls,mode",
+    [(JammedLadderOnce, Mode.SEQ), (JammedLadderOnce, Mode.PAR), (JammedLightOnce, Mode.SEQ)],
+    ids=CONFIG_IDS,
+)
+def test_a_stroke_that_raised_is_refused_until_reset(cls, mode):
+    # Rows 0 and 1 are clear and switched before row 2 jams. Another
+    # stroke then would switch and charge them again, with no ResetStep to
+    # match, so it is refused until reset_output returns the output home.
+    n = 3
+    a, v = BitMatrix.zeros(n), BitVector.ones(n)
+    m = cls(n)
+    m.load_matrix(a)
+    m.load_vector(v)
+    m.sync_columns()
+    stroke = m.parallel_ladder_step if mode is Mode.PAR else m.set_output
+    with pytest.raises(RuntimeError, match="sensor jammed"):
+        stroke()
+    assert [m.output_section(i) for i in range(n)] == [0, 0, 1]
+    before = m.oplog.snapshot()
+    with pytest.raises(MachineStateError, match="^set_output called before reset_output$"):
+        stroke()
+    assert m.oplog.snapshot() == before  # nothing charged, no phase recorded
+    m.reset_output()
+    ops = m.oplog.snapshot()
+    assert ops.count(OpCategory.OUTPUT_SWITCH) == 2
+    assert ops.count(OpCategory.RESET_STEP) == (n if m.backend == "axis" else 0) + 2
+    counts, phases = expected_pass_counts(a, frozenset(range(n)), v, m.backend, mode)
+    delta = matvec(m, v, mode).ops
+    assert delta.counts == counts and delta.phase_ops == phases

@@ -79,13 +79,14 @@ class TestWalls:
         m = WallLightMachine(3)
         m.shift_wall_down(2)
         m.shift_wall_up(2)
-        assert m.oplog.count(OpCategory.COLUMN_ACTIVATE) == 1
-        assert m.oplog.count(OpCategory.COLUMN_DEACTIVATE) == 1
+        ops = m.oplog.snapshot()
+        assert ops.count(OpCategory.COLUMN_ACTIVATE) == 1
+        assert ops.count(OpCategory.COLUMN_DEACTIVATE) == 1
 
     def test_observation_is_counted(self):
         m = WallLightMachine(3)
         assert m.observe_light(0) is True
-        assert m.oplog.count(OpCategory.LIGHT_OBSERVE) == 1
+        assert m.oplog.snapshot().count(OpCategory.LIGHT_OBSERVE) == 1
 
 
 class TestOutputMechanism:

@@ -188,10 +188,10 @@ MUTANTS = (
     ),
     Mutant(
         "home check never refuses",
-        "axis_ladder.py",
-        "if 1 in self._ladder_shifted:",
-        "if 2 in self._ladder_shifted:",
-        ("test_axis_ladder.py",),
+        "contract.py",
+        "if self._output_set or 0 in self._sections:",
+        "if self._output_set:",
+        ("test_axis_ladder.py", "test_ledger.py"),
     ),
     Mutant(
         "reset restores the sections to 0s",
@@ -224,8 +224,15 @@ MUTANTS = (
     Mutant(
         "a Random subclass's own random() bypassed",
         "bits.py",
-        "if type(rng) is not Random or",
-        "if not isinstance(rng, Random) or",
+        "if type(rng) is not Random:",
+        "if not isinstance(rng, Random):",
+        ("test_bits.py",),
+    ),
+    Mutant(
+        "a bool density let through",
+        "bits.py",
+        "if type(density) is bool or not isinstance(",
+        "if not isinstance(",
         ("test_bits.py",),
     ),
 )
