@@ -16,8 +16,11 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 
 from __future__ import annotations
 
-from .bits import BitMatrix, BitVector, _flags, _index
-from .contract import MachineStateError, MvpMachine, OpCategory
+from .bits import BitMatrix, BitVector, _index
+from .contract import _LADDER_MOVE, _OUTPUT_SWITCH, _RESET_STEP, MachineStateError, MvpMachine
+
+# Swaps the bytes 0 and 1: a ladder is away exactly where its section is 0.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class AxisLadderMachine(MvpMachine):
@@ -63,28 +66,28 @@ class AxisLadderMachine(MvpMachine):
         _index(i, self.n, "row")
         if self._ladder_shifted[i]:
             raise MachineStateError(f"ladder {i} is already shifted")
-        self._log.charge(OpCategory.LADDER_MOVE)
+        self._log.charge(_LADDER_MOVE)
         if self._blocked_rows() >> i & 1:
             return False
         self._ladder_shifted[i] = 1
         self._sections[i] = 0
-        self._log.charge(OpCategory.OUTPUT_SWITCH)
+        self._log.charge(_OUTPUT_SWITCH)
         return True
 
     # -- physics hooks for the contract operations ------------------------------
 
     _sensor = move_ladder
-    _sense_category = OpCategory.LADDER_MOVE
+    _sense_category = _LADDER_MOVE
 
     def _sense_row(self, i: int) -> None:
         self.move_ladder(i)
 
-    def _move_output_parts(self, clear: int) -> None:
-        self._ladder_shifted = bytearray(_flags(clear, self.n))
+    def _move_output_parts(self) -> None:
+        self._ladder_shifted = self._sections.translate(_FLIP)
 
     def _return_output_mechanism(self) -> None:
         # One return step per ladder regardless of where the stroke ended.
-        self._log.charge(OpCategory.RESET_STEP, self.n)
+        self._log.charge(_RESET_STEP, self.n)
         self._ladder_shifted = bytearray(self.n)
 
     # -- machine-wide parallel drives -------------------------------------------

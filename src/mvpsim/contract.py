@@ -38,6 +38,9 @@ machine's matrix product costs at most 9n^2; the test suite asserts those
 bounds as exact arithmetic inequalities. Parallel drives (where a backend
 offers one) group charges into phases: one phase is one machine-wide
 motion, and the ledger records the operations charged inside each phase.
+The ledger is read through immutable snapshots. A run's share of it is
+one delta, `OpLog.since(before)`, which equals `snapshot() - before` and
+is built from the log in one step, without a second snapshot.
 
 How the machine keeps its state and charges it (bit masks, bulk
 charging, the per-row output bytes and the blocked-row tables) is told
@@ -83,6 +86,9 @@ class OpCategory(Enum):
 
 _CATEGORIES = tuple(OpCategory)
 _INDEX = {c: k for k, c in enumerate(_CATEGORIES)}
+# The members bound once, for the charges (see MvpMachine, Bulk charging).
+(_COLUMN_ACTIVATE, _COLUMN_DEACTIVATE, _SCAN_STEP, _LADDER_MOVE, _OUTPUT_SWITCH, _LIGHT_OBSERVE,
+ _CELL_LOAD, _VECTOR_COORD_LOAD, _OUTPUT_COORD_REPORT, _RESET_STEP) = _CATEGORIES
 
 
 class OpCounts:
@@ -92,7 +98,8 @@ class OpCounts:
     counts as a tuple in OpCategory order and builds the mapping when it is
     read. `phase_ops[k]` is the number of operations charged during the
     k-th completed parallel phase. Subtracting an earlier snapshot of the
-    same machine yields the counts for the interval between the two.
+    same machine yields the counts for the interval between the two, and
+    `OpLog.since` builds the same delta straight from the log.
 
     A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
     it holds the log's phase list, which only ever grows, and the list's
@@ -101,6 +108,11 @@ class OpCounts:
     in the interval). Any other pair (snapshots of two logs, or built or
     unpickled ones) is checked by comparing the earlier phase history with
     a prefix of the later one.
+
+    Building one by hand (and unpickling one) refuses with ValueError an
+    unknown category and any count or phase entry that is not an int >= 0,
+    a bool included. Snapshots and deltas hold only what a log counted and
+    are built unchecked by `_ops`.
     """
 
     __slots__ = ("_counts", "_phases", "_stop")
@@ -110,17 +122,11 @@ class OpCounts:
         full.update(counts)
         if len(full) != len(OpCategory):
             raise ValueError(f"unknown operation categories in {counts!r}")
-        return cls._view(tuple(full.values()), tuple(phase_ops))
-
-    @classmethod
-    def _view(cls, counts: tuple[int, ...], phases: Sequence[int]) -> "OpCounts":
-        """A snapshot of `counts`, one per category in OpCategory order, and
-        the current entries of `phases`, which is not copied."""
-        snap = object.__new__(cls)
-        object.__setattr__(snap, "_counts", counts)
-        object.__setattr__(snap, "_phases", phases)
-        object.__setattr__(snap, "_stop", len(phases))
-        return snap
+        phases = tuple(phase_ops)
+        for k in (*full.values(), *phases):
+            if type(k) is not int or k < 0:
+                raise ValueError(f"operation counts must be ints >= 0, got {k!r}")
+        return _ops(tuple(full.values()), phases)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -171,17 +177,33 @@ class OpCounts:
         counts = tuple(map(sub, self._counts, earlier._counts))
         if min(counts) < 0:
             raise ValueError("snapshots do not share a machine history")
-        return OpCounts._view(counts, phases)
+        return _ops(counts, phases)
+
+
+_set_counts = OpCounts._counts.__set__
+_set_phases = OpCounts._phases.__set__
+_set_stop = OpCounts._stop.__set__
+
+
+def _ops(counts: tuple[int, ...], phases: Sequence[int]) -> OpCounts:
+    """An OpCounts of `counts`, one per category in OpCategory order, and
+    the current entries of `phases`, which is not copied. It fills the
+    slots through their descriptors, which `__setattr__` does not guard."""
+    ops = object.__new__(OpCounts)
+    _set_counts(ops, counts)
+    _set_phases(ops, phases)
+    _set_stop(ops, len(phases))
+    return ops
 
 
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
     Machines charge into it and group charges into phases; everything else
-    reads it only through `snapshot()`, whose OpCounts has the readers
-    (counts, totals, phases). Counts and phases only grow: there is no way
-    to wipe a log, so every delta between two of its snapshots is a real
-    interval of the machine's work.
+    reads it only through OpCounts: `snapshot()` for the whole ledger and
+    `since(before)` for what was charged after the snapshot `before`. Counts
+    and phases only grow: there is no way to wipe a log, so every delta
+    between two of its snapshots is a real interval of the machine's work.
     """
 
     def __init__(self) -> None:
@@ -215,7 +237,17 @@ class OpLog:
             self._phase_ops.append(charged)
 
     def snapshot(self) -> OpCounts:
-        return OpCounts._view(tuple(self._counts.values()), self._phase_ops)
+        return _ops(tuple(self._counts.values()), self._phase_ops)
+
+    def since(self, before: OpCounts) -> OpCounts:
+        """The operations charged after the snapshot `before`: equal to
+        `self.snapshot() - before`, without building the second snapshot.
+        A snapshot of this log needs no check, since its counts and phases
+        only grow; any other one is subtracted, with its history check."""
+        phases = self._phase_ops
+        if before._phases is not phases:
+            return self.snapshot() - before
+        return _ops(tuple(map(sub, self._counts.values(), before._counts)), phases[before._stop :])
 
 
 class MvpMachine(ABC):
@@ -246,7 +278,10 @@ class MvpMachine(ABC):
     reset_output counts the 0 bytes. A pass is therefore O(1) ledger calls
     and O(1) Python steps; its O(n) work runs inside C-level calls. The
     primitives (activate_column, move_ladder, observe_light, ...) keep
-    their single charges.
+    their single charges. Every charge here and in the backends names its
+    category by a module name bound at import (`_SCAN_STEP`, ...): reading
+    `OpCategory.SCAN_STEP` goes through the enum class and costs as much
+    as the charge.
 
     Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
     Faradzev, 1970). The OR of the active columns takes one OR per active
@@ -265,9 +300,11 @@ class MvpMachine(ABC):
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
     machine, overrides the backend's sensing primitive (`_sensor`, i.e.
-    `move_ladder` or `observe_light`). When `type(self)` overrides it,
-    set_output calls it once per row (`_sense_row`), exactly as a stroke
-    of n primitive calls, so the override sees every row. Column switches
+    `move_ladder` or `observe_light`). When `type(self)` overrides it, at
+    any depth below the backend, set_output calls it once per row
+    (`_sense_row`), exactly as a stroke of n primitive calls, so the
+    override sees every row. The answer depends only on the class, so
+    `__init__` decides it once (`_per_row`), not every stroke. Column switches
     need no such rule: no subclass models them differently, and a sync
     toggles a whole mask of columns in one motion.
 
@@ -313,6 +350,9 @@ class MvpMachine(ABC):
         self._tables: list[list[int]] | None = None
         self._ors = 0
         self._table_ors = 255 * (n // 8) + (1 << n % 8) - 1
+        # Whether set_output senses row by row (see Per-row dispatch).
+        cls = type(self)
+        self._per_row = getattr(cls, cls._sensor.__name__) is not cls._sensor
 
     @property
     def oplog(self) -> OpLog:
@@ -360,8 +400,8 @@ class MvpMachine(ABC):
         """Switch every column in the mask `diff` to its other state (one
         ColumnActivate or ColumnDeactivate each)."""
         on = (diff & ~self._active).bit_count()
-        self._log.charge(OpCategory.COLUMN_ACTIVATE, on)
-        self._log.charge(OpCategory.COLUMN_DEACTIVATE, diff.bit_count() - on)
+        self._log.charge(_COLUMN_ACTIVATE, on)
+        self._log.charge(_COLUMN_DEACTIVATE, diff.bit_count() - on)
         self._active ^= diff
 
     def _blocked_rows(self) -> int:
@@ -395,9 +435,9 @@ class MvpMachine(ABC):
         """Sense row i through the sensing primitive, with charges, flipping
         its output section when the row is clear (per-row set_output)."""
 
-    def _move_output_parts(self, clear: int) -> None:
-        """Move the output parts of the rows in the mask `clear` as their
-        stroke does (bulk set_output; the caller charges)."""
+    def _move_output_parts(self) -> None:
+        """Move the output parts of the rows whose sections the stroke
+        switched to 0 (bulk set_output; the caller charges)."""
 
     def _return_output_mechanism(self) -> None:
         """Drive the backend's moving output parts home, with charges,
@@ -422,7 +462,7 @@ class MvpMachine(ABC):
         self._cols[j] = col
         self._tables = None
         self._ors = 0
-        self._log.charge(OpCategory.CELL_LOAD, self.n)
+        self._log.charge(_CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:
         if not self._matrix_loaded:
@@ -451,7 +491,7 @@ class MvpMachine(ABC):
         if v.n != self.n:
             raise DimensionError(f"machine is {self.n}x{self.n}, vector has {v.n} coordinates")
         self._vector = v
-        self._log.charge(OpCategory.VECTOR_COORD_LOAD, self.n)
+        self._log.charge(_VECTOR_COORD_LOAD, self.n)
         self._synced = False
 
     def sync_columns(self) -> None:
@@ -462,7 +502,7 @@ class MvpMachine(ABC):
         with an unchanged vector performs zero activations/deactivations.
         """
         self._check_syncable()
-        self._log.charge(OpCategory.SCAN_STEP, self.n)
+        self._log.charge(_SCAN_STEP, self.n)
         self._toggle_columns(self._vector._bits ^ self._active)
         self._synced = True
 
@@ -481,25 +521,23 @@ class MvpMachine(ABC):
             raise MachineStateError("set_output called before sync_columns")
         if self._output_set or 0 in self._sections:
             raise MachineStateError("set_output called before reset_output")
-        cls = type(self)
-        if getattr(cls, cls._sensor.__name__) is cls._sensor:
-            blocked = self._blocked_rows()
-            clear = ((1 << self.n) - 1) ^ blocked
-            self._log.charge(cls._sense_category, self.n)
-            self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count())
-            # Sections start at 1 and flip to 0 on the clear rows.
-            self._sections = bytearray(_flags(blocked, self.n))
-            self._move_output_parts(clear)
-        else:
+        if self._per_row:
             for i in range(self.n):
                 self._sense_row(i)
+        else:
+            blocked = self._blocked_rows()
+            self._log.charge(self._sense_category, self.n)
+            self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count())
+            # Sections start at 1 and flip to 0 on the clear rows.
+            self._sections = bytearray(_flags(blocked, self.n))
+            self._move_output_parts()
         self._output_set = True
 
     def report_output(self) -> BitVector:
         """Read the output vector (n operations, non-destructive)."""
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
-        self._log.charge(OpCategory.OUTPUT_COORD_REPORT, self.n)
+        self._log.charge(_OUTPUT_COORD_REPORT, self.n)
         return BitVector._of(_mask(self._sections), self.n)
 
     def reset_output(self) -> None:
@@ -510,6 +548,6 @@ class MvpMachine(ABC):
         nothing observable. Column activation is untouched, so a following
         set_output (no resync needed) recomputes the same output."""
         self._return_output_mechanism()
-        self._log.charge(OpCategory.RESET_STEP, self._sections.count(0))
+        self._log.charge(_RESET_STEP, self._sections.count(0))
         self._sections = bytearray(b"\x01") * self.n
         self._output_set = False

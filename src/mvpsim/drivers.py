@@ -5,7 +5,10 @@ report, reset) against a machine whose matrix is already loaded, and
 `matmul` computes a Boolean matrix product by streaming the right-hand
 matrix through such passes column by column. Both return a RunReport
 carrying the result together with the operations the run charged, taken
-as a snapshot delta so pre-existing ledger content never leaks in.
+as a snapshot delta so pre-existing ledger content never leaks in: one
+snapshot before the run, and `OpLog.since` of it after. The report's
+slots are filled through their descriptors, since the frozen dataclass's
+__init__ pays one object.__setattr__ a field, on every pass.
 Both refuse with ValueError, before anything is charged, a mode that is
 not a Mode member and a parallel run on a backend without a parallel
 drive.
@@ -58,7 +61,7 @@ def _require_parallel(machine: MvpMachine, mode: object) -> None:
         raise ValueError(f"backend {machine.backend!r} has no parallel drive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunReport:
     """Result of one driver run plus the operations it charged."""
 
@@ -69,6 +72,23 @@ class RunReport:
     n: int
 
 
+_set_result, _set_ops, _set_backend, _set_mode, _set_n = (
+    f.__set__ for f in (RunReport.result, RunReport.ops, RunReport.backend, RunReport.mode, RunReport.n)
+)
+
+
+def _report(machine: MvpMachine, mode: Mode, result: BitVector | BitMatrix, ops: OpCounts) -> RunReport:
+    """The RunReport of a run on `machine`, its slots filled through their
+    descriptors: the frozen __init__ pays one object.__setattr__ a field."""
+    report = object.__new__(RunReport)
+    _set_result(report, result)
+    _set_ops(report, ops)
+    _set_backend(report, machine.backend)
+    _set_mode(report, mode)
+    _set_n(report, machine.n)
+    return report
+
+
 def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunReport:
     """One matrix-vector pass over the machine's already-loaded matrix.
 
@@ -76,7 +96,8 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     extra bookkeeping; column activation is left matching `v`. Charges at
     most 8n operations; in parallel mode, exactly six phases.
     """
-    before = machine.oplog.snapshot()
+    log = machine.oplog
+    before = log.snapshot()
     if mode is Mode.SEQ:
         machine.load_vector(v)
         machine.sync_columns()
@@ -90,8 +111,7 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
         machine.parallel_ladder_step()
         result = machine.parallel_report_output()
         machine.parallel_reset_output()
-    ops = machine.oplog.snapshot() - before
-    return RunReport(result, ops, machine.backend, mode, machine.n)
+    return _report(machine, mode, result, log.since(before))
 
 
 def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SEQ) -> RunReport:
@@ -111,5 +131,4 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
         _require_parallel(machine, mode)
         machine.parallel_load_matrix(a)
     result = BitMatrix._of(tuple([matvec(machine, col, mode).result._bits for col in b.columns()]))
-    ops = machine.oplog.snapshot() - before
-    return RunReport(result, ops, machine.backend, mode, machine.n)
+    return _report(machine, mode, result, machine.oplog.since(before))

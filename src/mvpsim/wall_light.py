@@ -15,7 +15,7 @@ This backend has no machine-wide parallel drive.
 from __future__ import annotations
 
 from .bits import _index
-from .contract import MvpMachine, OpCategory
+from .contract import _LIGHT_OBSERVE, _OUTPUT_SWITCH, MvpMachine
 
 
 class WallLightMachine(MvpMachine):
@@ -51,15 +51,15 @@ class WallLightMachine(MvpMachine):
         """Sense the lamp behind row i (one operation). Returns True when
         the light comes through, i.e. no shifted wall occludes the row."""
         _index(i, self.n, "row")
-        self._log.charge(OpCategory.LIGHT_OBSERVE)
+        self._log.charge(_LIGHT_OBSERVE)
         return not self._blocked_rows() >> i & 1
 
     # -- physics hooks for the contract operations ------------------------------
 
     _sensor = observe_light
-    _sense_category = OpCategory.LIGHT_OBSERVE
+    _sense_category = _LIGHT_OBSERVE
 
     def _sense_row(self, i: int) -> None:
         if self.observe_light(i):
             self._sections[i] = 0
-            self._log.charge(OpCategory.OUTPUT_SWITCH)
+            self._log.charge(_OUTPUT_SWITCH)

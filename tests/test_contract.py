@@ -406,6 +406,79 @@ class TestOpLog:
         assert par.parallel_phases == 6 and par_snap.parallel_phases == 6
         assert pickle.loads(pickle.dumps(par_snap)) - seq_snap == par
 
+    def test_since_is_the_delta_from_a_snapshot(self):
+        m = AxisLadderMachine(4)
+        m.load_matrix(A4)
+        log = m.oplog
+        start = log.snapshot()
+        matvec(m, BitVector((1, 0, 1, 0)), Mode.PAR)
+        middle = log.snapshot()
+        matvec(m, BitVector((0, 1, 1, 0)))
+        matvec(m, BitVector((0, 1, 1, 1)), Mode.PAR)
+        assert log.since(middle) == log.snapshot() - middle
+        assert log.since(middle).phase_ops == (log.snapshot() - middle).phase_ops
+        assert log.since(start) == log.snapshot() - start
+        assert log.since(log.snapshot()) == OpCounts({})
+
+    def test_since_any_other_snapshot_agrees_with_subtraction(self):
+        log = OpLog()
+        log.charge(OpCategory.CELL_LOAD, 4)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 2)
+        snap = log.snapshot()
+        other = OpLog()
+        with other.phase():
+            other.charge(OpCategory.SCAN_STEP, 1)
+        bigger = OpLog()
+        bigger.charge(OpCategory.LADDER_MOVE, 9)
+        with log.phase():
+            log.charge(OpCategory.LADDER_MOVE, 5)
+        befores = (
+            snap, snap - OpCounts({}), pickle.loads(pickle.dumps(snap)), copy.deepcopy(snap),
+            OpCounts({OpCategory.CELL_LOAD: 4, OpCategory.SCAN_STEP: 2}, (2,)), OpCounts({}),
+            other.snapshot(), bigger.snapshot(), OpCounts({OpCategory.CELL_LOAD: 1}, (3,)),
+        )
+        agreed = refused = 0
+        for before in befores:
+            try:
+                want = log.snapshot() - before
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{e}$"):
+                    log.since(before)
+                refused += 1
+            else:
+                got = log.since(before)
+                assert got == want and got.phase_ops == want.phase_ops
+                agreed += 1
+        assert (agreed, refused) == (6, 3)
+
+    @pytest.mark.parametrize(
+        "counts,phases,bad",
+        [
+            ({OpCategory.CELL_LOAD: -1.5}, (True, 2.5, -3), "-1.5"),
+            ({OpCategory.CELL_LOAD: -1}, (), "-1"),
+            ({OpCategory.SCAN_STEP: True}, (), "True"),
+            ({OpCategory.SCAN_STEP: 2.0}, (), "2.0"),
+            ({OpCategory.SCAN_STEP: "2"}, (), "'2'"),
+            ({OpCategory.SCAN_STEP: 2}, (1, True), "True"),
+            ({OpCategory.SCAN_STEP: 2}, (2.5,), "2.5"),
+            ({}, (0, -3), "-3"),
+            ({}, (None,), "None"),
+        ],
+        ids=["float-and-bool", "negative", "bool", "float", "str", "bool-phase", "float-phase",
+             "negative-phase", "none-phase"],
+    )
+    def test_built_snapshot_refuses_malformed_counts(self, counts, phases, bad):
+        class Forged:
+            def __reduce__(self):
+                return OpCounts, (counts, phases)
+
+        # Unpickling builds through the same check.
+        for build in (lambda: OpCounts(counts, phases), lambda: pickle.loads(pickle.dumps(Forged()))):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == f"operation counts must be ints >= 0, got {bad}"
+
     def test_earlier_minus_later_is_refused(self):
         log = OpLog()
         earlier = log.snapshot()

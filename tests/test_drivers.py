@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from mvpsim import (
     MachineStateError,
     Mode,
     PARALLEL_PHASES_PER_MATVEC,
+    RunReport,
     WallLightMachine,
     make_machine,
     matmul,
@@ -197,6 +201,23 @@ class TestRunReport:
         assert rep.mode is Mode.PAR
         assert rep.n == 3
         assert rep.result.n == 3
+
+    def test_frozen_and_survives_pickle_and_deepcopy(self):
+        m = AxisLadderMachine(3)
+        m.load_matrix(BitMatrix.identity(3))
+        reports = (
+            matvec(m, BitVector.ones(3)), matvec(m, BitVector((0, 1, 1)), Mode.PAR),
+            matmul(m, BitMatrix.ones(3), BitMatrix.identity(3), Mode.PAR),
+        )
+        for rep in reports:
+            for field in ("result", "ops", "backend", "mode", "n"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(rep, field, None)
+            for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+                assert type(twin) is RunReport and twin == rep
+                assert twin.ops.phase_ops == rep.ops.phase_ops
+                assert (twin.backend, twin.mode, twin.n) == ("axis", rep.mode, 3)
+        assert reports[1].ops.phase_ops == (3, 3, 2, 4, 3, 4)
 
     def test_delta_excludes_earlier_work(self):
         m = AxisLadderMachine(3)

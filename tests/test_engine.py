@@ -189,7 +189,32 @@ def test_bulk_and_per_row_sensing_agree(bulk_cls, row_cls, mode, n):
             assert _state(machines[0]) == _state(machines[1])
 
 
-@pytest.mark.parametrize("row_cls,mode", [(c, m) for _, c, m in PATHS], ids=PATH_IDS)
+class _PlainAxisMachine(AxisLadderMachine):
+    """Overrides nothing: the subclass between the backend and the spy."""
+
+
+class TwoDownAxisMachine(_PlainAxisMachine):
+    """PerRowAxisMachine's spy, defined two subclasses below the backend."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.sensed: list[int] = []
+
+    def move_ladder(self, i: int) -> bool:
+        self.sensed.append(i)
+        return super().move_ladder(i)
+
+
+class InheritedSpyWallMachine(PerRowWallMachine):
+    """Defines no sensing of its own: it inherits its parent's override."""
+
+
+@pytest.mark.parametrize(
+    "row_cls,mode",
+    [(c, m) for _, c, m in PATHS]
+    + [(TwoDownAxisMachine, Mode.SEQ), (TwoDownAxisMachine, Mode.PAR), (InheritedSpyWallMachine, Mode.SEQ)],
+    ids=PATH_IDS + ["axis-seq-two-down", "axis-par-two-down", "wall-seq-inherited"],
+)
 def test_overridden_sensing_primitive_sees_every_row(row_cls, mode):
     n = 7
     m = row_cls(n)

@@ -57,6 +57,7 @@ class MachineModel(RuleBasedStateMachine):
         self.sections = [1] * n
         self.ladders = [0] * n
         self.phased = 0  # operations charged inside parallel phases
+        self.start = self.m.oplog.snapshot()
 
     # -- the shadow model -------------------------------------------------------
 
@@ -257,6 +258,8 @@ class MachineModel(RuleBasedStateMachine):
         # Phases are measured from the log's running total, `phased` from
         # the snapshots' counts: the two must agree.
         assert sum(m.oplog.snapshot().phase_ops) == self.phased
+        # `since` builds in one step what subtracting two snapshots gives.
+        assert m.oplog.since(self.start) == m.oplog.snapshot() - self.start
 
 
 # No shrink phase: a failure at n = 65 shrinks for minutes before it is

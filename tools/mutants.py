@@ -48,15 +48,15 @@ MUTANTS = (
     Mutant(
         "reset-step overcharge at n > 16",
         "contract.py",
-        "self._log.charge(OpCategory.RESET_STEP, self._sections.count(0))",
-        "self._log.charge(OpCategory.RESET_STEP, self._sections.count(0) + (self.n > 16))",
+        "self._log.charge(_RESET_STEP, self._sections.count(0))",
+        "self._log.charge(_RESET_STEP, self._sections.count(0) + (self.n > 16))",
         ("test_ledger.py",),
     ),
     Mutant(
         "output-switch overcharge at n > 40",
         "contract.py",
-        "self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count())",
-        "self._log.charge(OpCategory.OUTPUT_SWITCH, clear.bit_count() + (self.n > 40))",
+        "self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count())",
+        "self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count() + (self.n > 40))",
         ("test_ledger.py",),
     ),
     Mutant(
@@ -104,8 +104,8 @@ MUTANTS = (
     Mutant(
         "sensing always bulk, overrides bypassed",
         "contract.py",
-        "if getattr(cls, cls._sensor.__name__) is cls._sensor:",
-        "if True:",
+        "self._per_row = getattr(cls, cls._sensor.__name__) is not cls._sensor",
+        "self._per_row = False",
         ("test_engine.py", "test_cli.py"),
     ),
     Mutant(
@@ -134,6 +134,20 @@ MUTANTS = (
         "contract.py",
         "phases = self._phases[start : self._stop]",
         "phases = self._phases[start + 1 : self._stop]",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "since slices phases from one past the snapshot",
+        "contract.py",
+        "phases[before._stop :]",
+        "phases[before._stop + 1 :]",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "since skips the shared-history fallback",
+        "contract.py",
+        "if before._phases is not phases:",
+        "if False:",
         ("test_contract.py",),
     ),
     Mutant(
@@ -203,8 +217,8 @@ MUTANTS = (
     Mutant(
         "ladders set from the blocked mask, not the clear one",
         "axis_ladder.py",
-        "self._ladder_shifted = bytearray(_flags(clear, self.n))",
-        "self._ladder_shifted = bytearray(_flags(self._blocked_rows(), self.n))",
+        "self._ladder_shifted = self._sections.translate(_FLIP)",
+        "self._ladder_shifted = bytearray(self._sections)",
         ("test_engine.py", "test_stateful.py"),
     ),
     Mutant(
