@@ -7,6 +7,8 @@ some active column. One spring ladder per row tries to slide across; it
 completes the stroke only if the row is clear. A completed stroke flips
 that row's output section from its initial 1 to 0, so after all strokes
 the section values equal the Boolean product coordinates: blocked row = 1.
+So the sections record where every ladder is, and no ladder state is
+stored: ladder i is away from home exactly while section i reads 0.
 Resetting returns every ladder home, one step each, wherever it stopped.
 
 This backend also offers machine-wide parallel drives: each `parallel_*`
@@ -17,10 +19,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 from __future__ import annotations
 
 from .bits import BitMatrix, BitVector, _index
-from .contract import _LADDER_MOVE, _OUTPUT_SWITCH, _RESET_STEP, MachineStateError, MvpMachine
-
-# Swaps the bytes 0 and 1: a ladder is away exactly where its section is 0.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+from .contract import _LADDER_MOVE, _RESET_STEP, MachineStateError, MvpMachine
 
 
 class AxisLadderMachine(MvpMachine):
@@ -31,10 +30,8 @@ class AxisLadderMachine(MvpMachine):
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        # One byte per ladder, 1 while away from home, which is exactly
-        # where the row's section reads 0 (set_output's home check reads the
-        # sections); the per-row path writes single entries, the bulk
-        # stroke installs them all.
+        # Nothing reads this: ladder_shifted reads the sections. It stays
+        # only because the fault machine of perfbench/harness.py writes it.
         self._ladder_shifted = bytearray(n)
 
     # -- uncounted inspection --------------------------------------------------
@@ -51,8 +48,9 @@ class AxisLadderMachine(MvpMachine):
         return bool(self._blocked_rows() >> i & 1)
 
     def ladder_shifted(self, i: int) -> bool:
-        _index(i, self.n, "row")
-        return bool(self._ladder_shifted[i])
+        """Whether ladder i is away from home: exactly when its stroke
+        completed and flipped the row's output section to 0."""
+        return not self.output_section(i)
 
     # -- counted physical primitives -------------------------------------------
 
@@ -63,15 +61,12 @@ class AxisLadderMachine(MvpMachine):
         protrusion; a completed stroke flips the row's output section
         from 1 to 0 (one further operation).
         """
-        _index(i, self.n, "row")
-        if self._ladder_shifted[i]:
+        if self.ladder_shifted(i):
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(_LADDER_MOVE)
         if self._blocked_rows() >> i & 1:
             return False
-        self._ladder_shifted[i] = 1
-        self._sections[i] = 0
-        self._log.charge(_OUTPUT_SWITCH)
+        self._clear_section(i)
         return True
 
     # -- physics hooks for the contract operations ------------------------------
@@ -82,13 +77,9 @@ class AxisLadderMachine(MvpMachine):
     def _sense_row(self, i: int) -> None:
         self.move_ladder(i)
 
-    def _move_output_parts(self) -> None:
-        self._ladder_shifted = self._sections.translate(_FLIP)
-
     def _return_output_mechanism(self) -> None:
         # One return step per ladder regardless of where the stroke ended.
         self._log.charge(_RESET_STEP, self.n)
-        self._ladder_shifted = bytearray(self.n)
 
     # -- machine-wide parallel drives -------------------------------------------
 

@@ -237,13 +237,21 @@ class OpLog:
             self._phase_ops.append(charged)
 
     def snapshot(self) -> OpCounts:
+        """The whole ledger. Refused with MachineStateError while a phase
+        is open: its charges are in the counts but in no recorded phase
+        yet, so a snapshot there would disagree with its own phases."""
+        if self._phase_start is not None:
+            raise MachineStateError("snapshot inside an open parallel phase")
         return _ops(tuple(self._counts.values()), self._phase_ops)
 
     def since(self, before: OpCounts) -> OpCounts:
         """The operations charged after the snapshot `before`: equal to
         `self.snapshot() - before`, without building the second snapshot.
         A snapshot of this log needs no check, since its counts and phases
-        only grow; any other one is subtracted, with its history check."""
+        only grow; any other one is subtracted, with its history check.
+        Refused, like snapshot, while a phase is open."""
+        if self._phase_start is not None:
+            raise MachineStateError("since inside an open parallel phase")
         phases = self._phase_ops
         if before._phases is not phases:
             return self.snapshot() - before
@@ -261,12 +269,14 @@ class MvpMachine(ABC):
     sync. The output sections are a bytearray, one 0/1 byte per row
     (`_sections[i]` is section i), and report_output packs those bytes,
     not the blocked mask, so a machine that senses differently is reported
-    as its sections read. A per-row machine writes single entries
-    (`_sections[i] = 0`), which a bytearray stores like a list. Column
-    switching, the six contract operations, the legal call order and the
-    shared parts of the cost model live here too.
-    Subclasses supply only their physics, how a row is sensed and how the
-    output mechanism moves and returns home, through the underscore hooks.
+    as its sections read. Only this class writes them: the bulk stroke
+    installs them whole, reset_output restores them, and a per-row sensing
+    step that finds row i clear calls `_clear_section(i)`, which switches
+    the section to 0 and charges its OutputSwitch. Column switching, the
+    six contract operations, the legal call order and the shared parts of
+    the cost model live here too. Subclasses supply only their physics
+    through two underscore hooks: how a row is sensed (`_sense_row`) and
+    how the output mechanism returns home (`_return_output_mechanism`).
 
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks. A load installs the
@@ -314,13 +324,15 @@ class MvpMachine(ABC):
     machine working. Computing the blocked rows is bookkeeping only and
     never charges operations.
 
-    Output home. Every writer of the sections keeps a backend's moving
-    output part away from home exactly where its section reads 0 (on the
-    axis, ladder i is shifted exactly when section i is 0), so set_output
-    reads "the output is home" as "no section reads 0" for both backends
-    and refuses a stroke otherwise. That holds after a stroke that raised
-    part way too: the rows it switched stay switched, and charging them
-    again before reset_output would count more OutputSwitch than ResetStep.
+    Output home. A backend's moving output part (the axis ladder; the wall
+    has none) is away from home exactly where its section reads 0, since
+    its completed stroke is what flipped the section. So its position is
+    read from the sections, not stored: `ladder_shifted(i)` is
+    `not output_section(i)`. And set_output reads "the output is home" as
+    "no section reads 0" for both backends and refuses a stroke otherwise.
+    That holds after a stroke that raised part way too: the rows it
+    switched stay switched, and charging them again before reset_output
+    would count more OutputSwitch than ResetStep.
 
     Index check. Every primitive and inspector that takes a row or column
     index passes it through `bits._index` first, which raises IndexError,
@@ -435,10 +447,6 @@ class MvpMachine(ABC):
         """Sense row i through the sensing primitive, with charges, flipping
         its output section when the row is clear (per-row set_output)."""
 
-    def _move_output_parts(self) -> None:
-        """Move the output parts of the rows whose sections the stroke
-        switched to 0 (bulk set_output; the caller charges)."""
-
     def _return_output_mechanism(self) -> None:
         """Drive the backend's moving output parts home, with charges,
         before the flipped sections are switched back."""
@@ -452,6 +460,12 @@ class MvpMachine(ABC):
             raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
         self._matrix_loaded = True
         self._synced = False
+
+    def _clear_section(self, i: int) -> None:
+        """Switch output section i from 1 to 0 (one OutputSwitch): the one
+        per-row write of the sections, made when row i is sensed clear."""
+        self._sections[i] = 0
+        self._log.charge(_OUTPUT_SWITCH)
 
     def _release_columns(self) -> None:
         """Switch off every active column."""
@@ -530,7 +544,6 @@ class MvpMachine(ABC):
             self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count())
             # Sections start at 1 and flip to 0 on the clear rows.
             self._sections = bytearray(_flags(blocked, self.n))
-            self._move_output_parts()
         self._output_set = True
 
     def report_output(self) -> BitVector:

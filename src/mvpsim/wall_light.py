@@ -15,7 +15,7 @@ This backend has no machine-wide parallel drive.
 from __future__ import annotations
 
 from .bits import _index
-from .contract import _LIGHT_OBSERVE, _OUTPUT_SWITCH, MvpMachine
+from .contract import _LIGHT_OBSERVE, MvpMachine
 
 
 class WallLightMachine(MvpMachine):
@@ -61,5 +61,4 @@ class WallLightMachine(MvpMachine):
 
     def _sense_row(self, i: int) -> None:
         if self.observe_light(i):
-            self._sections[i] = 0
-            self._log.charge(_OUTPUT_SWITCH)
+            self._clear_section(i)

@@ -18,7 +18,6 @@ from mvpsim import (
     parse_matrix,
     serialize_matrix,
 )
-from mvpsim.bits import _index
 from mvpsim.cli import CSV_FIELDS, main, run_selftest
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
@@ -34,14 +33,11 @@ class InvertedLadderMachine(AxisLadderMachine):
     """Deliberately broken: strokes through blocked rows and stops at clear ones."""
 
     def move_ladder(self, i: int) -> bool:
-        _index(i, self.n, "row")
         if self.ladder_shifted(i):
             raise MachineStateError(f"ladder {i} is already shifted")
-        self._log.charge(OpCategory.LADDER_MOVE)
+        self.oplog.charge(OpCategory.LADDER_MOVE)
         if self.row_blocked(i):
-            self._ladder_shifted[i] = True
-            self._sections[i] = 0
-            self._log.charge(OpCategory.OUTPUT_SWITCH)
+            self._clear_section(i)
             return True
         return False
 

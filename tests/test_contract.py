@@ -516,3 +516,17 @@ class TestOpLog:
         ops = log.snapshot()
         assert ops.total == 3
         assert ops.phase_ops == (3,)
+
+    @pytest.mark.parametrize("read", ["snapshot", "since"])
+    def test_ledger_is_not_read_inside_a_phase(self, read):
+        log = OpLog()
+        start = log.snapshot()
+        with pytest.raises(MachineStateError, match=f"{read} inside an open parallel phase"):
+            with log.phase():
+                log.charge(OpCategory.SCAN_STEP, 5)
+                log.snapshot() if read == "snapshot" else log.since(start)
+        log.charge(OpCategory.SCAN_STEP, 3)
+        ops = log.since(start)
+        assert ops == log.snapshot() - start
+        assert ops.total == 8
+        assert ops.phase_ops == (5,)  # the refused read's phase charged, so it is recorded

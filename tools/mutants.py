@@ -151,6 +151,20 @@ MUTANTS = (
         ("test_contract.py",),
     ),
     Mutant(
+        "snapshot read inside an open phase",
+        "contract.py",
+        'raise MachineStateError("snapshot inside an open parallel phase")',
+        "pass",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "since read inside an open phase",
+        "contract.py",
+        'raise MachineStateError("since inside an open parallel phase")',
+        "pass",
+        ("test_contract.py",),
+    ),
+    Mutant(
         "negative deltas accepted",
         "contract.py",
         "if min(counts) < 0:",
@@ -215,11 +229,25 @@ MUTANTS = (
         ("test_engine.py",),
     ),
     Mutant(
-        "ladders set from the blocked mask, not the clear one",
+        "ladder position read with its polarity flipped",
         "axis_ladder.py",
-        "self._ladder_shifted = self._sections.translate(_FLIP)",
-        "self._ladder_shifted = bytearray(self._sections)",
-        ("test_engine.py", "test_stateful.py"),
+        "return not self.output_section(i)",
+        "return bool(self.output_section(i))",
+        ("test_axis_ladder.py", "test_stateful.py"),
+    ),
+    Mutant(
+        "a shifted ladder released again",
+        "axis_ladder.py",
+        "if self.ladder_shifted(i):",
+        "if False:",
+        ("test_axis_ladder.py", "test_stateful.py"),
+    ),
+    Mutant(
+        "the ladder bytes the benchmark's fault machine writes dropped",
+        "axis_ladder.py",
+        "self._ladder_shifted = bytearray(n)",
+        "pass",
+        ("test_bench_faults.py",),
     ),
     Mutant(
         "a mode that is not a Mode member let through",
