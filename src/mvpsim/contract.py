@@ -53,7 +53,7 @@ from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
@@ -299,13 +299,16 @@ class MvpMachine(ABC):
     (the last may hold fewer), the loaded columns give one table per
     group whose entry m is the OR of the group's columns that the bits of
     m select, so a read takes one lookup and one OR per group: n/8, all
-    C-level. Building them takes 2^k - 1 ORs for a group of k columns,
-    about 32n. They are built inside `_blocked_rows()` once the ORs that
-    reads have spent since the last load reach that cost, so a load whose
-    reads stay sparse (a few active columns a pass) never pays for them.
-    They depend only on `_cols`, so they stay valid across passes, and
-    `_load_column` voids them and the count. No operation is charged for
-    them either way.
+    C-level. A read of more than 16 masks (columns or table entries) ORs
+    the first 16 and stops there if every row is blocked, as on a dense
+    input it nearly always is; only otherwise does it OR the rest. Building
+    the tables takes 2^k - 1 ORs for a group of k columns, about 32n. They
+    are built inside `_blocked_rows()`, after the read with which the ORs
+    actually spent since the last load reach that cost, so a load whose
+    reads stay sparse (a few active columns a pass) or saturate after 16
+    columns never pays for them. They depend only on `_cols`, so they stay
+    valid across passes, and `_load_column` voids them and the count. No
+    operation is charged for them either way.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -417,17 +420,31 @@ class MvpMachine(ABC):
         self._active ^= diff
 
     def _blocked_rows(self) -> int:
-        """The mask of rows holding a 1 in some active column, from the
-        tables once the ORs spent since the load, this read's included,
-        reach their build cost."""
+        """The mask of rows holding a 1 in some active column: the OR of
+        the active columns, or of one table entry per group once the tables
+        are built. Of more than 16 masks the first 16 are ORed, and the
+        rest only if a row is still clear. Without tables, the ORs spent
+        count toward their build, which follows the read that reaches its
+        cost."""
         active = self._active
         tables = self._tables
         if tables is None:
-            self._ors += active.bit_count()
-            if self._ors < self._table_ors:
-                return reduce(or_, compress(self._cols, _flags(active, self.n)), 0)
-            tables = self._tables = self._build_tables()
-        return reduce(or_, map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), 0)
+            masks, count = compress(self._cols, _flags(active, self.n)), active.bit_count()
+        else:
+            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
+        if count > 16:
+            blocked = reduce(or_, islice(masks, 16), 0)
+            if blocked.bit_count() == self.n:
+                count = 16
+            else:
+                blocked = reduce(or_, masks, blocked)
+        else:
+            blocked = reduce(or_, masks, 0)
+        if tables is None:
+            self._ors += count
+            if self._ors >= self._table_ors:
+                self._tables = self._build_tables()
+        return blocked
 
     def _build_tables(self) -> list[list[int]]:
         """One table per group of 8 columns (the last may hold fewer): at

@@ -331,9 +331,12 @@ def test_construction_paths_agree(n):
 def _table_inputs(n: int) -> tuple:
     """Two dense products whose matrices differ in every cell, with their
     oracle results (computed once per size: the oracle takes about a
-    second at n = 256)."""
+    second at n = 256). Row 0 of the first matrix is clear, so no read of
+    it has every row blocked and stops early; the second blocks nearly
+    every row within 16 columns."""
     rng = Random(f"tables:{n}")
     a, b = BitMatrix.random(n, rng, 0.5), BitMatrix.random(n, rng, 0.5)
+    a = BitMatrix(((0,) * n,) + a.rows[1:])
     a2 = BitMatrix(tuple(tuple(1 - x for x in row) for row in a.rows))
     b2 = BitMatrix.random(n, rng, 0.5)
     return (a, b, oracle_matmul(a, b)), (a2, b2, oracle_matmul(a2, b2))
@@ -378,8 +381,9 @@ def test_blocked_row_tables_across_loads(cls, mode, n):
     (a, b, ab), (a2, b2, ab2) = _table_inputs(n)
     m = cls(n)
     _check_matmul(m, a, b, ab, mode)
-    # A product of a bulk machine at n < 32 spends fewer ORs than the
-    # tables cost: all-ones passes on the same load build them.
+    # A product of a bulk machine spends about n^2 / 2 ORs, fewer than the
+    # tables cost (about 32n) at n < 63: all-ones passes on the same load
+    # build them, n ORs each, since row 0 stays clear.
     for _ in range(n * n):
         if m._tables is not None:
             break
@@ -406,3 +410,55 @@ def test_sparse_product_never_builds_the_tables(bulk_cls, row_cls, mode):
     m = bulk_cls(n)
     assert matmul(m, a, b, mode).result == oracle_matmul(a, b)
     assert m._tables is None
+
+
+@pytest.mark.parametrize(
+    "cls,mode",
+    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
+    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
+)
+@pytest.mark.parametrize("n", (17, 136, 200))
+def test_row_blocked_only_after_the_first_16_masks(cls, mode, n):
+    # Column 0 blocks every row but the first two. Row 0 holds its one 1 in
+    # the last column, which is past the first 16 columns and, at n >= 136,
+    # in table group 16 or later; row 1 is clear, so no read stops early.
+    rows = [[0] * n for _ in range(n)]
+    rows[0][n - 1] = 1
+    for i in range(2, n):
+        rows[i][0] = 1
+    a = BitMatrix(rows)
+    vectors = [BitVector.ones(n)] + [BitVector(tuple(int(j != k) for j in range(n))) for k in (0, n - 1)]
+    m = cls(n)
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    for v in vectors:
+        _check_matvec(m, a, v, mode)
+    if not m._per_row:  # a per-row stroke reads n times, so it builds them
+        assert m._tables is None
+    while m._tables is None:
+        _check_matvec(m, a, BitVector.ones(n), mode)
+    for v in vectors:
+        _check_matvec(m, a, v, mode)
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_saturating_product_never_builds_the_tables(bulk_cls, row_cls, mode):
+    # Nearly every read has every row blocked after 16 of its some 128
+    # active columns: 256 passes spend about 4100 ORs, half the 8160 that
+    # the tables for n = 256 take.
+    a, b, ab = _table_inputs(256)[1]
+    m = bulk_cls(256)
+    _check_matmul(m, a, b, ab, mode)
+    assert m._tables is None
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_sparse_rows_times_dense_vectors_build_the_tables(bulk_cls, row_cls, mode):
+    # Some 64 active columns a pass leave about three rows in four clear
+    # after 16 of them, so each read spends all 64 ORs and the tables for
+    # n = 128 (4080 ORs) are built partway through the product.
+    n = 128
+    rng = Random("tables:sparse-dense")
+    a, b = BitMatrix.random(n, rng, 0.02), BitMatrix.random(n, rng, 0.5)
+    m = bulk_cls(n)
+    _check_matmul(m, a, b, oracle_matmul(a, b), mode)
+    assert m._tables is not None

@@ -76,8 +76,8 @@ MUTANTS = (
     Mutant(
         "first column never blocks",
         "contract.py",
-        "return reduce(or_, compress(self._cols, _flags(active, self.n)), 0)",
-        "return reduce(or_, compress(self._cols[1:], _flags(active, self.n)[1:]), 0)",
+        "compress(self._cols, _flags(active, self.n))",
+        "compress(self._cols[1:], _flags(active, self.n)[1:])",
         ("test_stateful.py",),
     ),
     Mutant(
@@ -85,6 +85,27 @@ MUTANTS = (
         "contract.py",
         'active.to_bytes(len(tables), "little")',
         '(active & ~1).to_bytes(len(tables), "little")',
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "every row blocked tested as always true",
+        "contract.py",
+        "if blocked.bit_count() == self.n:",
+        "if True:",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "early exit never taken",
+        "contract.py",
+        "if blocked.bit_count() == self.n:",
+        "if False:",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "16 ORs counted as all of them after an early exit",
+        "contract.py",
+        "                count = 16\n",
+        "                pass\n",
         ("test_engine.py",),
     ),
     Mutant(
