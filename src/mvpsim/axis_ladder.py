@@ -19,7 +19,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 from __future__ import annotations
 
 from .bits import BitMatrix, BitVector, _index
-from .contract import _LADDER_MOVE, _RESET_STEP, MachineStateError, MvpMachine
+from .contract import _LADDER_MOVE, MachineStateError, MvpMachine
 
 
 class AxisLadderMachine(MvpMachine):
@@ -73,13 +73,10 @@ class AxisLadderMachine(MvpMachine):
 
     _sensor = move_ladder
     _sense_category = _LADDER_MOVE
+    _return_steps = 1  # one return step per ladder
 
     def _sense_row(self, i: int) -> None:
         self.move_ladder(i)
-
-    def _return_output_mechanism(self) -> None:
-        # One return step per ladder regardless of where the stroke ended.
-        self._log.charge(_RESET_STEP, self.n)
 
     # -- machine-wide parallel drives -------------------------------------------
 

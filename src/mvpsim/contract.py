@@ -274,9 +274,9 @@ class MvpMachine(ABC):
     step that finds row i clear calls `_clear_section(i)`, which switches
     the section to 0 and charges its OutputSwitch. Column switching, the
     six contract operations, the legal call order and the shared parts of
-    the cost model live here too. Subclasses supply only their physics
-    through two underscore hooks: how a row is sensed (`_sense_row`) and
-    how the output mechanism returns home (`_return_output_mechanism`).
+    the cost model live here too. Subclasses supply only their physics:
+    how a row is sensed (the `_sense_row` hook) and how many ResetStep each
+    row's output part takes to return home (the `_return_steps` constant).
 
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks. A load installs the
@@ -285,8 +285,12 @@ class MvpMachine(ABC):
     active columns (reduce over itertools.compress, or over the tables
     below) and installs the section bytes whole from the blocked mask,
     report_output packs the section bytes into a vector's mask, and
-    reset_output counts the 0 bytes. A pass is therefore O(1) ledger calls
-    and O(1) Python steps; its O(n) work runs inside C-level calls. The
+    reset_output counts the 0 bytes and restores them. All three touch the
+    section bytes only when a row is clear: a stroke that blocks every row
+    leaves the sections at home, all 1, so it installs nothing, the report
+    finds no 0 byte and reads the all-ones mask, and the reset finds no
+    flipped section to restore. A pass is therefore O(1) ledger calls and
+    O(1) Python steps; its O(n) work runs inside C-level calls. The
     primitives (activate_column, move_ladder, observe_light, ...) keep
     their single charges. Every charge here and in the backends names its
     category by a module name bound at import (`_SCAN_STEP`, ...): reading
@@ -349,6 +353,9 @@ class MvpMachine(ABC):
     # charges; set_output senses in bulk unless a subclass overrides it.
     _sensor: ClassVar[Callable[..., bool]]
     _sense_category: ClassVar[OpCategory]
+    # The ResetStep each row's moving output part charges to return home,
+    # wherever its stroke ended, before the flipped sections switch back.
+    _return_steps: ClassVar[int] = 0
 
     def __init__(self, n: int) -> None:
         self.n = _dimension(n)
@@ -464,10 +471,6 @@ class MvpMachine(ABC):
         """Sense row i through the sensing primitive, with charges, flipping
         its output section when the row is clear (per-row set_output)."""
 
-    def _return_output_mechanism(self) -> None:
-        """Drive the backend's moving output parts home, with charges,
-        before the flipped sections are switched back."""
-
     # -- shared steps of the contract operations and the parallel drive -------
 
     def _begin_matrix_load(self, a: BitMatrix) -> None:
@@ -558,9 +561,12 @@ class MvpMachine(ABC):
         else:
             blocked = self._blocked_rows()
             self._log.charge(self._sense_category, self.n)
-            self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count())
-            # Sections start at 1 and flip to 0 on the clear rows.
-            self._sections = bytearray(_flags(blocked, self.n))
+            clear = self.n - blocked.bit_count()
+            self._log.charge(_OUTPUT_SWITCH, clear)
+            # Sections start at 1 (the home check above proved it) and flip
+            # to 0 on the clear rows, so a stroke with none writes nothing.
+            if clear:
+                self._sections = bytearray(_flags(blocked, self.n))
         self._output_set = True
 
     def report_output(self) -> BitVector:
@@ -568,7 +574,9 @@ class MvpMachine(ABC):
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
         self._log.charge(_OUTPUT_COORD_REPORT, self.n)
-        return BitVector._of(_mask(self._sections), self.n)
+        if 0 in self._sections:
+            return BitVector._of(_mask(self._sections), self.n)
+        return BitVector._of((1 << self.n) - 1, self.n)
 
     def reset_output(self) -> None:
         """Restore the output mechanism to its initial state (at most 2n
@@ -577,7 +585,8 @@ class MvpMachine(ABC):
         Legal in any state; resetting an already-initial output changes
         nothing observable. Column activation is untouched, so a following
         set_output (no resync needed) recomputes the same output."""
-        self._return_output_mechanism()
-        self._log.charge(_RESET_STEP, self._sections.count(0))
-        self._sections = bytearray(b"\x01") * self.n
+        flipped = self._sections.count(0)
+        self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped)
+        if flipped:
+            self._sections = bytearray(b"\x01") * self.n
         self._output_set = False

@@ -173,6 +173,36 @@ class TestOutputMechanism:
         assert delta.count(OpCategory.LADDER_MOVE) == 4
         assert delta.count(OpCategory.OUTPUT_SWITCH) == 1  # only row 2 is clear
 
+    @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
+    def test_section_cleared_by_hand_after_a_saturated_stroke(self, parallel):
+        # The stroke blocks every row and writes no section; a ladder moved
+        # by hand afterwards flips one, and the report and the reset must
+        # read it from the sections, not from the stroke's outcome.
+        n = 6
+        m = AxisLadderMachine(n)
+        m.load_matrix(BitMatrix.identity(n))
+        m.load_vector(BitVector.ones(n))
+        m.sync_columns()
+        if parallel:
+            m.parallel_ladder_step()
+        else:
+            m.set_output()
+        m.deactivate_column(3)
+        assert m.move_ladder(3) is True
+        report = m.parallel_report_output() if parallel else m.report_output()
+        assert report == BitVector(tuple(int(i != 3) for i in range(n)))
+        before = m.oplog.snapshot()
+        if parallel:
+            m.parallel_reset_output()
+        else:
+            m.reset_output()
+        assert (m.oplog.snapshot() - before).count(OpCategory.RESET_STEP) == n + 1
+        if parallel:
+            m.parallel_ladder_step()
+        else:
+            m.set_output()
+        assert m.report_output() == BitVector(tuple(int(i != 3) for i in range(n)))
+
     @pytest.mark.parametrize("cls", [AxisLadderMachine, PerRowAxisMachine], ids=["bulk", "per-row"])
     @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
     def test_stroke_refused_while_a_ladder_is_away(self, cls, parallel):

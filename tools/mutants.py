@@ -48,15 +48,15 @@ MUTANTS = (
     Mutant(
         "reset-step overcharge at n > 16",
         "contract.py",
-        "self._log.charge(_RESET_STEP, self._sections.count(0))",
-        "self._log.charge(_RESET_STEP, self._sections.count(0) + (self.n > 16))",
+        "self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped)",
+        "self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped + (self.n > 16))",
         ("test_ledger.py",),
     ),
     Mutant(
         "output-switch overcharge at n > 40",
         "contract.py",
-        "self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count())",
-        "self._log.charge(_OUTPUT_SWITCH, self.n - blocked.bit_count() + (self.n > 40))",
+        "self._log.charge(_OUTPUT_SWITCH, clear)",
+        "self._log.charge(_OUTPUT_SWITCH, clear + (self.n > 40))",
         ("test_ledger.py",),
     ),
     Mutant(
@@ -231,8 +231,9 @@ MUTANTS = (
     Mutant(
         "report read from the blocked mask, not the sections",
         "contract.py",
-        "return BitVector._of(_mask(self._sections), self.n)",
-        "return BitVector._of(self._blocked_rows(), self.n)",
+        "        if 0 in self._sections:\n            return BitVector._of(_mask(self._sections), self.n)\n"
+        "        return BitVector._of((1 << self.n) - 1, self.n)\n",
+        "        return BitVector._of(self._blocked_rows(), self.n)\n",
         ("test_cli.py",),
     ),
     Mutant(
@@ -248,6 +249,27 @@ MUTANTS = (
         'self._sections = bytearray(b"\\x01") * self.n',
         "self._sections = bytearray(self.n)",
         ("test_engine.py",),
+    ),
+    Mutant(
+        "a stroke with one clear row installs no section",
+        "contract.py",
+        "if clear:",
+        "if clear > 1:",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "report always all-ones",
+        "contract.py",
+        "        if 0 in self._sections:\n            return",
+        "        if False:\n            return",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "a reset with one flipped section restores none",
+        "contract.py",
+        "if flipped:",
+        "if flipped > 1:",
+        ("test_axis_ladder.py",),
     ),
     Mutant(
         "ladder position read with its polarity flipped",
