@@ -19,7 +19,7 @@ phases in the ledger. A full matrix-vector pass takes exactly six phases.
 from __future__ import annotations
 
 from .bits import BitMatrix, BitVector, _index
-from .contract import _LADDER_MOVE, MachineStateError, MvpMachine
+from .contract import _CELL_LOAD, _LADDER_MOVE, MachineStateError, MvpMachine
 
 
 class AxisLadderMachine(MvpMachine):
@@ -82,13 +82,15 @@ class AxisLadderMachine(MvpMachine):
 
     def parallel_load_matrix(self, a: BitMatrix) -> None:
         """Read a matrix in n + 1 phases: one machine-wide release of any
-        active columns, then one phase per column writing its n cells."""
+        active columns, then one phase per column writing its n cells (n
+        CellLoad each)."""
         self._begin_matrix_load(a)
         with self._log.phase():
-            self._release_columns()
+            self._toggle_columns(self._active)
         for j, col in enumerate(a._cols):
             with self._log.phase():
-                self._load_column(j, col)
+                self._cols[j] = col
+                self._log.charge(_CELL_LOAD, self.n)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""
@@ -96,12 +98,12 @@ class AxisLadderMachine(MvpMachine):
             self.load_vector(v)
 
     def parallel_sync(self) -> None:
-        """Match column activation to the loaded vector in two phases:
-        one machine-wide release of every active column, then one
-        machine-wide rotation of the columns the vector selects."""
+        """Match column activation to the loaded vector in two toggles,
+        one phase each: the active columns switch off, then the columns
+        the vector selects switch on."""
         self._check_syncable()
         with self._log.phase():
-            self._release_columns()
+            self._toggle_columns(self._active)
         with self._log.phase():
             self._toggle_columns(self._vector._bits)
         self._synced = True

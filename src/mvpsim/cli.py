@@ -276,9 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: every parse makes a fresh Namespace, so calls of
+# main share no option state through it.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:

@@ -279,13 +279,15 @@ class MvpMachine(ABC):
     row's output part takes to return home (the `_return_steps` constant).
 
     Bulk charging. A contract operation charges each of its categories
-    once, with the amount counted from the masks. A load installs the
-    matrix's column masks as they are, a sync flips `_active` by the mask
-    of the columns that differ from the vector's mask, set_output ORs the
-    active columns (reduce over itertools.compress, or over the tables
-    below) and installs the section bytes whole from the blocked mask,
-    report_output packs the section bytes into a vector's mask, and
-    reset_output counts the 0 bytes and restores them. All three touch the
+    once, with the amount counted from the masks. A load writes all n of
+    the matrix's column masks in one step, as they are, and charges n^2
+    CellLoad in one call (the parallel load keeps one phase, and so one
+    charge, per column), a sync flips `_active` by the mask of the columns
+    that differ from the vector's mask, set_output ORs the active columns
+    (reduce over itertools.compress, or over the tables below) and installs
+    the section bytes whole from the blocked mask, report_output packs the
+    section bytes into a vector's mask, and reset_output counts the 0 bytes
+    and restores them. All three touch the
     section bytes only when a row is clear: a stroke that blocks every row
     leaves the sections at home, all 1, so it installs nothing, the report
     finds no 0 byte and reads the all-ones mask, and the reset finds no
@@ -311,8 +313,9 @@ class MvpMachine(ABC):
     actually spent since the last load reach that cost, so a load whose
     reads stay sparse (a few active columns a pass) or saturate after 16
     columns never pays for them. They depend only on `_cols`, so they stay
-    valid across passes, and `_load_column` voids them and the count. No
-    operation is charged for them either way.
+    valid across passes, and `_begin_matrix_load` voids them and the count
+    once per load, sequential or parallel. No operation is charged for them
+    either way.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -474,29 +477,21 @@ class MvpMachine(ABC):
     # -- shared steps of the contract operations and the parallel drive -------
 
     def _begin_matrix_load(self, a: BitMatrix) -> None:
-        """Check the dimension of `a` and void any earlier sync; the caller
-        then releases the columns and writes the content."""
+        """Check the dimension of `a`, void any earlier sync, and void the
+        blocked-row tables and the ORs spent toward them, once per load; the
+        caller then releases the columns and writes the content."""
         if a.n != self.n:
             raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
         self._matrix_loaded = True
         self._synced = False
+        self._tables = None
+        self._ors = 0
 
     def _clear_section(self, i: int) -> None:
         """Switch output section i from 1 to 0 (one OutputSwitch): the one
         per-row write of the sections, made when row i is sensed clear."""
         self._sections[i] = 0
         self._log.charge(_OUTPUT_SWITCH)
-
-    def _release_columns(self) -> None:
-        """Switch off every active column."""
-        self._toggle_columns(self._active)
-
-    def _load_column(self, j: int, col: int) -> None:
-        """Write the mask `col` into the (inactive) column j (n CellLoad)."""
-        self._cols[j] = col
-        self._tables = None
-        self._ors = 0
-        self._log.charge(_CELL_LOAD, self.n)
 
     def _check_syncable(self) -> None:
         if not self._matrix_loaded:
@@ -512,12 +507,13 @@ class MvpMachine(ABC):
         """Read a matrix into the input array (at most n^2 + n operations).
 
         Any still-active column is switched off first, so the machine ends
-        with content equal to `a` and every column inactive.
+        with content equal to `a` and every column inactive. All n columns
+        are then written in one step and charged as n^2 CellLoad at once.
         """
         self._begin_matrix_load(a)
-        self._release_columns()
-        for j, col in enumerate(a._cols):
-            self._load_column(j, col)
+        self._toggle_columns(self._active)
+        self._cols = list(a._cols)
+        self._log.charge(_CELL_LOAD, self.n * self.n)
 
     def load_vector(self, v: BitVector) -> None:
         """Read a vector into the input vector (n operations). Does not

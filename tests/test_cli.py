@@ -292,6 +292,20 @@ class TestBench:
         assert "error: --trials" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_consecutive_calls_share_no_option_state(self, tmp_path, capsys):
+        # main parses with one parser built at import, so each call's
+        # options must come from its own arguments alone.
+        self.run(tmp_path, "timed.csv", extra=("--timing",))
+        with open(self.run(tmp_path, "plain.csv"), newline="", encoding="utf-8") as f:
+            assert {row["usec"] for row in csv.DictReader(f)} == {"0"}
+        rc = main(
+            ["bench", "--sizes", "2", "--backend", "axis", "--mode", "seq",
+             "--seed", "7", "--trials", "0", "--csv", str(tmp_path / "x.csv")]
+        )
+        assert rc == 2
+        assert "error: --trials" in capsys.readouterr().err
+        assert self.run(tmp_path, "after.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
 
 class TestSelftest:
     def test_clean_build_passes(self):

@@ -401,6 +401,23 @@ def test_blocked_row_tables_across_loads(cls, mode, n):
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+@pytest.mark.parametrize("n", (7, 8, 9, 65))
+def test_a_load_resets_the_or_count(bulk_cls, row_cls, mode, n):
+    # Row 0 is clear, so no all-ones pass stops early: each spends n ORs
+    # toward the tables. Spend as many as stay below their cost, then
+    # reload: one more such pass builds them only if the load kept the count.
+    a = _table_inputs(n)[0][0]
+    m = bulk_cls(n)
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    for _ in range((m._table_ors - 1) // n):
+        _check_matvec(m, a, BitVector.ones(n), mode)
+    assert m._tables is None
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    _check_matvec(m, a, BitVector.ones(n), mode)
+    assert m._tables is None
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
 def test_sparse_product_never_builds_the_tables(bulk_cls, row_cls, mode):
     # About 4 active columns a pass: 128 passes spend some 500 ORs, far
     # below the 4080 that the tables for n = 128 take.

@@ -124,6 +124,35 @@ def test_seeded_matmul(backend, mode, n, density):
     check_run(backend, mode, a, list(b.columns()))
 
 
+@pytest.mark.parametrize("cls", [AxisLadderMachine, WallLightMachine], ids=["axis", "wall"])
+@pytest.mark.parametrize("n", [2, 17, 64])
+def test_each_sequential_operation_charges_each_category_once(cls, n):
+    # Bulk charging: a contract operation counts each category's amount
+    # from the masks and charges it in one ledger call, whatever n is. The
+    # parallel drives (a charge per phase) and per-row machines (a charge
+    # per sensed row) are left out: they charge more often by design.
+    rng = Random(f"bulk:{n}")
+    a, b = BitMatrix.random(n, rng, 0.1), BitMatrix.random(n, rng, 0.3)
+    m = cls(n)
+    calls: list[OpCategory] = []
+    charge = m.oplog.charge
+    m.oplog.charge = lambda category, amount=1: (calls.append(category), charge(category, amount))
+
+    def run(step, *args) -> None:
+        calls.clear()
+        step(*args)
+        assert len(calls) == len(set(calls)), (step.__name__, calls)
+
+    # The second load also releases the columns the last pass left active.
+    for matrix in (a, b):
+        run(m.load_matrix, matrix)
+        for v in b.columns():
+            run(m.load_vector, v)
+            for step in (m.sync_columns, m.set_output, m.report_output, m.reset_output):
+                run(step)
+    assert m.oplog.snapshot().count(OpCategory.CELL_LOAD) == 2 * n * n
+
+
 class JammedLadderOnce(AxisLadderMachine):
     """The last row's ladder raises once, before it is charged."""
 

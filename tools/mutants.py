@@ -118,9 +118,30 @@ MUTANTS = (
     Mutant(
         "tables kept across a load",
         "contract.py",
-        "        self._cols[j] = col\n        self._tables = None\n",
-        "        self._cols[j] = col\n",
+        "        self._tables = None\n        self._ors = 0\n",
+        "        self._ors = 0\n",
         ("test_engine.py",),
+    ),
+    Mutant(
+        "OR count kept across a load",
+        "contract.py",
+        "        self._tables = None\n        self._ors = 0\n",
+        "        self._tables = None\n",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "a sequential load overcharges CellLoad at n > 16",
+        "contract.py",
+        "self._log.charge(_CELL_LOAD, self.n * self.n)",
+        "self._log.charge(_CELL_LOAD, self.n * self.n + (self.n > 16))",
+        ("test_ledger.py",),
+    ),
+    Mutant(
+        "a sequential load charges CellLoad once per column",
+        "contract.py",
+        "        self._log.charge(_CELL_LOAD, self.n * self.n)\n",
+        "        for _ in self._cols:\n            self._log.charge(_CELL_LOAD, self.n)\n",
+        ("test_ledger.py",),
     ),
     Mutant(
         "sensing always bulk, overrides bypassed",
