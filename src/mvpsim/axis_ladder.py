@@ -42,11 +42,6 @@ class AxisLadderMachine(MvpMachine):
         _index(j, self.n, "column")
         return bool(self._active >> j & self._cols[j] >> i & 1)
 
-    def row_blocked(self, i: int) -> bool:
-        """Whether row i carries at least one protrusion."""
-        _index(i, self.n, "row")
-        return bool(self._blocked_rows() >> i & 1)
-
     def ladder_shifted(self, i: int) -> bool:
         """Whether ladder i is away from home: exactly when its stroke
         completed and flipped the row's output section to 0."""

@@ -337,9 +337,10 @@ def _check_line(line: str, lineno: int, expected_len: int) -> None:
 def parse_matrix(text: str) -> BitMatrix:
     """Parse the n-line matrix text format. The first line fixes n; every
     line must then have exactly n characters from {'0','1'} and there must
-    be exactly n lines."""
-    lines = text.splitlines()
-    if not lines or lines[0] == "":
+    be exactly n lines. Lines end at a newline only: any other line break,
+    a carriage return included, is an invalid character."""
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0]:
         raise ParseError("empty input", 1)
     n = len(lines[0])
     for i, line in enumerate(lines[:n]):
@@ -357,9 +358,9 @@ def serialize_matrix(a: BitMatrix) -> str:
 
 
 def parse_vector(text: str) -> BitVector:
-    """Parse the one-line vector text format."""
-    lines = text.splitlines()
-    if not lines or lines[0] == "":
+    """Parse the one-line vector text format, which ends at a newline only."""
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0]:
         raise ParseError("empty input", 1)
     if len(lines) > 1:
         raise ParseError(f"expected a single line, found {len(lines)}", 2)

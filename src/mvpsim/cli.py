@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification found a mismatch, 2 bad usage or
 unreadable/malformed input. Benchmark rows count mechanical operations;
-wall-clock time is informational only and is written as 0 unless --timing
-is given, keeping the CSV reproducible for a fixed seed.
+wall-clock time (`usec`) is informational only. `bench` writes it as 0
+unless --timing is given, keeping its CSV reproducible for a fixed seed;
+`multiply --ops` always records the measured time.
 """
 
 from __future__ import annotations
@@ -56,18 +57,11 @@ def _read_matrix(path: str) -> BitMatrix:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _bench_row(report: RunReport, usec: int) -> dict[str, int | str]:
-    row: dict[str, int | str] = {
-        "n": report.n,
-        "backend": report.backend,
-        "mode": report.mode.value,
-        "total_ops": report.ops.total,
-        "parallel_phases": report.ops.parallel_phases,
-        "usec": usec,
-    }
-    for c in OpCategory:
-        row[c.value] = report.ops.count(c)
-    return row
+def _bench_row(report: RunReport, usec: int) -> tuple[int | str, ...]:
+    """One CSV row, its fields in CSV_FIELDS order."""
+    ops = report.ops
+    return (report.n, report.backend, report.mode.value, ops.total, *ops.counts.values(),
+            ops.parallel_phases, usec)
 
 
 def _check_csv_header(path: str) -> None:
@@ -83,11 +77,11 @@ def _check_csv_header(path: str) -> None:
         raise ValueError(f"{path}: first line is not the operation-count CSV header {header!r}")
 
 
-def _write_bench_rows(path: str, mode: str, rows: Sequence[Mapping[str, int | str]]) -> None:
+def _write_bench_rows(path: str, mode: str, rows: Sequence[Sequence[int | str]]) -> None:
     with open(path, mode, encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_FIELDS, lineterminator="\n")
+        writer = csv.writer(f, lineterminator="\n")
         if f.tell() == 0:
-            writer.writeheader()
+            writer.writerow(CSV_FIELDS)
         writer.writerows(rows)
 
 
@@ -217,7 +211,7 @@ def run_selftest(
             wall.load_matrix(a)
             for j in active:
                 axis.activate_column(j)
-                wall.shift_wall_down(j)
+                wall.activate_column(j)
             for i in range(n):
                 if axis.move_ladder(i) != wall.observe_light(i):
                     out.write("selftest: FAIL: ladder stroke and light observation disagree\n")

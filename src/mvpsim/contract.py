@@ -329,10 +329,13 @@ class MvpMachine(ABC):
     toggles a whole mask of columns in one motion.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
-    `active_columns`, `output_section`) read machine state without charging
-    operations; they model an observer looking at the machine, not the
-    machine working. Computing the blocked rows is bookkeeping only and
-    never charges operations.
+    `active_columns`, `output_section`, `row_blocked`) read machine state
+    without charging operations; they model an observer looking at the
+    machine, not the machine working. `row_blocked(i)` is the one row
+    probe of both backends, free of their polarity: row i holds a 1 in
+    some active column, so a protrusion blocks its ladder or a shifted
+    wall occludes its light. Computing the blocked rows is bookkeeping
+    only and never charges operations.
 
     Output home. A backend's moving output part (the axis ladder; the wall
     has none) is away from home exactly where its section reads 0, since
@@ -404,6 +407,11 @@ class MvpMachine(ABC):
     def output_section(self, i: int) -> int:
         _index(i, self.n, "row")
         return self._sections[i]
+
+    def row_blocked(self, i: int) -> bool:
+        """Whether row i holds a 1 in some active column."""
+        _index(i, self.n, "row")
+        return bool(self._blocked_rows() >> i & 1)
 
     # -- column switching, counted --------------------------------------------
 

@@ -2,14 +2,20 @@
 
 The input array is a bank of n vertical walls, one per column, built from
 alternating solid and window sections that encode the column bits. A lamp
-shines through every row. Sliding wall j down one section ("activating")
-brings a solid section in front of row i exactly where the column holds a
-1; an idle wall sits with its windows aligned and blocks nothing. Light is
-therefore observed at row i exactly when no active column holds a 1 there.
-Sensing a row flips its output section from 1 to 0 when light comes
-through, so the section values equal the Boolean product coordinates.
-Resetting only switches flipped sections back; there is no return stroke.
-This backend has no machine-wide parallel drive.
+shines through every row. `activate_column(j)` slides wall j down one
+section, which brings a solid section in front of row i exactly where the
+column holds a 1, and `deactivate_column(j)` slides it back up; an idle
+wall sits with its windows aligned and blocks nothing. Light is therefore
+observed at row i exactly when no active column holds a 1 there, i.e. when
+`row_blocked(i)` is false. Sensing a row flips its output section from 1 to
+0 when light comes through, so the section values equal the Boolean product
+coordinates. Resetting only switches flipped sections back; there is no
+return stroke. This backend has no machine-wide parallel drive.
+
+Column switching and the row probe are the machine's, shared with the axis
+backend; this class holds only the wall's physics: `passes_light` (light
+polarity, where the axis reads a protrusion), `observe_light` and its
+sensing hooks.
 """
 
 from __future__ import annotations
@@ -31,21 +37,7 @@ class WallLightMachine(MvpMachine):
         _index(j, self.n, "column")
         return not self._active >> j & self._cols[j] >> i & 1
 
-    def row_occluded(self, i: int) -> bool:
-        """Whether some shifted wall blocks the light at row i."""
-        _index(i, self.n, "row")
-        return bool(self._blocked_rows() >> i & 1)
-
     # -- counted physical primitives -------------------------------------------
-
-    def shift_wall_down(self, j: int) -> None:
-        """Slide wall j one section down into the active position
-        (one operation, tallied with the other backend's activations)."""
-        self.activate_column(j)
-
-    def shift_wall_up(self, j: int) -> None:
-        """Slide wall j back to the idle position (one operation)."""
-        self.deactivate_column(j)
 
     def observe_light(self, i: int) -> bool:
         """Sense the lamp behind row i (one operation). Returns True when

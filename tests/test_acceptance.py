@@ -218,7 +218,7 @@ def test_c7_stroke_observation_duality():
         wall.load_matrix(a)
         for j in active:
             axis.activate_column(j)
-            wall.shift_wall_down(j)
+            wall.activate_column(j)
         for i in range(n):
             if axis.move_ladder(i) != wall.observe_light(i):
                 exceptions += 1

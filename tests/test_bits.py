@@ -309,6 +309,21 @@ class TestTextFormats:
             err = e
         assert err is not None and err.line == 1 and err.column == 3
 
+    @pytest.mark.parametrize("sep", ["\r", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_rows_split_at_newline_only(self, sep):
+        # str.splitlines() would break a row at each of these; the format
+        # ends a line at "\n" alone, so each is an invalid character.
+        for parse, text, line, column in (
+            (parse_matrix, f"01{sep}10\n", 1, 3),
+            (parse_matrix, f"10\n0{sep}\n", 2, 2),
+            (parse_vector, f"1{sep}0\n", 1, 2),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert (info.value.line, info.value.column) == (line, column)
+            assert repr(sep) in str(info.value)
+
     def test_wrong_row_length(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("10\n1\n")

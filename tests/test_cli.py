@@ -124,6 +124,27 @@ class TestMultiply:
         assert "line 2" in err
         assert "bad.txt" in err
 
+    def test_crlf_files_still_multiply(self, tmp_path, capsys):
+        # Files are read in text mode, so "\r\n" reaches the parser as "\n".
+        paths = []
+        for name, m in (("a.txt", A4), ("b.txt", BitMatrix.identity(4))):
+            path = tmp_path / name
+            path.write_bytes(serialize_matrix(m).replace("\n", "\r\n").encode())
+            paths.append(str(path))
+        rc = main(["multiply", "--a", paths[0], "--b", paths[1], "--backend", "axis",
+                   "--mode", "seq", "--verify"])
+        assert rc == 0
+        assert capsys.readouterr().out == serialize_matrix(A4)
+
+    def test_form_feed_row_break_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "ff.txt"
+        bad.write_text("01\f10\n", encoding="utf-8")
+        rc = main(["multiply", "--a", str(bad), "--b", str(bad), "--backend", "axis",
+                   "--mode", "seq"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "line 1, column 3" in err and "ff.txt" in err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         good = write_matrix(tmp_path / "b.txt", BitMatrix.identity(3))
         rc = main(["multiply", "--a", str(tmp_path / "nope.txt"), "--b", good,

@@ -232,9 +232,8 @@ class TestCharges:
     def test_sync_fixes_any_prior_activation(self, machine_cls, v, pre_active):
         m = machine_cls(5)
         m.load_matrix(BitMatrix.ones(5))
-        raw = m.activate_column if machine_cls.backend == "axis" else m.shift_wall_down
         for j in sorted(pre_active):
-            raw(j)
+            m.activate_column(j)
         m.load_vector(v)
         m.sync_columns()
         assert m.active_columns() == {j for j in range(5) if v[j] == 1}

@@ -64,12 +64,11 @@ def _check(m, s: Shadow) -> None:
     axis = isinstance(m, AxisLadderMachine)
     for i in range(n):
         row = s.a.rows[i]
+        assert m.row_blocked(i) == s.blocked(i)
         if axis:
-            assert m.row_blocked(i) == s.blocked(i)
             cells = [m.protrusion(i, j) for j in range(n)]
             assert cells == [j in s.active and row[j] == 1 for j in range(n)]
         else:
-            assert m.row_occluded(i) == s.blocked(i)
             cells = [m.passes_light(i, j) for j in range(n)]
             assert cells == [not (j in s.active and row[j] == 1) for j in range(n)]
 
@@ -90,10 +89,7 @@ def _step(m, s: Shadow, rng: Random) -> None:
         on = rng.random() < 0.5
         if (j in s.active) == on:
             return  # illegal in this state: skip
-        if axis or rng.random() < 0.5:
-            (m.activate_column if on else m.deactivate_column)(j)
-        else:
-            (m.shift_wall_down if on else m.shift_wall_up)(j)
+        (m.activate_column if on else m.deactivate_column)(j)
         (s.active.add if on else s.active.discard)(j)
     elif op == "sync":
         if not s.loaded:

@@ -185,13 +185,10 @@ class MachineModel(RuleBasedStateMachine):
 
     # -- primitives -------------------------------------------------------------
 
-    @rule(raw=INDICES, on=st.booleans(), wall_name=st.booleans())
-    def switch_column(self, raw, on, wall_name):
+    @rule(raw=INDICES, on=st.booleans())
+    def switch_column(self, raw, on):
         j = self.index(raw)
-        if wall_name and not self.axis:
-            call = self.m.shift_wall_down if on else self.m.shift_wall_up
-        else:
-            call = self.m.activate_column if on else self.m.deactivate_column
+        call = self.m.activate_column if on else self.m.deactivate_column
         if j == self.n:
             self.run(lambda: call(j), refused=IndexError)
         elif (j in self.active) == on:
@@ -249,8 +246,7 @@ class MachineModel(RuleBasedStateMachine):
     @invariant()
     def agrees_with_the_shadow(self):
         m, n = self.m, self.n
-        probe = m.row_blocked if self.axis else m.row_occluded
-        assert [probe(i) for i in range(n)] == [not self.clear(i) for i in range(n)]
+        assert [m.row_blocked(i) for i in range(n)] == [not self.clear(i) for i in range(n)]
         assert m.active_columns() == self.active
         assert [m.output_section(i) for i in range(n)] == self.sections
         if self.axis:

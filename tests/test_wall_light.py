@@ -38,27 +38,27 @@ class TestWalls:
     def test_shifted_wall_occludes_its_ones(self):
         m = WallLightMachine(4)
         m.load_matrix(BitMatrix.from_columns([BitVector((1, 1, 0, 1))] + [BitVector.zeros(4)] * 3))
-        m.shift_wall_down(0)
+        m.activate_column(0)
         assert [m.passes_light(i, 0) for i in range(4)] == [False, False, True, False]
         assert [m.observe_light(i) for i in range(4)] == [False, False, True, False]
-        assert [m.row_occluded(i) for i in range(4)] == [True, True, False, True]
+        assert [m.row_blocked(i) for i in range(4)] == [True, True, False, True]
 
     def test_shift_involution(self):
         m = WallLightMachine(4)
         m.load_matrix(A4)
-        m.shift_wall_down(1)
-        m.shift_wall_up(1)
+        m.activate_column(1)
+        m.deactivate_column(1)
         assert all(m.passes_light(i, 1) for i in range(4))
         assert not m.column_active(1)
 
     def test_shift_preconditions(self):
         m = WallLightMachine(2)
-        m.shift_wall_down(0)
+        m.activate_column(0)
         with pytest.raises(MachineStateError):
-            m.shift_wall_down(0)
-        m.shift_wall_up(0)
+            m.activate_column(0)
+        m.deactivate_column(0)
         with pytest.raises(MachineStateError):
-            m.shift_wall_up(0)
+            m.deactivate_column(0)
 
     def test_index_bounds(self):
         # A bool or a float is refused like an index out of range, never
@@ -66,8 +66,8 @@ class TestWalls:
         m = WallLightMachine(2)
         m.load_matrix(BitMatrix.ones(2))
         before = m.oplog.snapshot()
-        calls = (m.shift_wall_down, m.shift_wall_up, m.activate_column, m.deactivate_column,
-                 m.observe_light, m.row_occluded, m.column_active, m.output_section,
+        calls = (m.activate_column, m.deactivate_column, m.observe_light, m.row_blocked,
+                 m.column_active, m.output_section,
                  lambda k: m.passes_light(k, 0), lambda k: m.passes_light(0, k))
         for bad in (9, 2, -3, True, 1.0):
             for call in calls:
@@ -77,8 +77,8 @@ class TestWalls:
 
     def test_shift_charges_join_the_activation_tally(self):
         m = WallLightMachine(3)
-        m.shift_wall_down(2)
-        m.shift_wall_up(2)
+        m.activate_column(2)
+        m.deactivate_column(2)
         ops = m.oplog.snapshot()
         assert ops.count(OpCategory.COLUMN_ACTIVATE) == 1
         assert ops.count(OpCategory.COLUMN_DEACTIVATE) == 1
@@ -142,7 +142,7 @@ class TestAgreementWithAxes:
         wall.load_matrix(a)
         for j in sorted(active):
             axis.activate_column(j)
-            wall.shift_wall_down(j)
+            wall.activate_column(j)
         for i in range(6):
             assert axis.move_ladder(i) == wall.observe_light(i)
 

@@ -314,6 +314,27 @@ MUTANTS = (
         ("test_bench_faults.py",),
     ),
     Mutant(
+        "row_blocked reads the clear rows",
+        "contract.py",
+        "return bool(self._blocked_rows() >> i & 1)",
+        "return not self._blocked_rows() >> i & 1",
+        ("test_wall_light.py", "test_axis_ladder.py"),
+    ),
+    Mutant(
+        "rows split at any line break",
+        "bits.py",
+        'is an invalid character."""\n    lines = text.removesuffix("\\n").split("\\n")',
+        'is an invalid character."""\n    lines = text.splitlines()',
+        ("test_bits.py",),
+    ),
+    Mutant(
+        "CSV counts out of schema order",
+        "cli.py",
+        "*ops.counts.values(),",
+        "*reversed(ops.counts.values()),",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "a mode that is not a Mode member let through",
         "drivers.py",
         "if mode is not Mode.PAR:",
