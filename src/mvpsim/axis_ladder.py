@@ -59,7 +59,7 @@ class AxisLadderMachine(MvpMachine):
         if self.ladder_shifted(i):
             raise MachineStateError(f"ladder {i} is already shifted")
         self._log.charge(_LADDER_MOVE)
-        if self._blocked_rows() >> i & 1:
+        if self.row_blocked(i):
             return False
         self._clear_section(i)
         return True

@@ -334,15 +334,22 @@ def _check_line(line: str, lineno: int, expected_len: int) -> None:
                 raise ParseError(f"invalid character {ch!r}", lineno, k + 1)
 
 
-def parse_matrix(text: str) -> BitMatrix:
-    """Parse the n-line matrix text format. The first line fixes n; every
-    line must then have exactly n characters from {'0','1'} and there must
-    be exactly n lines. Lines end at a newline only: any other line break,
-    a carriage return included, is an invalid character."""
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, which end at a newline only: any other line
+    break, a carriage return included, is an invalid character. Only an
+    empty text or a lone newline is empty input."""
     lines = text.removesuffix("\n").split("\n")
-    if not lines[0]:
+    if lines == [""]:
         raise ParseError("empty input", 1)
-    n = len(lines[0])
+    return lines
+
+
+def parse_matrix(text: str) -> BitMatrix:
+    """Parse the n-line matrix text format. The first line fixes n, or the
+    number of lines if the first is blank; every line must then have
+    exactly n characters from {'0','1'} and there must be exactly n lines."""
+    lines = _lines(text)
+    n = len(lines[0]) or len(lines)
     for i, line in enumerate(lines[:n]):
         _check_line(line, i + 1, n)
     if len(lines) != n:
@@ -358,10 +365,8 @@ def serialize_matrix(a: BitMatrix) -> str:
 
 
 def parse_vector(text: str) -> BitVector:
-    """Parse the one-line vector text format, which ends at a newline only."""
-    lines = text.removesuffix("\n").split("\n")
-    if not lines[0]:
-        raise ParseError("empty input", 1)
+    """Parse the one-line vector text format."""
+    lines = _lines(text)
     if len(lines) > 1:
         raise ParseError(f"expected a single line, found {len(lines)}", 2)
     line = lines[0]

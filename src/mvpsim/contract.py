@@ -305,17 +305,21 @@ class MvpMachine(ABC):
     (the last may hold fewer), the loaded columns give one table per
     group whose entry m is the OR of the group's columns that the bits of
     m select, so a read takes one lookup and one OR per group: n/8, all
-    C-level. A read of more than 16 masks (columns or table entries) ORs
-    the first 16 and stops there if every row is blocked, as on a dense
-    input it nearly always is; only otherwise does it OR the rest. Building
-    the tables takes 2^k - 1 ORs for a group of k columns, about 32n. They
-    are built inside `_blocked_rows()`, after the read with which the ORs
-    actually spent since the last load reach that cost, so a load whose
-    reads stay sparse (a few active columns a pass) or saturate after 16
-    columns never pays for them. They depend only on `_cols`, so they stay
-    valid across passes, and `_begin_matrix_load` voids them and the count
-    once per load, sequential or parallel. No operation is charged for them
-    either way.
+    C-level. A read ORs the first 16 masks (columns or table entries) and
+    stops there if every row is blocked, as on a dense input it nearly
+    always is; only otherwise does it OR the rest. Building the tables
+    takes 2^k - 1 ORs for a group of k columns, about 32n. They are built
+    inside `_blocked_rows()`, after the read with which the ORs actually
+    spent since the last load reach that cost, so the n reads of a product
+    that stay sparse (a few active columns a pass) or stop after 16 columns
+    never pay for them, while a longer stream on one load does. The
+    stream-matvec benchmark workload (n = 64, density 1/2, 4000 passes
+    that each stop after 16 columns) builds them on pass 127 and needs
+    them: held off, its reads take about 1.6x as long and its passes about
+    1.15x (timeit, and interleaved runs in one process, on a shared 2-vCPU
+    Xeon). They depend only on `_cols`, so they stay valid across passes,
+    and `_begin_matrix_load` voids them and the count once per load,
+    sequential or parallel. No operation is charged for them either way.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -440,26 +444,24 @@ class MvpMachine(ABC):
     def _blocked_rows(self) -> int:
         """The mask of rows holding a 1 in some active column: the OR of
         the active columns, or of one table entry per group once the tables
-        are built. Of more than 16 masks the first 16 are ORed, and the
-        rest only if a row is still clear. Without tables, the ORs spent
-        count toward their build, which follows the read that reaches its
-        cost."""
+        are built. The first 16 masks are ORed, and the rest only if a row
+        is still clear. Without tables, the ORs spent (at most 16 after a
+        read that blocked every row) count toward their build, which
+        follows the read that reaches its cost: on pass 127 of the
+        stream-matvec workload, which needs them (see Blocked-row tables)."""
         active = self._active
         tables = self._tables
         if tables is None:
-            masks, count = compress(self._cols, _flags(active, self.n)), active.bit_count()
+            masks = compress(self._cols, _flags(active, self.n))
         else:
-            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
-        if count > 16:
-            blocked = reduce(or_, islice(masks, 16), 0)
-            if blocked.bit_count() == self.n:
-                count = 16
-            else:
-                blocked = reduce(or_, masks, blocked)
-        else:
-            blocked = reduce(or_, masks, 0)
+            masks = map(list.__getitem__, tables, active.to_bytes(len(tables), "little"))
+        blocked = reduce(or_, islice(masks, 16), 0)
+        saturated = blocked.bit_count() == self.n
+        if not saturated:
+            blocked = reduce(or_, masks, blocked)
         if tables is None:
-            self._ors += count
+            ors = active.bit_count()
+            self._ors += min(ors, 16) if saturated else ors
             if self._ors >= self._table_ors:
                 self._tables = self._build_tables()
         return blocked

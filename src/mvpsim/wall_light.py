@@ -42,9 +42,9 @@ class WallLightMachine(MvpMachine):
     def observe_light(self, i: int) -> bool:
         """Sense the lamp behind row i (one operation). Returns True when
         the light comes through, i.e. no shifted wall occludes the row."""
-        _index(i, self.n, "row")
+        blocked = self.row_blocked(i)
         self._log.charge(_LIGHT_OBSERVE)
-        return not self._blocked_rows() >> i & 1
+        return not blocked
 
     # -- physics hooks for the contract operations ------------------------------
 

@@ -299,6 +299,28 @@ class TestTextFormats:
             with pytest.raises(ParseError, match="line 1"):
                 parse_vector(bad)
 
+    def test_blank_first_line_takes_the_width_from_the_line_count(self):
+        # Only "" and "\n" are empty input; a blank first line with rows
+        # after it is a short row of a matrix as wide as it is tall.
+        with pytest.raises(ParseError, match=r"^line 1: expected 3 characters, found 0$"):
+            parse_matrix("\n01\n10\n")
+        with pytest.raises(ParseError, match=r"^line 2: expected a single line, found 2$"):
+            parse_vector("\n01\n")
+
+    @settings(max_examples=200)
+    @given(st.text(st.sampled_from("01\n"), max_size=24)
+           | st.text(st.sampled_from("01\n29\r\t\f\xa0\ufeff\u0661\uff11"), max_size=24))
+    def test_parsers_refuse_or_round_trip(self, text):
+        # Digits, line breaks, blanks, a BOM and non-ASCII digits (which
+        # int() would read as 1): each parser either refuses the text or
+        # gives a value that serializes back to it, newline-terminated.
+        for parse, serialize in ((parse_matrix, serialize_matrix), (parse_vector, serialize_vector)):
+            try:
+                value = parse(text)
+            except ParseError:
+                continue
+            assert serialize(value) == text.removesuffix("\n") + "\n"
+
     def test_bad_character_names_line_and_column(self):
         with pytest.raises(ParseError, match=r"line 2, column 2"):
             parse_matrix("101\n1x1\n010\n")

@@ -145,6 +145,15 @@ class TestMultiply:
         assert rc == 2
         assert "line 1, column 3" in err and "ff.txt" in err
 
+    def test_blank_first_line_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "blank.txt"
+        bad.write_text("\n01\n10\n", encoding="utf-8")
+        rc = main(["multiply", "--a", str(bad), "--b", str(bad), "--backend", "axis",
+                   "--mode", "seq"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "line 1: expected 3 characters, found 0" in err and "blank.txt" in err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         good = write_matrix(tmp_path / "b.txt", BitMatrix.identity(3))
         rc = main(["multiply", "--a", str(tmp_path / "nope.txt"), "--b", good,

@@ -475,3 +475,23 @@ def test_sparse_rows_times_dense_vectors_build_the_tables(bulk_cls, row_cls, mod
     m = bulk_cls(n)
     _check_matmul(m, a, b, oracle_matmul(a, b), mode)
     assert m._tables is not None
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_saturating_stream_builds_the_tables(bulk_cls, row_cls, mode):
+    # The shape of the stream-matvec benchmark: every read blocks every row
+    # within the first 16 of its some 32 active columns, so it stops there
+    # and spends 16 ORs, and the tables for n = 64 (2040 ORs) are built on
+    # read 128. Counting every active column would build them on read 64.
+    n = 64
+    rng = Random("tables:stream")
+    a = BitMatrix.random(n, rng, 0.5)
+    m = bulk_cls(n)
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    reads = -(-m._table_ors // 16)
+    for k in range(1, reads + 2):
+        v = BitVector.random(n, rng, 0.5)
+        first = [j for j in range(n) if v[j]][:16]
+        assert all(any(row[j] for j in first) for row in a.rows)
+        _check_matvec(m, a, v, mode)
+        assert (m._tables is not None) == (k >= reads)

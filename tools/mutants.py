@@ -90,22 +90,22 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "if blocked.bit_count() == self.n:",
-        "if True:",
+        "saturated = blocked.bit_count() == self.n",
+        "saturated = True",
         ("test_engine.py",),
     ),
     Mutant(
         "early exit never taken",
         "contract.py",
-        "if blocked.bit_count() == self.n:",
-        "if False:",
+        "saturated = blocked.bit_count() == self.n",
+        "saturated = False",
         ("test_engine.py",),
     ),
     Mutant(
         "16 ORs counted as all of them after an early exit",
         "contract.py",
-        "                count = 16\n",
-        "                pass\n",
+        "min(ors, 16) if saturated else ors",
+        "ors",
         ("test_engine.py",),
     ),
     Mutant(
@@ -323,9 +323,16 @@ MUTANTS = (
     Mutant(
         "rows split at any line break",
         "bits.py",
-        'is an invalid character."""\n    lines = text.removesuffix("\\n").split("\\n")',
-        'is an invalid character."""\n    lines = text.splitlines()',
+        'lines = text.removesuffix("\\n").split("\\n")',
+        "lines = text.splitlines()",
         ("test_bits.py",),
+    ),
+    Mutant(
+        "a blank first line read as empty input",
+        "bits.py",
+        'if lines == [""]:',
+        "if not lines[0]:",
+        ("test_bits.py", "test_cli.py"),
     ),
     Mutant(
         "CSV counts out of schema order",
