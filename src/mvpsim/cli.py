@@ -85,15 +85,21 @@ def _write_bench_rows(path: str, mode: str, rows: Sequence[Sequence[int | str]])
         writer.writerows(rows)
 
 
+def _timed_product(args: argparse.Namespace, a: BitMatrix, b: BitMatrix) -> tuple[RunReport, int]:
+    """The product of `a` and `b` on a fresh machine of `args.backend` in
+    `args.mode`, and the microseconds that `matmul` took."""
+    machine = make_machine(args.backend, a.n)
+    start = time.perf_counter()
+    report = matmul(machine, a, b, Mode(args.mode))
+    return report, int((time.perf_counter() - start) * 1_000_000)
+
+
 def cmd_multiply(args: argparse.Namespace) -> int:
     if args.ops:
         _check_csv_header(args.ops)
     a = _read_matrix(args.a)
     b = _read_matrix(args.b)
-    machine = make_machine(args.backend, a.n)
-    start = time.perf_counter()
-    report = matmul(machine, a, b, Mode(args.mode))
-    usec = int((time.perf_counter() - start) * 1_000_000)
+    report, usec = _timed_product(args, a, b)
     text = serialize_matrix(report.result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -108,39 +114,41 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(text: str, option: str, parse: type[int] | type[float] = int) -> int | float:
+    """`parse(text)` for a number option: ASCII digits with at most a leading
+    `-` and, for a float, one `.`. int() and float() would also read `+4`,
+    ` 4`, `1_0` and the digits of other scripts; here they raise a ValueError
+    that names the option."""
+    digits = text.removeprefix("-").replace(".", "", 1 if parse is float else 0)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid {option} value {text!r}; expected ASCII digits")
+    return parse(text)
+
+
 def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"invalid --sizes value {text!r}; expected comma-separated integers")
-    if not sizes or any(n < 1 for n in sizes):
+    sizes = [_number(part, "--sizes") for part in text.split(",")]
+    if any(n < 1 for n in sizes):
         raise ValueError(f"invalid --sizes value {text!r}; every size must be >= 1")
     return sizes
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    mode = Mode(args.mode)
+    seed = _number(args.seed, "--seed")
+    trials = _number(args.trials, "--trials")
+    density = _number(args.density, "--density", float)
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     rows = []
     for n in sizes:
-        for t in range(args.trials):
-            rng = Random(f"{args.seed}:{n}:{t}")
-            a = BitMatrix.random(n, rng, args.density)
-            b = BitMatrix.random(n, rng, args.density)
-            machine = make_machine(args.backend, n)
-            start = time.perf_counter()
-            report = matmul(machine, a, b, mode)
-            usec = int((time.perf_counter() - start) * 1_000_000) if args.timing else 0
-            rows.append(_bench_row(report, usec))
+        for t in range(trials):
+            rng = Random(f"{seed}:{n}:{t}")
+            a = BitMatrix.random(n, rng, density)
+            b = BitMatrix.random(n, rng, density)
+            report, usec = _timed_product(args, a, b)
+            rows.append(_bench_row(report, usec if args.timing else 0))
     _write_bench_rows(args.csv, "w", rows)
     return 0
-
-
-def _all_vectors(n: int) -> Iterator[BitVector]:
-    for coords in itertools.product((0, 1), repeat=n):
-        yield BitVector(coords)
 
 
 def _all_matrices(n: int) -> Iterator[BitMatrix]:
@@ -181,7 +189,7 @@ def run_selftest(
             for a in _all_matrices(n):
                 machine = factory(n)
                 machine.load_matrix(a)
-                for v in _all_vectors(n):
+                for v in map(BitVector, itertools.product((0, 1), repeat=n)):
                     got = matvec(machine, v).result
                     want = oracle_matvec(a, v)
                     if got != want:
@@ -205,13 +213,11 @@ def run_selftest(
             n = rng.randint(1, 8)
             a = BitMatrix.random(n, rng)
             active = [j for j in range(n) if rng.random() < 0.5]
-            axis = factories["axis"](n)
-            wall = factories["wall"](n)
-            axis.load_matrix(a)
-            wall.load_matrix(a)
-            for j in active:
-                axis.activate_column(j)
-                wall.activate_column(j)
+            axis, wall = machines = factories["axis"](n), factories["wall"](n)
+            for machine in machines:
+                machine.load_matrix(a)
+                for j in active:
+                    machine.activate_column(j)
             for i in range(n):
                 if axis.move_ladder(i) != wall.observe_light(i):
                     out.write("selftest: FAIL: ladder stroke and light observation disagree\n")
@@ -232,31 +238,30 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--backend", required=True, choices=sorted(BACKENDS))
+    machine.add_argument("--mode", required=True, choices=[m.value for m in Mode])
 
-    p = sub.add_parser("multiply", help="multiply two matrices from text files")
+    p = sub.add_parser("multiply", parents=[machine], help="multiply two matrices from text files")
     p.add_argument("--a", required=True, metavar="FILE", help="left matrix file")
     p.add_argument("--b", required=True, metavar="FILE", help="right matrix file")
-    p.add_argument("--backend", required=True, choices=sorted(BACKENDS))
-    p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
     p.add_argument("--out", metavar="FILE", help="write the product here instead of stdout")
     p.add_argument("--ops", metavar="CSVFILE", help="append an operation-count row here")
     p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
     p.set_defaults(func=cmd_multiply)
 
-    p = sub.add_parser("bench", help="seeded scaling benchmark with CSV output")
+    p = sub.add_parser("bench", parents=[machine], help="seeded scaling benchmark with CSV output")
     p.add_argument(
         "--sizes",
         required=True,
         help="comma-separated dimensions, e.g. 4,8,16; no upper bound, but time and "
         "memory grow as n^2",
     )
-    p.add_argument("--backend", required=True, choices=sorted(BACKENDS))
-    p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--trials", required=True, type=int)
+    p.add_argument("--seed", required=True)
+    p.add_argument("--trials", required=True)
     p.add_argument("--csv", required=True, metavar="FILE")
     p.add_argument(
-        "--density", type=float, default=0.5, help="probability a generated cell is 1"
+        "--density", default="0.5", help="probability a generated cell is 1"
     )
     p.add_argument(
         "--timing",

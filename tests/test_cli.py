@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -12,8 +13,11 @@ from mvpsim import (
     AxisLadderMachine,
     BitMatrix,
     MachineStateError,
+    Mode,
     OpCategory,
     WallLightMachine,
+    make_machine,
+    matmul,
     oracle_matmul,
     parse_matrix,
     serialize_matrix,
@@ -190,6 +194,26 @@ class TestMultiply:
             assert int(row["total_ops"]) <= 9 * 16
             assert int(row["usec"]) >= 0
 
+    @pytest.mark.parametrize("backend,mode", [("axis", "seq"), ("axis", "par"), ("wall", "seq")])
+    def test_ops_row_is_the_ledger_of_the_product(self, tmp_path, backend, mode):
+        a = BitMatrix.random(6, Random(5), 0.3)
+        b = BitMatrix.random(6, Random(6), 0.6)
+        ops = tmp_path / "ops.csv"
+        assert main(
+            ["multiply", "--a", write_matrix(tmp_path / "a.txt", a),
+             "--b", write_matrix(tmp_path / "b.txt", b), "--backend", backend, "--mode", mode,
+             "--ops", str(ops), "--out", str(tmp_path / "o.txt")]
+        ) == 0
+        with open(ops, newline="", encoding="utf-8") as f:
+            (row,) = csv.DictReader(f)
+        want = matmul(make_machine(backend, 6), a, b, Mode(mode)).ops
+        assert int(row.pop("usec")) >= 0
+        assert row == {
+            "n": "6", "backend": backend, "mode": mode, "total_ops": str(want.total),
+            **{c.value: str(k) for c, k in want.counts.items()},
+            "parallel_phases": str(want.parallel_phases),
+        }
+
     @pytest.mark.parametrize("first", ["n,backend,mode,total_ops,wall_shift\n", "garbage"])
     def test_ops_file_with_another_header_exits_2(self, tmp_path, capsys, first):
         a = write_matrix(tmp_path / "a.txt", A4)
@@ -292,13 +316,33 @@ class TestBench:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sizes", ["4,x", "", "0", "-2"])
+    @pytest.mark.parametrize(
+        "sizes", ["4,x", "", "0", "-2", "1_0", "\u0663", "+4", " 4", "4,,8", ",4", "4,"]
+    )
     def test_bad_sizes_exit_2(self, tmp_path, sizes, capsys):
         rc = main(
             ["bench", "--sizes", sizes, "--backend", "axis", "--mode", "seq",
              "--seed", "1", "--trials", "1", "--csv", str(tmp_path / "x.csv")]
         )
         assert rc == 2
+
+    # int() and float() read other scripts' digits and `_` separators:
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u0661" ONE, "\u0660.\u0665" 0.5.
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--seed", "\u0663"), ("--seed", "1_0"), ("--trials", "\u0661"),
+         ("--density", "\u0660.\u0665")],
+    )
+    def test_lenient_number_forms_exit_2(self, tmp_path, option, value, capsys):
+        path = tmp_path / "x.csv"
+        values = {"--seed": "1", "--trials": "1", "--density": "0.5", option: value}
+        rc = main(
+            ["bench", "--sizes", "2", "--backend", "axis", "--mode", "seq", "--csv", str(path),
+             *(arg for item in values.items() for arg in item)]
+        )
+        assert rc == 2
+        assert f"invalid {option} value" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_bad_density_exits_2(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

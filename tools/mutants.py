@@ -342,6 +342,20 @@ MUTANTS = (
         ("test_cli.py",),
     ),
     Mutant(
+        "a --sizes part read with int()",
+        "cli.py",
+        '_number(part, "--sizes")',
+        "int(part)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "the product helper ignores the mode",
+        "cli.py",
+        "matmul(machine, a, b, Mode(args.mode))",
+        "matmul(machine, a, b, Mode.SEQ)",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "a mode that is not a Mode member let through",
         "drivers.py",
         "if mode is not Mode.PAR:",
