@@ -78,14 +78,13 @@ class AxisLadderMachine(MvpMachine):
     def parallel_load_matrix(self, a: BitMatrix) -> None:
         """Read a matrix in n + 1 phases: one machine-wide release of any
         active columns, then one phase per column writing its n cells (n
-        CellLoad each)."""
+        CellLoad each). Like load_matrix, it writes every column in one
+        step, and it records the n column phases in one ledger call."""
         self._begin_matrix_load(a)
         with self._log.phase():
             self._toggle_columns(self._active)
-        for j, col in enumerate(a._cols):
-            with self._log.phase():
-                self._cols[j] = col
-                self._log.charge(_CELL_LOAD, self.n)
+        self._cols = list(a._cols)
+        self._log.charge_phases(_CELL_LOAD, self.n, self.n)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""

@@ -199,11 +199,13 @@ def _ops(counts: tuple[int, ...], phases: Sequence[int]) -> OpCounts:
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
-    Machines charge into it and group charges into phases; everything else
-    reads it only through OpCounts: `snapshot()` for the whole ledger and
-    `since(before)` for what was charged after the snapshot `before`. Counts
-    and phases only grow: there is no way to wipe a log, so every delta
-    between two of its snapshots is a real interval of the machine's work.
+    Machines charge into it with `charge` and group charges into phases
+    with `phase()`, or record a run of equal phases of one category at
+    once with `charge_phases`; everything else reads it only through
+    OpCounts: `snapshot()` for the whole ledger and `since(before)` for
+    what was charged after the snapshot `before`. Counts and phases only
+    grow: there is no way to wipe a log, so every delta between two of its
+    snapshots is a real interval of the machine's work.
     """
 
     def __init__(self) -> None:
@@ -235,6 +237,16 @@ class OpLog:
         self._phase_start = None
         if exc_type is None or charged:
             self._phase_ops.append(charged)
+
+    def charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
+        """Record `phases` parallel phases that each charge `amount` of
+        `category`, as that many `phase()` blocks of one charge each would,
+        in one step. Refused with MachineStateError, before anything is
+        charged, inside an open phase, where a `phase()` would be too."""
+        if self._phase_start is not None:
+            raise MachineStateError("phases recorded inside an open parallel phase")
+        self.charge(category, amount * phases)
+        self._phase_ops.extend([amount] * phases)
 
     def snapshot(self) -> OpCounts:
         """The whole ledger. Refused with MachineStateError while a phase
@@ -281,23 +293,24 @@ class MvpMachine(ABC):
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks. A load writes all n of
     the matrix's column masks in one step, as they are, and charges n^2
-    CellLoad in one call (the parallel load keeps one phase, and so one
-    charge, per column), a sync flips `_active` by the mask of the columns
-    that differ from the vector's mask, set_output ORs the active columns
-    (reduce over itertools.compress, or over the tables below) and installs
-    the section bytes whole from the blocked mask, report_output packs the
-    section bytes into a vector's mask, and reset_output counts the 0 bytes
-    and restores them. All three touch the
+    CellLoad in one call (the parallel load records its n phases of n
+    CellLoad in one `OpLog.charge_phases` call), a sync flips `_active` by
+    the mask of the columns that differ from the vector's mask, set_output
+    ORs the active columns (reduce over itertools.compress, or over the
+    tables below) and installs the section bytes whole from the blocked
+    mask, report_output packs the section bytes into a vector's mask, and
+    reset_output counts the 0 bytes and restores them. All three touch the
     section bytes only when a row is clear: a stroke that blocks every row
-    leaves the sections at home, all 1, so it installs nothing, the report
-    finds no 0 byte and reads the all-ones mask, and the reset finds no
-    flipped section to restore. A pass is therefore O(1) ledger calls and
-    O(1) Python steps; its O(n) work runs inside C-level calls. The
-    primitives (activate_column, move_ladder, observe_light, ...) keep
-    their single charges. Every charge here and in the backends names its
-    category by a module name bound at import (`_SCAN_STEP`, ...): reading
-    `OpCategory.SCAN_STEP` goes through the enum class and costs as much
-    as the charge.
+    leaves the sections at home, all 1, so it installs nothing and charges
+    no OutputSwitch, the report finds no 0 byte and returns the all-ones
+    vector that `__init__` built once (values are immutable, so every such
+    report shares it), and the reset finds no flipped section to restore.
+    A pass is therefore O(1) ledger calls and O(1) Python steps; its O(n)
+    work runs inside C-level calls. The primitives (activate_column,
+    move_ladder, observe_light, ...) keep their single charges. Every
+    charge here and in the backends names its category by a module name
+    bound at import (`_SCAN_STEP`, ...): reading `OpCategory.SCAN_STEP`
+    goes through the enum class and costs as much as the charge.
 
     Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
     Faradzev, 1970). The OR of the active columns takes one OR per active
@@ -377,6 +390,9 @@ class MvpMachine(ABC):
         self._cols: list[int] = [0] * n
         self._active = 0
         self._sections = bytearray(b"\x01") * n
+        # The report of a stroke that blocks every row, built once: values
+        # are immutable, so every such report can be this one.
+        self._ones = BitVector._of((1 << n) - 1, n)
         # The blocked-row tables, the ORs spent without them since the
         # last load, and the ORs their build takes.
         self._tables: list[list[int]] | None = None
@@ -445,23 +461,25 @@ class MvpMachine(ABC):
         """The mask of rows holding a 1 in some active column: the OR of
         the active columns, or of one table entry per group once the tables
         are built. The first 16 masks are ORed, and the rest only if a row
-        is still clear. Without tables, the ORs spent (at most 16 after a
-        read that blocked every row) count toward their build, which
-        follows the read that reaches its cost: on pass 127 of the
-        stream-matvec workload, which needs them (see Blocked-row tables)."""
+        is still clear; a read of 16 masks or fewer ORs them all in that one
+        step, unsliced, and tests no row. Without tables, the ORs
+        spent (at most 16 after a read that blocked every row) count toward
+        their build, which follows the read that reaches its cost: on pass
+        127 of the stream-matvec workload, which needs them (see
+        Blocked-row tables)."""
         active = self._active
         tables = self._tables
         if tables is None:
-            masks = compress(self._cols, _flags(active, self.n))
+            masks, count = compress(self._cols, _flags(active, self.n)), active.bit_count()
         else:
-            masks = map(list.__getitem__, tables, active.to_bytes(len(tables), "little"))
-        blocked = reduce(or_, islice(masks, 16), 0)
-        saturated = blocked.bit_count() == self.n
-        if not saturated:
+            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
+        blocked = reduce(or_, islice(masks, 16) if count > 16 else masks, 0)
+        if count > 16 and blocked.bit_count() == self.n:
+            count = 16
+        elif count > 16:
             blocked = reduce(or_, masks, blocked)
         if tables is None:
-            ors = active.bit_count()
-            self._ors += min(ors, 16) if saturated else ors
+            self._ors += count
             if self._ors >= self._table_ors:
                 self._tables = self._build_tables()
         return blocked
@@ -568,10 +586,11 @@ class MvpMachine(ABC):
             blocked = self._blocked_rows()
             self._log.charge(self._sense_category, self.n)
             clear = self.n - blocked.bit_count()
-            self._log.charge(_OUTPUT_SWITCH, clear)
             # Sections start at 1 (the home check above proved it) and flip
-            # to 0 on the clear rows, so a stroke with none writes nothing.
+            # to 0 on the clear rows, so a stroke with none writes and
+            # charges nothing.
             if clear:
+                self._log.charge(_OUTPUT_SWITCH, clear)
                 self._sections = bytearray(_flags(blocked, self.n))
         self._output_set = True
 
@@ -582,7 +601,7 @@ class MvpMachine(ABC):
         self._log.charge(_OUTPUT_COORD_REPORT, self.n)
         if 0 in self._sections:
             return BitVector._of(_mask(self._sections), self.n)
-        return BitVector._of((1 << self.n) - 1, self.n)
+        return self._ones
 
     def reset_output(self) -> None:
         """Restore the output mechanism to its initial state (at most 2n

@@ -35,6 +35,11 @@ class Mode(Enum):
     PAR = "par"
 
 
+# The members bound once, as contract.py binds the categories: reading
+# Mode.SEQ goes through the enum class on every pass.
+_SEQ, _PAR = Mode
+
+
 PARALLEL_PHASES_PER_MATVEC = 6
 
 BACKENDS: dict[str, type[MvpMachine]] = {
@@ -55,7 +60,7 @@ def make_machine(backend: str, n: int) -> MvpMachine:
 def _require_parallel(machine: MvpMachine, mode: object) -> None:
     """Refuse a run in `mode`, which is not Mode.SEQ, unless it is Mode.PAR
     on a backend with a parallel drive."""
-    if mode is not Mode.PAR:
+    if mode is not _PAR:
         raise ValueError(f"mode must be a Mode member, got {mode!r}")
     if not machine.supports_parallel:
         raise ValueError(f"backend {machine.backend!r} has no parallel drive")
@@ -98,7 +103,7 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     """
     log = machine.oplog
     before = log.snapshot()
-    if mode is Mode.SEQ:
+    if mode is _SEQ:
         machine.load_vector(v)
         machine.sync_columns()
         machine.set_output()
@@ -125,7 +130,7 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
     if a.n != b.n:
         raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
     before = machine.oplog.snapshot()
-    if mode is Mode.SEQ:
+    if mode is _SEQ:
         machine.load_matrix(a)
     else:
         _require_parallel(machine, mode)

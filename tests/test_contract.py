@@ -503,6 +503,42 @@ class TestOpLog:
                 with log.phase():
                     pass
 
+    def test_charge_phases_records_equal_phases_in_one_call(self):
+        # The same ledger as k phase() blocks that charge `amount` each.
+        bulk, blocks = OpLog(), OpLog()
+        for log in (bulk, blocks):
+            with log.phase():
+                log.charge(OpCategory.COLUMN_DEACTIVATE, 2)
+        before = bulk.snapshot()
+        bulk.charge_phases(OpCategory.CELL_LOAD, 5, 3)
+        for _ in range(3):
+            with blocks.phase():
+                blocks.charge(OpCategory.CELL_LOAD, 5)
+        ops = bulk.snapshot()
+        assert ops == blocks.snapshot()
+        assert ops.count(OpCategory.CELL_LOAD) == 15 and ops.total == 17
+        assert ops.phase_ops == (2, 5, 5, 5)
+        assert before.phase_ops == (2,)
+        delta = bulk.since(before)
+        assert delta == ops - before
+        assert delta.counts == {**dict.fromkeys(OpCategory, 0), OpCategory.CELL_LOAD: 15}
+        assert delta.phase_ops == (5, 5, 5)
+        bulk.charge_phases(OpCategory.CELL_LOAD, 5, 0)
+        assert bulk.snapshot() == ops
+
+    def test_charge_phases_is_refused_inside_an_open_phase(self):
+        log = OpLog()
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 4)
+        earlier = log.snapshot()
+        with pytest.raises(MachineStateError, match="inside an open parallel phase"):
+            with log.phase():
+                log.charge_phases(OpCategory.CELL_LOAD, 3, 2)
+        # The refused call charged nothing, so its phase is not recorded.
+        assert log.snapshot() == earlier
+        assert earlier.phase_ops == (4,) and earlier.total == 4
+        assert log.since(earlier) == OpCounts({})
+
     def test_raising_phase_is_recorded_only_if_it_charged(self):
         log = OpLog()
         with pytest.raises(RuntimeError):

@@ -18,7 +18,9 @@ from mvpsim import (
     WallLightMachine,
     make_machine,
     matvec,
+    oracle_matvec,
 )
+from conftest import PerRowAxisMachine, PerRowWallMachine
 
 CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
 CONFIG_IDS = [f"{backend}-{mode.value}" for backend, mode in CONFIGS]
@@ -151,6 +153,66 @@ def test_each_sequential_operation_charges_each_category_once(cls, n):
             for step in (m.sync_columns, m.set_output, m.report_output, m.reset_output):
                 run(step)
     assert m.oplog.snapshot().count(OpCategory.CELL_LOAD) == 2 * n * n
+
+
+def diagonal_and_random(n: int, rng: Random) -> BitMatrix:
+    """A matrix with every diagonal cell 1, so the all-ones vector blocks
+    every row, and each other cell 1 with probability 0.3."""
+    return BitMatrix(tuple(tuple(int(i == j or rng.random() < 0.3) for j in range(n)) for i in range(n)))
+
+
+def blocked_clear_mixed_blocked(n: int, rng: Random) -> list[BitVector]:
+    return [BitVector.ones(n), BitVector.zeros(n), BitVector.random(n, rng, 0.2), BitVector.ones(n)]
+
+
+@pytest.mark.parametrize("backend,mode", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("n", [1, 8, 65])
+def test_a_pass_that_blocks_every_row_reports_all_ones(backend, mode, n):
+    # Such a pass charges no OutputSwitch and reports the all-ones vector
+    # the machine built once; passes with clear rows after it, and a second
+    # such pass, leave the first report as it was.
+    rng = Random(f"all-blocked:{n}")
+    a = diagonal_and_random(n, rng)
+    m = make_machine(backend, n)
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    prev: frozenset[int] = frozenset()
+    reps = []
+    for v in blocked_clear_mixed_blocked(n, rng):
+        rep = matvec(m, v, mode)
+        counts, phases = expected_pass_counts(a, prev, v, backend, mode)
+        assert rep.ops.counts == counts and rep.ops.phase_ops == phases, v
+        assert rep.result == oracle_matvec(a, v), v
+        reps.append(rep)
+        prev = frozenset(j for j in range(n) if v[j])
+    first, last = reps[0], reps[-1]
+    assert first.ops.count(OpCategory.OUTPUT_SWITCH) == last.ops.count(OpCategory.OUTPUT_SWITCH) == 0
+    assert first.result == last.result == BitVector.ones(n)
+
+
+@pytest.mark.parametrize("cls", [PerRowAxisMachine, PerRowWallMachine], ids=["axis", "wall"])
+@pytest.mark.parametrize("n", [1, 9])
+def test_per_row_machines_report_their_sections(cls, n):
+    # A per-row stroke switches the sections one sensed row at a time; the
+    # report reads them, also when every row is blocked and none switched.
+    rng = Random(f"per-row:{n}")
+    a = diagonal_and_random(n, rng)
+    m = cls(n)
+    m.load_matrix(a)
+    prev: frozenset[int] = frozenset()
+    for v in blocked_clear_mixed_blocked(n, rng):
+        before = m.oplog.snapshot()
+        m.sensed.clear()
+        m.load_vector(v)
+        m.sync_columns()
+        m.set_output()
+        assert m.sensed == list(range(n))
+        sections = tuple(m.output_section(i) for i in range(n))
+        out = m.report_output()
+        m.reset_output()
+        assert out.coords == sections and out == oracle_matvec(a, v), v
+        counts, _ = expected_pass_counts(a, prev, v, m.backend, Mode.SEQ)
+        assert m.oplog.since(before).counts == counts, v
+        prev = frozenset(j for j in range(n) if v[j])
 
 
 class JammedLadderOnce(AxisLadderMachine):

@@ -90,22 +90,22 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "saturated = blocked.bit_count() == self.n",
-        "saturated = True",
+        "if count > 16 and blocked.bit_count() == self.n:",
+        "if count > 16:",
         ("test_engine.py",),
     ),
     Mutant(
         "early exit never taken",
         "contract.py",
-        "saturated = blocked.bit_count() == self.n",
-        "saturated = False",
+        "if count > 16 and blocked.bit_count() == self.n:",
+        "if False:",
         ("test_engine.py",),
     ),
     Mutant(
         "16 ORs counted as all of them after an early exit",
         "contract.py",
-        "min(ors, 16) if saturated else ors",
-        "ors",
+        "            count = 16\n",
+        "            pass\n",
         ("test_engine.py",),
     ),
     Mutant(
@@ -170,6 +170,13 @@ MUTANTS = (
         'raise MachineStateError("parallel phases cannot nest")',
         "pass",
         ("test_contract.py",),
+    ),
+    Mutant(
+        "the bulk load records one phase fewer",
+        "contract.py",
+        "self._phase_ops.extend([amount] * phases)",
+        "self._phase_ops.extend([amount] * (phases - 1))",
+        ("test_contract.py", "test_axis_ladder.py"),
     ),
     Mutant(
         "delta interval sliced one phase late",
@@ -253,9 +260,16 @@ MUTANTS = (
         "report read from the blocked mask, not the sections",
         "contract.py",
         "        if 0 in self._sections:\n            return BitVector._of(_mask(self._sections), self.n)\n"
-        "        return BitVector._of((1 << self.n) - 1, self.n)\n",
+        "        return self._ones\n",
         "        return BitVector._of(self._blocked_rows(), self.n)\n",
         ("test_cli.py",),
+    ),
+    Mutant(
+        "the prebuilt report vector is one bit short",
+        "contract.py",
+        "self._ones = BitVector._of((1 << n) - 1, n)",
+        "self._ones = BitVector._of((1 << n - 1) - 1, n)",
+        ("test_ledger.py",),
     ),
     Mutant(
         "home check never refuses",
@@ -358,7 +372,7 @@ MUTANTS = (
     Mutant(
         "a mode that is not a Mode member let through",
         "drivers.py",
-        "if mode is not Mode.PAR:",
+        "if mode is not _PAR:",
         "if False:",
         ("test_drivers.py",),
     ),
