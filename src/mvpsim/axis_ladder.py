@@ -78,12 +78,12 @@ class AxisLadderMachine(MvpMachine):
     def parallel_load_matrix(self, a: BitMatrix) -> None:
         """Read a matrix in n + 1 phases: one machine-wide release of any
         active columns, then one phase per column writing its n cells (n
-        CellLoad each). Like load_matrix, it writes every column in one
-        step, and it records the n column phases in one ledger call."""
-        self._begin_matrix_load(a)
+        CellLoad each). It is load_matrix grouped into phases: the load's
+        whole state change runs inside the release phase, so a load refused
+        there (inside an open phase, or for its dimension) changes nothing,
+        and the n column phases are recorded in one ledger call."""
         with self._log.phase():
-            self._toggle_columns(self._active)
-        self._cols = list(a._cols)
+            self._load_columns(a)
         self._log.charge_phases(_CELL_LOAD, self.n, self.n)
 
     def parallel_load_vector(self, v: BitVector) -> None:

@@ -49,11 +49,10 @@ MachineFactory = Callable[[int], MvpMachine]
 
 
 def _read_matrix(path: str) -> BitMatrix:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
     try:
-        return parse_matrix(text)
-    except ParseError as e:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_matrix(f.read())
+    except (ParseError, UnicodeDecodeError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -64,25 +63,30 @@ def _bench_row(report: RunReport, usec: int) -> tuple[int | str, ...]:
             ops.parallel_phases, usec)
 
 
-def _check_csv_header(path: str) -> None:
-    """Refuse a non-empty file whose first line is not the CSV header, so
-    that rows are never appended under another schema."""
+def _check_csv_header(path: str) -> list[Sequence[str]]:
+    """The records that rows appended to the CSV file at `path` must follow:
+    the header if the file is missing or empty, one empty record, which
+    ends the line, if its last line lacks its line break (a last CSV record
+    may), else none. A non-empty file whose first line is not the header is
+    refused, so that rows are never appended under another schema."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             first = f.readline()
+            f.buffer.seek(-1 if first else 0, 2)  # the last byte, if any
+            last = f.buffer.read(1)
     except FileNotFoundError:
-        return
+        return [CSV_FIELDS]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     header = ",".join(CSV_FIELDS)
     if first and first.rstrip("\r\n") != header:
         raise ValueError(f"{path}: first line is not the operation-count CSV header {header!r}")
+    return [CSV_FIELDS] if not first else [] if last in b"\r\n" else [[]]
 
 
 def _write_bench_rows(path: str, mode: str, rows: Sequence[Sequence[int | str]]) -> None:
     with open(path, mode, encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if f.tell() == 0:
-            writer.writerow(CSV_FIELDS)
-        writer.writerows(rows)
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def _timed_product(args: argparse.Namespace, a: BitMatrix, b: BitMatrix) -> tuple[RunReport, int]:
@@ -96,7 +100,7 @@ def _timed_product(args: argparse.Namespace, a: BitMatrix, b: BitMatrix) -> tupl
 
 def cmd_multiply(args: argparse.Namespace) -> int:
     if args.ops:
-        _check_csv_header(args.ops)
+        lead = _check_csv_header(args.ops)
     a = _read_matrix(args.a)
     b = _read_matrix(args.b)
     report, usec = _timed_product(args, a, b)
@@ -107,7 +111,7 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if args.ops:
-        _write_bench_rows(args.ops, "a", [_bench_row(report, usec)])
+        _write_bench_rows(args.ops, "a", [*lead, _bench_row(report, usec)])
     if args.verify and report.result != oracle_matmul(a, b):
         print("verify: machine product disagrees with the oracle", file=sys.stderr)
         return 1
@@ -139,7 +143,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     density = _number(args.density, "--density", float)
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
-    rows = []
+    rows = [CSV_FIELDS]
     for n in sizes:
         for t in range(trials):
             rng = Random(f"{seed}:{n}:{t}")

@@ -275,7 +275,11 @@ class MvpMachine(ABC):
 
     The machine state model lives here, as int bit masks in the format of
     `bits._mask`: `_cols[j]` is column j as a row mask (bit i = row i) and
-    `_active` the mask of active columns (bit j = column j). The mask of
+    `_active` the mask of active columns (bit j = column j). `_cols` is
+    the loaded matrix's own tuple of column masks: values are immutable,
+    so a load keeps it as it is and `loaded_matrix()` wraps it. One step,
+    `_load_columns`, makes the whole state change of a load, and a load it
+    refuses changes nothing. The mask of
     rows holding a 1 in an active column is not stored: `_blocked_rows()`
     computes it on every read, since each pass reads it once, after its
     sync. The output sections are a bytearray, one 0/1 byte per row
@@ -291,26 +295,31 @@ class MvpMachine(ABC):
     row's output part takes to return home (the `_return_steps` constant).
 
     Bulk charging. A contract operation charges each of its categories
-    once, with the amount counted from the masks. A load writes all n of
-    the matrix's column masks in one step, as they are, and charges n^2
-    CellLoad in one call (the parallel load records its n phases of n
-    CellLoad in one `OpLog.charge_phases` call), a sync flips `_active` by
-    the mask of the columns that differ from the vector's mask, set_output
-    ORs the active columns (reduce over itertools.compress, or over the
-    tables below) and installs the section bytes whole from the blocked
-    mask, report_output packs the section bytes into a vector's mask, and
-    reset_output counts the 0 bytes and restores them. All three touch the
-    section bytes only when a row is clear: a stroke that blocks every row
-    leaves the sections at home, all 1, so it installs nothing and charges
-    no OutputSwitch, the report finds no 0 byte and returns the all-ones
+    once, with the amount counted from the masks. A load keeps the
+    matrix's tuple of column masks, uncopied, and charges n^2 CellLoad in
+    one call, a sync flips `_active` by the mask of the columns that
+    differ from the vector's mask, set_output ORs the active columns
+    (reduce over itertools.compress, or over the tables below) and
+    installs the section bytes whole from the blocked mask, report_output
+    packs the section bytes into a vector's mask, and reset_output counts
+    the 0 bytes and restores them. All three touch the section bytes only
+    when a row is clear: a stroke that blocks every row leaves the
+    sections at home, all 1, so it installs nothing and charges no
+    OutputSwitch, the report finds no 0 byte and returns the all-ones
     vector that `__init__` built once (values are immutable, so every such
     report shares it), and the reset finds no flipped section to restore.
     A pass is therefore O(1) ledger calls and O(1) Python steps; its O(n)
     work runs inside C-level calls. The primitives (activate_column,
-    move_ladder, observe_light, ...) keep their single charges. Every
-    charge here and in the backends names its category by a module name
-    bound at import (`_SCAN_STEP`, ...): reading `OpCategory.SCAN_STEP`
-    goes through the enum class and costs as much as the charge.
+    move_ladder, observe_light, ...) keep their single charges. Each
+    parallel operation but the sync is its sequential step grouped into
+    phases: the parallel load runs `_load_columns` inside its release
+    phase and records its n phases of n CellLoad in one
+    `OpLog.charge_phases` call. The parallel sync differs because its two
+    motions, a release and an activation, are other physics than the one
+    toggle of a sequential sync. Every charge here and in the backends
+    names its category by a module name bound at import (`_SCAN_STEP`,
+    ...): reading `OpCategory.SCAN_STEP` goes through the enum class and
+    costs as much as the charge.
 
     Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
     Faradzev, 1970). The OR of the active columns takes one OR per active
@@ -331,7 +340,7 @@ class MvpMachine(ABC):
     them: held off, its reads take about 1.6x as long and its passes about
     1.15x (timeit, and interleaved runs in one process, on a shared 2-vCPU
     Xeon). They depend only on `_cols`, so they stay valid across passes,
-    and `_begin_matrix_load` voids them and the count once per load,
+    and `_load_columns` voids them and the count once per load,
     sequential or parallel. No operation is charged for them either way.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
@@ -387,7 +396,7 @@ class MvpMachine(ABC):
         self._matrix_loaded = False
         self._synced = False
         self._output_set = False
-        self._cols: list[int] = [0] * n
+        self._cols: tuple[int, ...] = (0,) * n
         self._active = 0
         self._sections = bytearray(b"\x01") * n
         # The report of a stroke that blocks every row, built once: values
@@ -411,7 +420,7 @@ class MvpMachine(ABC):
 
     def loaded_matrix(self) -> BitMatrix:
         """Current content of the input array."""
-        return BitMatrix._of(tuple(self._cols))
+        return BitMatrix._of(self._cols)
 
     def loaded_vector(self) -> BitVector | None:
         return self._vector
@@ -504,12 +513,16 @@ class MvpMachine(ABC):
 
     # -- shared steps of the contract operations and the parallel drive -------
 
-    def _begin_matrix_load(self, a: BitMatrix) -> None:
-        """Check the dimension of `a`, void any earlier sync, and void the
-        blocked-row tables and the ORs spent toward them, once per load; the
-        caller then releases the columns and writes the content."""
+    def _load_columns(self, a: BitMatrix) -> None:
+        """The whole state change of a load, charged but for its CellLoad:
+        check the dimension of `a`, switch the active columns off, keep the
+        columns of `a` as they are, and void any earlier sync, the
+        blocked-row tables and the ORs spent toward them. A load refused by
+        the dimension check changes nothing."""
         if a.n != self.n:
             raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
+        self._toggle_columns(self._active)
+        self._cols = a._cols
         self._matrix_loaded = True
         self._synced = False
         self._tables = None
@@ -535,12 +548,11 @@ class MvpMachine(ABC):
         """Read a matrix into the input array (at most n^2 + n operations).
 
         Any still-active column is switched off first, so the machine ends
-        with content equal to `a` and every column inactive. All n columns
-        are then written in one step and charged as n^2 CellLoad at once.
+        with content equal to `a` and every column inactive. The content is
+        the matrix's own column masks, taken in one step and charged as n^2
+        CellLoad at once.
         """
-        self._begin_matrix_load(a)
-        self._toggle_columns(self._active)
-        self._cols = list(a._cols)
+        self._load_columns(a)
         self._log.charge(_CELL_LOAD, self.n * self.n)
 
     def load_vector(self, v: BitVector) -> None:

@@ -295,18 +295,47 @@ class TestParallelDrive:
                     call()
                 assert m.oplog.snapshot() == before
 
+        def load_in_open_phase():
+            with m.oplog.phase():
+                m.parallel_load_matrix(A4)
+
         assert_refused(
             lambda: m.parallel_load_matrix(BitMatrix.identity(3)),
+            load_in_open_phase,
             lambda: m.parallel_load_vector(BitVector.ones(5)),
             m.parallel_sync,
             m.parallel_ladder_step,
             m.parallel_report_output,
         )
+        # The refused loads left the machine unloaded: a sync would read
+        # an all-zero matrix.
+        with pytest.raises(MachineStateError, match="column sync before load_matrix"):
+            m.sync_columns()
+        v = BitVector((1, 0, 1, 0))
         m.parallel_load_matrix(A4)
-        m.parallel_load_vector(BitVector((1, 0, 1, 0)))
+        m.parallel_load_vector(v)
         m.parallel_sync()
         m.parallel_ladder_step()
         assert_refused(m.parallel_sync, m.parallel_ladder_step)
+        # On a loaded, synced machine with its blocked-row tables built, a
+        # refused load leaves the content, the columns and the tables, and
+        # the next stroke needs no resync.
+        for _ in range(8):
+            m.parallel_reset_output()
+            m.parallel_ladder_step()
+        m.parallel_reset_output()
+        tables = m._tables
+        assert tables is not None
+        assert_refused(
+            load_in_open_phase,
+            lambda: m.load_matrix(BitMatrix.identity(5)),
+            lambda: m.parallel_load_matrix(BitMatrix.identity(5)),
+        )
+        assert m.loaded_matrix() == A4
+        assert m.active_columns() == {0, 2}
+        assert m._tables is tables
+        m.set_output()
+        assert m.report_output() == oracle_matvec(A4, v)
 
     def test_ledger_stays_consistent_when_a_phase_fails_midway(self):
         m = JammedLadderMachine(4)

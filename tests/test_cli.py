@@ -158,6 +158,19 @@ class TestMultiply:
         assert rc == 2
         assert "line 1: expected 3 characters, found 0" in err and "blank.txt" in err
 
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    def test_undecodable_matrix_file_is_named(self, tmp_path, capsys, side):
+        good = write_matrix(tmp_path / "good.txt", BitMatrix.identity(2))
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"01\n1\xff\n")
+        files = {"--a": good, "--b": good, side: str(bad)}
+        rc = main(["multiply", "--a", files["--a"], "--b", files["--b"], "--backend", "axis",
+                   "--mode", "seq"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         good = write_matrix(tmp_path / "b.txt", BitMatrix.identity(3))
         rc = main(["multiply", "--a", str(tmp_path / "nope.txt"), "--b", good,
@@ -224,6 +237,35 @@ class TestMultiply:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
         assert ops.read_text(encoding="utf-8") == first
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_ops_row_starts_a_line_after_an_unterminated_last_record(self, tmp_path, rows):
+        a = write_matrix(tmp_path / "a.txt", A4)
+        ops = tmp_path / "ops.csv"
+        args = ["multiply", "--a", a, "--b", a, "--backend", "axis", "--mode", "seq",
+                "--ops", str(ops), "--out", str(tmp_path / "o.txt")]
+        assert main(args) == 0
+        # The header alone, or the header and a row, without the last line break.
+        lines = ops.read_text(encoding="utf-8").splitlines()[: 1 + rows]
+        ops.write_text("\n".join(lines), encoding="utf-8")
+        assert main(args) == 0
+        with open(ops, newline="", encoding="utf-8") as f:
+            records = list(csv.reader(f))
+        assert records[0] == list(CSV_FIELDS)
+        assert len(records) == 2 + rows
+        assert all(len(r) == len(CSV_FIELDS) for r in records)
+
+    def test_undecodable_ops_file_is_named(self, tmp_path, capsys):
+        a = write_matrix(tmp_path / "a.txt", A4)
+        ops, out = tmp_path / "ops.csv", tmp_path / "o.txt"
+        ops.write_bytes(b"n,backend\xff\n")
+        rc = main(["multiply", "--a", a, "--b", a, "--backend", "axis", "--mode", "seq",
+                   "--ops", str(ops), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {ops}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert ops.read_bytes() == b"n,backend\xff\n"
         assert not out.exists()
 
 

@@ -179,6 +179,22 @@ MUTANTS = (
         ("test_contract.py", "test_axis_ladder.py"),
     ),
     Mutant(
+        "a parallel load marks the machine loaded before entering its phase",
+        "axis_ladder.py",
+        "        with self._log.phase():\n            self._load_columns(a)\n",
+        "        self._matrix_loaded = True\n        with self._log.phase():\n"
+        "            self._load_columns(a)\n",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "a load refused for its dimension voids the sync",
+        "contract.py",
+        "        if a.n != self.n:\n            raise DimensionError(f\"machine is {self.n}x{self.n}, matrix",
+        "        self._synced = False\n        if a.n != self.n:\n"
+        "            raise DimensionError(f\"machine is {self.n}x{self.n}, matrix",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
         "delta interval sliced one phase late",
         "contract.py",
         "phases = self._phases[start : self._stop]",
