@@ -80,7 +80,7 @@ class AxisLadderMachine(MvpMachine):
         active columns, then one phase per column writing its n cells (n
         CellLoad each). It is load_matrix grouped into phases: the load's
         whole state change runs inside the release phase, so a load refused
-        there (inside an open phase, or for its dimension) changes nothing,
+        there (inside an open phase, or for its operand) changes nothing,
         and the n column phases are recorded in one ledger call."""
         with self._log.phase():
             self._load_columns(a)

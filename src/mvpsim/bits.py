@@ -2,11 +2,11 @@
 bit-exact text serialization.
 
 Values are column-packed int bit masks, the layout the machines keep their
-state in, so a machine loads a matrix column by column and a product
-streams and collects columns without converting them. Generation and
-parsing build the row-major digit string '0'/'1' of the whole matrix and
-take column j as its stride slice digits[j::n]. Values built from
-validated ones are not validated again.
+state in, so a machine keeps a loaded matrix's tuple of column masks as it
+is and a product streams and collects columns without converting them.
+Generation and parsing build the row-major digit string '0'/'1' of the
+whole matrix and take column j as its stride slice digits[j::n]. Values
+built from validated ones are not validated again.
 
 A random value is drawn cell by cell in row-major order, cell c being 1 when
 the c-th `rng.random()` is below the density. For a plain `random.Random`
@@ -87,6 +87,18 @@ def _index(i: int, n: int, what: str) -> int:
     if type(i) is not int or not 0 <= i < n:
         raise IndexError(f"{what} index must be an int in 0..{n - 1}, got {i!r}")
     return i
+
+
+def _operand(value, kind: type, n: int | None, what: str):
+    """`value`, a `what` ("vector", "right-hand matrix", ...) operand, if it
+    is a `kind` (BitVector or BitMatrix) of dimension n, or of any dimension
+    when n is None; a value of another type (a tuple, the other kind)
+    raises TypeError, and one of another dimension DimensionError."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    if n is not None and value.n != n:
+        raise DimensionError(f"{what} has dimension {value.n}, expected {n}")
+    return value
 
 
 def _as_flags(values: Iterable[int], what: str) -> bytes:
@@ -277,12 +289,8 @@ class BitMatrix:
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
         """Assemble a matrix whose j-th column is `columns[j]`."""
         n = _dimension(len(columns))
-        for j, col in enumerate(columns):
-            if col.n != n:
-                raise DimensionError(
-                    f"column {j + 1} has {col.n} coordinates, expected {n}"
-                )
-        return cls._of(tuple([col._bits for col in columns]))
+        cols = [_operand(col, BitVector, n, f"column {j + 1}")._bits for j, col in enumerate(columns)]
+        return cls._of(tuple(cols))
 
     def __repr__(self) -> str:
         return f"BitMatrix(rows={self.rows!r})"
@@ -302,10 +310,7 @@ def oracle_matvec(a: BitMatrix, v: BitVector) -> BitVector:
 
     Pure reference implementation; scans every j with no early exit.
     """
-    if a.n != v.n:
-        raise DimensionError(
-            f"matrix is {a.n}x{a.n} but vector has {v.n} coordinates"
-        )
+    _operand(v, BitVector, _operand(a, BitMatrix, None, "matrix").n, "vector")
     out = []
     for row in a.rows:
         acc = 0
@@ -318,8 +323,7 @@ def oracle_matvec(a: BitMatrix, v: BitVector) -> BitVector:
 def oracle_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Definitional Boolean matrix product: column j of the result is
     oracle_matvec(a, column j of b)."""
-    if a.n != b.n:
-        raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
+    _operand(b, BitMatrix, _operand(a, BitMatrix, None, "left-hand matrix").n, "right-hand matrix")
     return BitMatrix.from_columns([oracle_matvec(a, col) for col in b.columns()])
 
 

@@ -57,7 +57,7 @@ from itertools import compress, islice
 from operator import or_, sub
 from typing import Callable, ClassVar, Mapping, Sequence
 
-from .bits import BitMatrix, BitVector, DimensionError, _dimension, _flags, _index, _mask
+from .bits import BitMatrix, BitVector, _dimension, _flags, _index, _mask, _operand
 
 
 class MachineStateError(RuntimeError):
@@ -99,7 +99,9 @@ class OpCounts:
     read. `phase_ops[k]` is the number of operations charged during the
     k-th completed parallel phase. Subtracting an earlier snapshot of the
     same machine yields the counts for the interval between the two, and
-    `OpLog.since` builds the same delta straight from the log.
+    `OpLog.since` builds the same delta straight from the log; subtracting
+    anything but an OpCounts, in either order, raises TypeError. Equal
+    snapshots hash alike, so a RunReport that holds one can be hashed.
 
     A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
     it holds the log's phase list, which only ever grows, and the list's
@@ -162,10 +164,15 @@ class OpCounts:
             return NotImplemented
         return self._counts == other._counts and self.phase_ops == other.phase_ops
 
+    def __hash__(self) -> int:
+        return hash((self._counts, self.phase_ops))
+
     def __repr__(self) -> str:
         return f"OpCounts(counts={self.counts!r}, phase_ops={self.phase_ops!r})"
 
     def __sub__(self, earlier: "OpCounts") -> "OpCounts":
+        if not isinstance(earlier, OpCounts):
+            return NotImplemented
         start = earlier._stop
         if earlier._phases is self._phases and start <= self._stop:
             phases = self._phases[start : self._stop]
@@ -373,10 +380,14 @@ class MvpMachine(ABC):
     switched stay switched, and charging them again before reset_output
     would count more OutputSwitch than ResetStep.
 
-    Index check. Every primitive and inspector that takes a row or column
-    index passes it through `bits._index` first, which raises IndexError,
-    before anything is charged, unless the index is an int in 0..n-1: a
-    bool or a float is refused too, never read as a number.
+    Index and operand checks. Every primitive and inspector that takes a
+    row or column index passes it through `bits._index` first, which
+    raises IndexError, before anything is charged, unless the index is an
+    int in 0..n-1: a bool or a float is refused too, never read as a
+    number. Every load, sequential or parallel, passes its matrix or
+    vector through `bits._operand` before it toggles or charges anything:
+    another type (a tuple, a vector for a matrix) raises TypeError and
+    another dimension DimensionError, so a refused load changes nothing.
     """
 
     backend: ClassVar[str]
@@ -515,12 +526,11 @@ class MvpMachine(ABC):
 
     def _load_columns(self, a: BitMatrix) -> None:
         """The whole state change of a load, charged but for its CellLoad:
-        check the dimension of `a`, switch the active columns off, keep the
-        columns of `a` as they are, and void any earlier sync, the
-        blocked-row tables and the ORs spent toward them. A load refused by
-        the dimension check changes nothing."""
-        if a.n != self.n:
-            raise DimensionError(f"machine is {self.n}x{self.n}, matrix is {a.n}x{a.n}")
+        check that `a` is an n x n BitMatrix, switch the active columns off,
+        keep the columns of `a` as they are, and void any earlier sync, the
+        blocked-row tables and the ORs spent toward them. The check comes
+        first, so a load it refuses changes nothing."""
+        _operand(a, BitMatrix, self.n, "matrix")
         self._toggle_columns(self._active)
         self._cols = a._cols
         self._matrix_loaded = True
@@ -558,9 +568,7 @@ class MvpMachine(ABC):
     def load_vector(self, v: BitVector) -> None:
         """Read a vector into the input vector (n operations). Does not
         touch column activation; call sync_columns afterwards."""
-        if v.n != self.n:
-            raise DimensionError(f"machine is {self.n}x{self.n}, vector has {v.n} coordinates")
-        self._vector = v
+        self._vector = _operand(v, BitVector, self.n, "vector")
         self._log.charge(_VECTOR_COORD_LOAD, self.n)
         self._synced = False
 

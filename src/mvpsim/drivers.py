@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .axis_ladder import AxisLadderMachine
-from .bits import BitMatrix, BitVector, DimensionError
+from .bits import BitMatrix, BitVector, _operand
 from .contract import MvpMachine, OpCounts
 from .wall_light import WallLightMachine
 
@@ -125,10 +125,11 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
 
     On a fresh machine this charges at most 9n^2 operations (n^2 for the
     matrix load plus 8n per pass); a machine with leftover active columns
-    pays at most n extra deactivations during the load.
+    pays at most n extra deactivations during the load. An `a` or `b` that
+    is not a BitMatrix (TypeError), or a `b` whose dimension is not `a`'s
+    (DimensionError), is refused before anything is charged.
     """
-    if a.n != b.n:
-        raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
+    _operand(b, BitMatrix, _operand(a, BitMatrix, None, "left-hand matrix").n, "right-hand matrix")
     before = machine.oplog.snapshot()
     if mode is _SEQ:
         machine.load_matrix(a)

@@ -243,6 +243,18 @@ class TestOracle:
         with pytest.raises(DimensionError):
             oracle_matmul(BitMatrix.identity(2), BitMatrix.identity(3))
 
+    def test_the_other_value_type_rejected(self):
+        eye, ones = BitMatrix.identity(2), BitVector.ones(2)
+        for call in (
+            lambda: BitMatrix.from_columns([ones, eye]),
+            lambda: oracle_matvec(ones, ones),
+            lambda: oracle_matvec(eye, eye),
+            lambda: oracle_matmul(ones, eye),
+            lambda: oracle_matmul(eye, ones),
+        ):
+            with pytest.raises(TypeError, match=r"must be a Bit(Matrix|Vector), got Bit"):
+                call()
+
     @given(matrix_vector_pairs())
     def test_identity_is_neutral(self, pair):
         a, v = pair

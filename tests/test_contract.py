@@ -19,6 +19,8 @@ from mvpsim import (
     OpCategory,
     OpCounts,
     OpLog,
+    make_machine,
+    matmul,
     matvec,
     oracle_matvec,
 )
@@ -135,6 +137,56 @@ class TestProtocol:
             m.load_matrix(A4)
         with pytest.raises(DimensionError):
             m.load_vector(BitVector.ones(4))
+
+
+# A loaded, synced 3x3 machine: columns 0 and 2 are active, so a load
+# that released them before refusing would change the next report.
+A3 = BitMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+V3 = BitVector((1, 0, 1))
+
+
+def _operand_entry(name, mode):
+    """The kind an entry point takes and a call of it with the operand x:
+    the parallel loads in Mode.PAR, the sequential ones otherwise."""
+    par = mode is Mode.PAR
+    return {
+        "load_matrix": (BitMatrix, lambda m, x: (m.parallel_load_matrix if par else m.load_matrix)(x)),
+        "load_vector": (BitVector, lambda m, x: (m.parallel_load_vector if par else m.load_vector)(x)),
+        "matvec": (BitVector, lambda m, x: matvec(m, x, mode)),
+        "matmul-a": (BitMatrix, lambda m, x: matmul(m, x, A3, mode)),
+        "matmul-b": (BitMatrix, lambda m, x: matmul(m, A3, x, mode)),
+    }[name]
+
+
+# For each kind, the value of the other type, a tuple, and one of dimension 4.
+_BAD_OPERANDS = {
+    BitMatrix: {"other-type": BitVector.ones(3), "tuple": A3.rows, "dimension": BitMatrix.ones(4)},
+    BitVector: {"other-type": BitMatrix.ones(3), "tuple": V3.coords, "dimension": BitVector.ones(4)},
+}
+
+
+class TestOperands:
+    @pytest.mark.parametrize(
+        "backend,mode", [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)],
+        ids=["axis-seq", "axis-par", "wall-seq"],
+    )
+    @pytest.mark.parametrize("entry", ["load_matrix", "load_vector", "matvec", "matmul-a", "matmul-b"])
+    @pytest.mark.parametrize("bad", ["other-type", "tuple", "dimension"])
+    def test_a_refused_operand_changes_nothing(self, backend, mode, entry, bad):
+        kind, call = _operand_entry(entry, mode)
+        m = make_machine(backend, 3)
+        m.load_matrix(A3)
+        m.load_vector(V3)
+        m.sync_columns()
+        before = m.oplog.snapshot()
+        with pytest.raises(DimensionError if bad == "dimension" else TypeError):
+            call(m, _BAD_OPERANDS[kind][bad])
+        assert m.oplog.snapshot() == before
+        assert m.loaded_matrix() == A3
+        assert m.active_columns() == {0, 2}
+        assert m.loaded_vector() is V3
+        m.set_output()
+        assert m.report_output() == oracle_matvec(A3, V3)
 
 
 class TestCharges:
@@ -302,6 +354,14 @@ class TestOpLog:
         c.charge(OpCategory.SCAN_STEP, 3)
         with pytest.raises(ValueError):  # counts would go negative
             OpLog().snapshot() - c.snapshot()
+
+    def test_subtracting_what_is_not_a_snapshot_is_a_type_error(self):
+        snap = OpLog().snapshot()
+        for bad in (5, None, {}):
+            with pytest.raises(TypeError):
+                snap - bad
+            with pytest.raises(TypeError):
+                bad - snap
 
     def test_subtraction_drops_shared_phases(self):
         log = OpLog()

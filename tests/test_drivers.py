@@ -219,6 +219,17 @@ class TestRunReport:
                 assert (twin.backend, twin.mode, twin.n) == ("axis", rep.mode, 3)
         assert reports[1].ops.phase_ops == (3, 3, 2, 4, 3, 4)
 
+    def test_equal_snapshots_and_reports_hash_alike(self):
+        runs = []
+        for _ in range(2):
+            m = AxisLadderMachine(3)
+            m.load_matrix(BitMatrix.identity(3))
+            runs.append((m.oplog.snapshot(), matvec(m, BitVector((0, 1, 1)), Mode.PAR)))
+        (snap, rep), (twin_snap, twin) = runs
+        assert snap == twin_snap and hash(snap) == hash(twin_snap)
+        assert rep == twin and hash(rep) == hash(twin)
+        assert len({rep, twin, pickle.loads(pickle.dumps(rep))}) == 1
+
     def test_delta_excludes_earlier_work(self):
         m = AxisLadderMachine(3)
         m.load_matrix(BitMatrix.ones(3))

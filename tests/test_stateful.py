@@ -103,13 +103,17 @@ class MachineModel(RuleBasedStateMachine):
             self.run(lambda: self.m.load_matrix(a), counts)
         self.a, self.loaded, self.active, self.synced = a, True, set(), False
 
-    @rule(seed=SEEDS, density=DENSITIES, par=st.booleans(), wrong_size=st.booleans())
-    def load_vector(self, seed, density, par, wrong_size):
+    @rule(seed=SEEDS, density=DENSITIES, par=st.booleans(),
+          refused=st.sampled_from((None, DimensionError, TypeError)))
+    def load_vector(self, seed, density, par, refused):
+        """Load a vector, or refuse one of dimension n + 1 (DimensionError)
+        or a matrix in its place (TypeError)."""
         par = par and self.axis
         load = self.m.parallel_load_vector if par else self.m.load_vector
-        if wrong_size:
-            v = self.vector_of(seed, density, self.n + 1)
-            self.run(lambda: load(v), refused=DimensionError)
+        if refused is not None:
+            bad = (self.vector_of(seed, density, self.n + 1) if refused is DimensionError
+                   else BitMatrix.random(self.n, Random(seed), density))
+            self.run(lambda: load(bad), refused=refused)
             return
         v = self.vector_of(seed, density)
         self.run(lambda: load(v), {C.VECTOR_COORD_LOAD: self.n}, (self.n,) if par else (),
@@ -179,7 +183,7 @@ class MachineModel(RuleBasedStateMachine):
         if not self.loaded:
             self.load_matrix(seed, density, par)
         self.reset_output(par)
-        self.load_vector(seed + 1, density, par, False)
+        self.load_vector(seed + 1, density, par, None)
         self.sync(par)
         self.set_output(par)
 

@@ -189,10 +189,23 @@ MUTANTS = (
     Mutant(
         "a load refused for its dimension voids the sync",
         "contract.py",
-        "        if a.n != self.n:\n            raise DimensionError(f\"machine is {self.n}x{self.n}, matrix",
-        "        self._synced = False\n        if a.n != self.n:\n"
-        "            raise DimensionError(f\"machine is {self.n}x{self.n}, matrix",
+        '        _operand(a, BitMatrix, self.n, "matrix")\n',
+        '        self._synced = False\n        _operand(a, BitMatrix, self.n, "matrix")\n',
         ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "the load's operand checked after the release",
+        "contract.py",
+        '        _operand(a, BitMatrix, self.n, "matrix")\n        self._toggle_columns(self._active)\n',
+        '        self._toggle_columns(self._active)\n        _operand(a, BitMatrix, self.n, "matrix")\n',
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "an operand of another type let through",
+        "bits.py",
+        "if not isinstance(value, kind):",
+        "if False:",
+        ("test_contract.py",),
     ),
     Mutant(
         "delta interval sliced one phase late",
