@@ -267,12 +267,13 @@ class OpLog:
         """The operations charged after the snapshot `before`: equal to
         `self.snapshot() - before`, without building the second snapshot.
         A snapshot of this log needs no check, since its counts and phases
-        only grow; any other one is subtracted, with its history check.
-        Refused, like snapshot, while a phase is open."""
+        only grow; anything else is subtracted, with its history check, so
+        what is not a snapshot is a TypeError, as in subtraction. Refused,
+        like snapshot, while a phase is open."""
         if self._phase_start is not None:
             raise MachineStateError("since inside an open parallel phase")
         phases = self._phase_ops
-        if before._phases is not phases:
+        if type(before) is not OpCounts or before._phases is not phases:
             return self.snapshot() - before
         return _ops(tuple(map(sub, self._counts.values(), before._counts)), phases[before._stop :])
 

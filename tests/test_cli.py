@@ -183,6 +183,9 @@ class TestMultiply:
         b = write_matrix(tmp_path / "b.txt", BitMatrix.identity(3))
         rc = main(["multiply", "--a", a, "--b", b, "--backend", "axis", "--mode", "seq"])
         assert rc == 2
+        out, err = capsys.readouterr()
+        assert "right-hand matrix" in err
+        assert out == ""
 
     def test_unknown_backend_is_a_usage_error(self, tmp_path):
         a = write_matrix(tmp_path / "a.txt", A4)

@@ -356,12 +356,15 @@ class TestOpLog:
             OpLog().snapshot() - c.snapshot()
 
     def test_subtracting_what_is_not_a_snapshot_is_a_type_error(self):
-        snap = OpLog().snapshot()
+        log = OpLog()
+        snap = log.snapshot()
         for bad in (5, None, {}):
             with pytest.raises(TypeError):
                 snap - bad
             with pytest.raises(TypeError):
                 bad - snap
+            with pytest.raises(TypeError):
+                log.since(bad)
 
     def test_subtraction_drops_shared_phases(self):
         log = OpLog()

@@ -1,11 +1,15 @@
 """A model-based test: hypothesis drives the contract operations, the
 primitives, the parallel drives and calls that must be refused, in any
-order, against a shadow model of the machine kept by the test itself.
+order, against a shadow model of the machine kept by the test itself. It
+is the one shadow of the machine state in the tests.
 
 Every call's ledger delta is checked against the cost model, and after
-every step the blocked rows, the output sections, the active columns and
-the ledger's own sums must agree with the shadow. A failing sequence is
-reported as found, not shrunk. Sizes include 1 and 65, past the 64-bit word.
+every step the loaded matrix, the blocked rows, the output sections (and
+from them the axis's ladders), the active columns and the ledger's own sums
+must agree with the shadow. The `inspect` rule reads every cell's
+protrusion or light, the whole grid, and one cell past the edge. A failing
+sequence is reported as found, not shrunk. Sizes include 1; 31, past the
+first 30-bit digit of Python's int; 64, the 64-bit word; and 65, past it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from test_ledger import expected_pass_counts
 
 C = OpCategory
 CLASSES = (AxisLadderMachine, WallLightMachine, PerRowAxisMachine, PerRowWallMachine)
-SIZES = (1, 2, 3, 65)
+SIZES = (1, 2, 3, 31, 64, 65)
 # Values are drawn from a seed and a density. Sparse ones leave rows that
 # a single column blocks, so every column's bits, the 65th included, count.
 SEEDS = st.integers(0, 2**16)
@@ -55,7 +59,6 @@ class MachineModel(RuleBasedStateMachine):
         self.synced = False
         self.output_set = False
         self.sections = [1] * n
-        self.ladders = [0] * n
         self.phased = 0  # operations charged inside parallel phases
         self.start = self.m.oplog.snapshot()
 
@@ -142,7 +145,7 @@ class MachineModel(RuleBasedStateMachine):
     def set_output(self, par):
         par = par and self.axis
         call = self.m.parallel_ladder_step if par else self.m.set_output
-        if not self.synced or self.output_set or any(self.ladders):
+        if not self.synced or self.output_set or 0 in self.sections:
             self.run(call, refused=MachineStateError, phased=par)
             return
         clear = [self.clear(i) for i in range(self.n)]
@@ -150,8 +153,6 @@ class MachineModel(RuleBasedStateMachine):
         counts = {sense: self.n, C.OUTPUT_SWITCH: sum(clear)}
         self.run(call, counts, (self.n + sum(clear),) if par else (), phased=par)
         self.sections = [0 if c else 1 for c in clear]
-        if self.axis:
-            self.ladders = [int(c) for c in clear]
         self.output_set = True
 
     @rule(par=st.booleans())
@@ -171,7 +172,7 @@ class MachineModel(RuleBasedStateMachine):
         call = self.m.parallel_reset_output if par else self.m.reset_output
         steps = self.sections.count(0) + (self.n if self.axis else 0)
         self.run(call, {C.RESET_STEP: steps}, (steps,) if par else (), phased=par)
-        self.sections, self.ladders, self.output_set = [1] * self.n, [0] * self.n, False
+        self.sections, self.output_set = [1] * self.n, False
 
     @rule(seed=SEEDS, density=DENSITIES, par=st.booleans())
     def stroke(self, seed, density, par):
@@ -209,18 +210,31 @@ class MachineModel(RuleBasedStateMachine):
             self.run(lambda: call(i), refused=IndexError)
         elif not self.axis:
             assert self.run(lambda: call(i), {C.LIGHT_OBSERVE: 1}) == self.clear(i)
-        elif self.ladders[i]:
+        elif not self.sections[i]:
             self.run(lambda: call(i), refused=MachineStateError)
         else:
             clear = self.clear(i)
             counts = {C.LADDER_MOVE: 1, C.OUTPUT_SWITCH: int(clear)}
             assert self.run(lambda: call(i), counts) == clear
             if clear:
-                self.ladders[i], self.sections[i] = 1, 0
+                self.sections[i] = 0
+
+    @rule(raw=INDICES, past_row=st.booleans())
+    def inspect(self, raw, past_row):
+        """Read every cell's protrusion (axis) or light (wall) uncharged, then
+        one cell past the edge. The whole grid, since one wrong cell among
+        n^2 is seldom the one a random probe picks."""
+        n, k = self.n, raw % self.n
+        probe = self.m.protrusion if self.axis else self.m.passes_light
+        cells = self.run(lambda: [[probe(i, j) for j in range(n)] for i in range(n)], {})
+        # A cell protrudes exactly where it blocks, and light passes elsewhere.
+        assert cells == [[(j in self.active and row[j] == 1) == self.axis for j in range(n)]
+                         for row in self.a.rows]
+        self.run(lambda: probe(n, k) if past_row else probe(k, n), refused=IndexError)
 
     # -- drivers and the ledger -------------------------------------------------
 
-    @precondition(lambda self: self.loaded and not self.output_set and not any(self.ladders))
+    @precondition(lambda self: self.loaded and not self.output_set and 0 not in self.sections)
     @rule(seed=SEEDS, density=DENSITIES, mode=st.sampled_from(Mode))
     def matvec(self, seed, density, mode):
         v = self.vector_of(seed, density)
@@ -251,10 +265,12 @@ class MachineModel(RuleBasedStateMachine):
     def agrees_with_the_shadow(self):
         m, n = self.m, self.n
         assert [m.row_blocked(i) for i in range(n)] == [not self.clear(i) for i in range(n)]
+        assert m.loaded_matrix() == self.a
         assert m.active_columns() == self.active
+        assert [m.column_active(j) for j in range(n)] == [j in self.active for j in range(n)]
         assert [m.output_section(i) for i in range(n)] == self.sections
         if self.axis:
-            assert [m.ladder_shifted(i) for i in range(n)] == list(map(bool, self.ladders))
+            assert [m.ladder_shifted(i) for i in range(n)] == [not s for s in self.sections]
         # Phases are measured from the log's running total, `phased` from
         # the snapshots' counts: the two must agree.
         assert sum(m.oplog.snapshot().phase_ops) == self.phased

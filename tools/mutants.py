@@ -224,7 +224,7 @@ MUTANTS = (
     Mutant(
         "since skips the shared-history fallback",
         "contract.py",
-        "if before._phases is not phases:",
+        "if type(before) is not OpCounts or before._phases is not phases:",
         "if False:",
         ("test_contract.py",),
     ),
@@ -348,6 +348,13 @@ MUTANTS = (
         "if self.ladder_shifted(i):",
         "if False:",
         ("test_axis_ladder.py", "test_stateful.py"),
+    ),
+    Mutant(
+        "protrusion read without the activation",
+        "axis_ladder.py",
+        "return bool(self._active >> j & self._cols[j] >> i & 1)",
+        "return bool(self._cols[j] >> i & 1)",
+        ("test_stateful.py",),
     ),
     Mutant(
         "the ladder bytes the benchmark's fault machine writes dropped",
