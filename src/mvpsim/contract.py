@@ -105,11 +105,14 @@ class OpCounts:
 
     A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
     it holds the log's phase list, which only ever grows, and the list's
-    length at the time. Subtracting two snapshots of one log slices out
-    only the interval, so a snapshot and a delta cost O(categories + phases
-    in the interval). Any other pair (snapshots of two logs, or built or
-    unpickled ones) is checked by comparing the earlier phase history with
-    a prefix of the later one.
+    length at the time. A delta holds the phases past the subtracted
+    snapshot's length. When both are snapshots of one log and the
+    subtracted one was taken no later, that needs no history check, so a
+    snapshot and a delta cost O(categories + phases in the interval). For
+    any other pair (snapshots of two logs, built or unpickled ones, or a
+    snapshot minus a later one) the subtracted phase history must be a
+    prefix of the other. No count may go negative. Either failure raises
+    ValueError.
 
     Building one by hand (and unpickling one) refuses with ValueError an
     unknown category and any count or phase entry that is not an int >= 0,
@@ -174,17 +177,11 @@ class OpCounts:
         if not isinstance(earlier, OpCounts):
             return NotImplemented
         start = earlier._stop
-        if earlier._phases is self._phases and start <= self._stop:
-            phases = self._phases[start : self._stop]
-        else:
-            phases = self.phase_ops
-            if phases[:start] != earlier.phase_ops:
-                raise ValueError("snapshots do not share a machine history")
-            phases = phases[start:]
+        shared = earlier._phases is self._phases and start <= self._stop
         counts = tuple(map(sub, self._counts, earlier._counts))
-        if min(counts) < 0:
+        if min(counts) < 0 or not shared and self.phase_ops[:start] != earlier.phase_ops:
             raise ValueError("snapshots do not share a machine history")
-        return _ops(counts, phases)
+        return _ops(counts, self._phases[start : self._stop])
 
 
 _set_counts = OpCounts._counts.__set__

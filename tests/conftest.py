@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from mvpsim import AxisLadderMachine, BitMatrix, BitVector, WallLightMachine
+from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine
 
 BACKEND_CLASSES = (AxisLadderMachine, WallLightMachine)
+# The three configurations a product runs in: backend and drive mode.
+CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
+CONFIG_IDS = [f"{backend}-{mode.value}" for backend, mode in CONFIGS]
 
 
 class PerRowAxisMachine(AxisLadderMachine):

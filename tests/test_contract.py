@@ -6,8 +6,6 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mvpsim import (
     AxisLadderMachine,
@@ -24,7 +22,7 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from conftest import bit_matrices, bit_vectors, matrix_vector_pairs
+from conftest import CONFIG_IDS, CONFIGS
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
 
@@ -166,10 +164,7 @@ _BAD_OPERANDS = {
 
 
 class TestOperands:
-    @pytest.mark.parametrize(
-        "backend,mode", [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)],
-        ids=["axis-seq", "axis-par", "wall-seq"],
-    )
+    @pytest.mark.parametrize("backend,mode", CONFIGS, ids=CONFIG_IDS)
     @pytest.mark.parametrize("entry", ["load_matrix", "load_vector", "matvec", "matmul-a", "matmul-b"])
     @pytest.mark.parametrize("bad", ["other-type", "tuple", "dimension"])
     def test_a_refused_operand_changes_nothing(self, backend, mode, entry, bad):
@@ -267,40 +262,6 @@ class TestCharges:
         run_pass(m, v)
         assert m.active_columns() == {1, 3}
 
-    @given(matrix_vector_pairs())
-    @settings(max_examples=60)
-    def test_pass_budget_and_equivalence(self, machine_cls, pair):
-        a, v = pair
-        m = machine_cls(a.n)
-        m.load_matrix(a)
-        before = m.oplog.snapshot()
-        out = run_pass(m, v)
-        delta = m.oplog.snapshot() - before
-        assert out == oracle_matvec(a, v)
-        assert delta.total <= 8 * a.n
-
-    @given(bit_vectors(5), st.sets(st.integers(0, 4)))
-    @settings(max_examples=60)
-    def test_sync_fixes_any_prior_activation(self, machine_cls, v, pre_active):
-        m = machine_cls(5)
-        m.load_matrix(BitMatrix.ones(5))
-        for j in sorted(pre_active):
-            m.activate_column(j)
-        m.load_vector(v)
-        m.sync_columns()
-        assert m.active_columns() == {j for j in range(5) if v[j] == 1}
-
-    @given(st.lists(bit_vectors(5), min_size=1, max_size=8))
-    @settings(max_examples=40)
-    def test_column_state_tracks_last_synced_vector(self, machine_cls, vectors):
-        a = BitMatrix.identity(5)
-        m = machine_cls(5)
-        m.load_matrix(a)
-        for v in vectors:
-            out = run_pass(m, v)
-            assert out == oracle_matvec(a, v)
-            assert m.active_columns() == {j for j in range(5) if v[j] == 1}
-
 
 class TestReadback:
     def test_loaded_matrix_round_trip(self, machine_cls):
@@ -314,14 +275,6 @@ class TestReadback:
         m.load_matrix(A4)
         m.load_vector(BitVector((1, 0, 0, 1)))
         assert m.loaded_vector() == BitVector((1, 0, 0, 1))
-
-    @given(bit_matrices(3))
-    def test_readback_any(self, machine_cls, a):
-        m = machine_cls(3)
-        m.load_matrix(a)
-        assert m.loaded_matrix() == a
-        m.load_matrix(BitMatrix.zeros(3))
-        assert m.loaded_matrix() == BitMatrix.zeros(3)
 
 
 class TestOpLog:
@@ -548,6 +501,18 @@ class TestOpLog:
             log.charge(OpCategory.SCAN_STEP)
         with pytest.raises(ValueError, match="do not share a machine history"):
             earlier - log.snapshot()
+
+    def test_earlier_minus_a_later_snapshot_past_an_empty_phase_is_refused(self):
+        # The later snapshot shares the log's phase list and adds no count,
+        # only a phase that charged nothing: a slice alone would read empty.
+        log = OpLog()
+        earlier = log.snapshot()
+        with log.phase():
+            pass
+        later = log.snapshot()
+        assert later.phase_ops == (0,)
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            earlier - later
 
     def test_long_parallel_stream_delta_holds_only_its_phases(self):
         m = AxisLadderMachine(4)

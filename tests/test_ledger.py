@@ -20,10 +20,7 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from conftest import PerRowAxisMachine, PerRowWallMachine
-
-CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
-CONFIG_IDS = [f"{backend}-{mode.value}" for backend, mode in CONFIGS]
+from conftest import CONFIG_IDS, CONFIGS, PerRowAxisMachine, PerRowWallMachine
 
 
 def expected_pass_counts(

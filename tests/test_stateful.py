@@ -4,12 +4,17 @@ order, against a shadow model of the machine kept by the test itself. It
 is the one shadow of the machine state in the tests.
 
 Every call's ledger delta is checked against the cost model, and after
-every step the loaded matrix, the blocked rows, the output sections (and
-from them the axis's ladders), the active columns and the ledger's own sums
-must agree with the shadow. The `inspect` rule reads every cell's
-protrusion or light, the whole grid, and one cell past the edge. A failing
-sequence is reported as found, not shrunk. Sizes include 1; 31, past the
-first 30-bit digit of Python's int; 64, the 64-bit word; and 65, past it.
+every step the loaded matrix and vector, the blocked rows, the output
+sections (and from them the axis's ladders), the active columns and the
+ledger's own sums must agree with the shadow, and reading them must charge
+nothing. The `inspect` rule reads every cell's protrusion or light, the
+whole grid, and one cell past the edge. So the model is the one home of
+these properties: readback of any matrix, reloads included; sync fixing
+any prior activation; the active set tracking the last synced vector; the
+protrusion law; a sensed row equal to the shadow's clear row on both
+backends; and inspection charging nothing. A failing sequence is reported
+as found, not shrunk. Sizes include 1; 31, past the first 30-bit digit of
+Python's int; 64, the 64-bit word; and 65, past it.
 """
 
 from __future__ import annotations
@@ -264,13 +269,16 @@ class MachineModel(RuleBasedStateMachine):
     @invariant()
     def agrees_with_the_shadow(self):
         m, n = self.m, self.n
+        before = m.oplog.snapshot()
         assert [m.row_blocked(i) for i in range(n)] == [not self.clear(i) for i in range(n)]
         assert m.loaded_matrix() == self.a
+        assert m.loaded_vector() is self.vector
         assert m.active_columns() == self.active
         assert [m.column_active(j) for j in range(n)] == [j in self.active for j in range(n)]
         assert [m.output_section(i) for i in range(n)] == self.sections
         if self.axis:
             assert [m.ladder_shifted(i) for i in range(n)] == [not s for s in self.sections]
+        assert m.oplog.snapshot() == before  # inspection charges nothing
         # Phases are measured from the log's running total, `phased` from
         # the snapshots' counts: the two must agree.
         assert sum(m.oplog.snapshot().phase_ops) == self.phased

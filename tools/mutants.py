@@ -210,8 +210,22 @@ MUTANTS = (
     Mutant(
         "delta interval sliced one phase late",
         "contract.py",
-        "phases = self._phases[start : self._stop]",
-        "phases = self._phases[start + 1 : self._stop]",
+        "self._phases[start : self._stop])",
+        "self._phases[start + 1 : self._stop])",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "another history subtracted unchecked",
+        "contract.py",
+        "not shared and self.phase_ops[:start] != earlier.phase_ops",
+        "False",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "a later snapshot of one log sliced as shared",
+        "contract.py",
+        " and start <= self._stop",
+        "",
         ("test_contract.py",),
     ),
     Mutant(
@@ -245,8 +259,8 @@ MUTANTS = (
     Mutant(
         "negative deltas accepted",
         "contract.py",
-        "if min(counts) < 0:",
-        "if False:",
+        "if min(counts) < 0 or",
+        "if False or",
         ("test_contract.py",),
     ),
     Mutant(
@@ -354,6 +368,13 @@ MUTANTS = (
         "axis_ladder.py",
         "return bool(self._active >> j & self._cols[j] >> i & 1)",
         "return bool(self._cols[j] >> i & 1)",
+        ("test_stateful.py",),
+    ),
+    Mutant(
+        "loaded_matrix charges a ScanStep",
+        "contract.py",
+        "        return BitMatrix._of(self._cols)\n",
+        "        self._log.charge(_SCAN_STEP, 1)\n        return BitMatrix._of(self._cols)\n",
         ("test_stateful.py",),
     ),
     Mutant(
