@@ -6,6 +6,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
 
 from mvpsim import (
     AxisLadderMachine,
@@ -22,7 +23,7 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from conftest import CONFIG_IDS, CONFIGS
+from conftest import CONFIG_IDS, CONFIGS, matrix_vector_pairs
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
 
@@ -261,6 +262,18 @@ class TestCharges:
         v = BitVector((0, 1, 0, 1))
         run_pass(m, v)
         assert m.active_columns() == {1, 3}
+
+    @given(matrix_vector_pairs())
+    @settings(max_examples=60)
+    def test_pass_budget_and_equivalence(self, machine_cls, pair):
+        a, v = pair
+        m = machine_cls(a.n)
+        m.load_matrix(a)
+        before = m.oplog.snapshot()
+        out = run_pass(m, v)
+        delta = m.oplog.snapshot() - before
+        assert out == oracle_matvec(a, v)
+        assert delta.total <= 8 * a.n
 
 
 class TestReadback:

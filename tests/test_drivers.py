@@ -3,8 +3,10 @@
 Two properties run in each of the three configs: a pass from a fresh load
 equals the oracle and charges exactly the closed-form ledger of
 `test_ledger.expected_pass_counts`, within 8n; a product equals the
-oracle within 9n^2. Exhaustive equivalence at small n and the doubling
-ratios are acceptance gates C1, C3 and C4.
+oracle within 9n^2. The sequential per-machine checks of the same
+result and bounds stay under their own names beside them. Exhaustive
+equivalence at small n and the doubling ratios are acceptance gates C1,
+C3 and C4.
 """
 
 from __future__ import annotations
@@ -75,6 +77,21 @@ class TestEquivalence:
         assert rep.result == oracle_matmul(a, b)
         assert rep.ops.total <= 9 * a.n * a.n
 
+    @given(matrix_vector_pairs())
+    @settings(max_examples=80)
+    def test_matvec_matches_oracle(self, machine_cls, pair):
+        a, v = pair
+        m = machine_cls(a.n)
+        m.load_matrix(a)
+        assert matvec(m, v).result == oracle_matvec(a, v)
+
+    @given(matrix_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_matmul_matches_oracle(self, machine_cls, pair):
+        a, b = pair
+        rep = matmul(machine_cls(a.n), a, b)
+        assert rep.result == oracle_matmul(a, b)
+
     def test_identity_laws(self, machine_cls):
         a = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
         eye = BitMatrix.identity(4)
@@ -105,11 +122,26 @@ class TestSequentialCosts:
         m.load_matrix(BitMatrix.ones(n))
         assert matvec(m, BitVector.ones(n)).ops.total == 5 * n
 
+    @given(matrix_vector_pairs(max_n=8))
+    @settings(max_examples=60)
+    def test_pass_budget_holds_everywhere(self, machine_cls, pair):
+        a, v = pair
+        m = machine_cls(a.n)
+        m.load_matrix(a)
+        assert matvec(m, v).ops.total <= 8 * a.n
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_matmul_worst_case_exact(self, n):
         b = alternating_columns(n)
         assert matmul(AxisLadderMachine(n), BitMatrix.ones(n), b).ops.total == 8 * n * n
         assert matmul(WallLightMachine(n), BitMatrix.ones(n), b).ops.total == 7 * n * n
+
+    @given(matrix_pairs(max_n=6))
+    @settings(max_examples=40, deadline=None)
+    def test_matmul_budget_from_fresh(self, machine_cls, pair):
+        a, b = pair
+        rep = matmul(machine_cls(a.n), a, b)
+        assert rep.ops.total <= 9 * a.n * a.n
 
     def test_matmul_budget_survives_reuse(self, machine_cls):
         # Odd dimension: the last pass leaves every column active, so the
