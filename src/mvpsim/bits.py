@@ -132,7 +132,9 @@ def _random_digits(count: int, rng: Random, density: float) -> bytes:
     blocks of m = 2**14, so the 16 bytes a cell takes while it is read are
     held for one block only. The top byte of a is the top byte of k: one
     byte table decides every cell whose top byte is not t's, and the ties
-    (1 cell in 256) are settled from the full a and b.
+    (1 cell in 256) are settled from the full a and b. A t with no bits
+    below its top byte (densities 0, 1/2, 1 and every k/256) has no ties
+    to settle: a cell that shares its top byte has k >= t, a '0'.
 
     The density must be an int, float or Fraction, the types with an exact
     threshold here, and not a bool; anything else (True, "0.5", None, a
@@ -147,7 +149,8 @@ def _random_digits(count: int, rng: Random, density: float) -> bytes:
         r = rng.random
         return bytes([r() < density for _ in range(count)]).translate(_DIGITS)
     t = ceil(density * 2**53)
-    table = (b"1" * (t >> 45) + b"?" + b"0" * 255)[:256]  # '?': a tie
+    tie = b"?" if t & (1 << 45) - 1 else b"0"
+    table = (b"1" * (t >> 45) + tie + b"0" * 255)[:256]  # '?': a tie
     digits = bytearray()
     for start in range(0, count, 1 << 14):
         m = min(1 << 14, count - start)

@@ -38,9 +38,13 @@ machine's matrix product costs at most 9n^2; the test suite asserts those
 bounds as exact arithmetic inequalities. Parallel drives (where a backend
 offers one) group charges into phases: one phase is one machine-wide
 motion, and the ledger records the operations charged inside each phase.
-The ledger is read through immutable snapshots. A run's share of it is
-one delta, `OpLog.since(before)`, which equals `snapshot() - before` and
-is built from the log in one step, without a second snapshot.
+The ledger is read through immutable snapshots. It keeps its counts as
+one int, one 64-bit lane per category, so a snapshot is one read of that
+int and a run's share of the ledger, `OpLog.since(before)`, which equals
+`snapshot() - before`, is one int subtraction and no second snapshot.
+The lanes are decoded only when a count is read. A lane holds counts
+below 2**64, which n^2 CellLoad would reach only at n = 2**32, and an
+OpCounts built by hand refuses a larger count.
 
 How the machine keeps its state and charges it (bit masks, bulk
 charging, the per-row output bytes and the blocked-row tables) is told
@@ -55,6 +59,7 @@ from enum import Enum
 from functools import reduce
 from itertools import compress, islice
 from operator import or_, sub
+from struct import Struct
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .bits import BitMatrix, BitVector, _dimension, _flags, _index, _mask, _operand
@@ -85,7 +90,11 @@ class OpCategory(Enum):
 
 
 _CATEGORIES = tuple(OpCategory)
-_INDEX = {c: k for k, c in enumerate(_CATEGORIES)}
+# The ledger's counts as one int: category k's count is the 64-bit lane at
+# bit 64 * k, and _LANES packs or unpacks all of them in OpCategory order.
+_SHIFT = {c: 64 * k for k, c in enumerate(_CATEGORIES)}
+_LANE = (1 << 64) - 1  # a lane's mask and the largest count it holds
+_LANES = Struct(f"<{len(_CATEGORIES)}Q")
 # The members bound once, for the charges (see MvpMachine, Bulk charging).
 (_COLUMN_ACTIVATE, _COLUMN_DEACTIVATE, _SCAN_STEP, _LADDER_MOVE, _OUTPUT_SWITCH, _LIGHT_OBSERVE,
  _CELL_LOAD, _VECTOR_COORD_LOAD, _OUTPUT_COORD_REPORT, _RESET_STEP) = _CATEGORIES
@@ -94,30 +103,34 @@ _INDEX = {c: k for k, c in enumerate(_CATEGORIES)}
 class OpCounts:
     """Immutable snapshot of an OpLog.
 
-    `counts` maps every category to its count; the snapshot holds the
-    counts as a tuple in OpCategory order and builds the mapping when it is
-    read. `phase_ops[k]` is the number of operations charged during the
-    k-th completed parallel phase. Subtracting an earlier snapshot of the
-    same machine yields the counts for the interval between the two, and
-    `OpLog.since` builds the same delta straight from the log; subtracting
-    anything but an OpCounts, in either order, raises TypeError. Equal
-    snapshots hash alike, so a RunReport that holds one can be hashed.
+    `counts` maps every category to its count. The snapshot holds the
+    counts as the log keeps them, one int with one 64-bit lane per
+    category in OpCategory order, and decodes the lanes when `counts`,
+    `count` or `total` is read. `phase_ops[k]` is the number of
+    operations charged during the k-th completed parallel phase.
+    Subtracting an earlier snapshot of the same machine yields the counts
+    for the interval between the two, and `OpLog.since` builds the same
+    delta straight from the log; subtracting anything but an OpCounts, in
+    either order, raises TypeError. Equal snapshots hash alike, so a
+    RunReport that holds one can be hashed.
 
-    A snapshot taken by `OpLog.snapshot()` does not copy the phase history:
-    it holds the log's phase list, which only ever grows, and the list's
+    A snapshot taken by `OpLog.snapshot()` copies nothing: it holds the
+    log's int and its phase list, which only ever grows, and the list's
     length at the time. A delta holds the phases past the subtracted
     snapshot's length. When both are snapshots of one log and the
-    subtracted one was taken no later, that needs no history check, so a
-    snapshot and a delta cost O(categories + phases in the interval). For
-    any other pair (snapshots of two logs, built or unpickled ones, or a
-    snapshot minus a later one) the subtracted phase history must be a
-    prefix of the other. No count may go negative. Either failure raises
-    ValueError.
+    subtracted one was taken no later, that needs no history check and no
+    lane can borrow, so `OpLog.since` costs one int subtraction plus the
+    phases in the interval. Subtraction decodes both sides, since for any
+    other pair (snapshots of two logs, built or unpickled ones, or a
+    snapshot minus a later one) no count may go negative and the
+    subtracted phase history must be a prefix of the other. Either
+    failure raises ValueError.
 
     Building one by hand (and unpickling one) refuses with ValueError an
-    unknown category and any count or phase entry that is not an int >= 0,
-    a bool included. Snapshots and deltas hold only what a log counted and
-    are built unchecked by `_ops`.
+    unknown category, any count or phase entry that is not an int >= 0, a
+    bool included, and any count that does not fit its lane, 2**64 or
+    more. Snapshots and deltas hold only what a log counted and are built
+    unchecked by `_ops`.
     """
 
     __slots__ = ("_counts", "_phases", "_stop")
@@ -131,7 +144,10 @@ class OpCounts:
         for k in (*full.values(), *phases):
             if type(k) is not int or k < 0:
                 raise ValueError(f"operation counts must be ints >= 0, got {k!r}")
-        return _ops(tuple(full.values()), phases)
+        for k in full.values():
+            if k > _LANE:
+                raise ValueError(f"operation counts must be below 2**64, got {k!r}")
+        return _ops(int.from_bytes(_LANES.pack(*full.values()), "little"), phases)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -145,7 +161,7 @@ class OpCounts:
     @property
     def counts(self) -> dict[OpCategory, int]:
         """The count of every category, as a new dict."""
-        return dict(zip(_CATEGORIES, self._counts))
+        return dict(zip(_CATEGORIES, _lanes(self._counts)))
 
     @property
     def phase_ops(self) -> tuple[int, ...]:
@@ -153,14 +169,14 @@ class OpCounts:
 
     @property
     def total(self) -> int:
-        return sum(self._counts)
+        return sum(_lanes(self._counts))
 
     @property
     def parallel_phases(self) -> int:
         return self._stop
 
     def count(self, category: OpCategory) -> int:
-        return self._counts[_INDEX[category]]
+        return self._counts >> _SHIFT[category] & _LANE
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OpCounts):
@@ -178,10 +194,11 @@ class OpCounts:
             return NotImplemented
         start = earlier._stop
         shared = earlier._phases is self._phases and start <= self._stop
-        counts = tuple(map(sub, self._counts, earlier._counts))
+        counts = tuple(map(sub, _lanes(self._counts), _lanes(earlier._counts)))
         if min(counts) < 0 or not shared and self.phase_ops[:start] != earlier.phase_ops:
             raise ValueError("snapshots do not share a machine history")
-        return _ops(counts, self._phases[start : self._stop])
+        # No lane is below its counterpart, so no lane borrows from the next.
+        return _ops(self._counts - earlier._counts, self._phases[start : self._stop])
 
 
 _set_counts = OpCounts._counts.__set__
@@ -189,10 +206,17 @@ _set_phases = OpCounts._phases.__set__
 _set_stop = OpCounts._stop.__set__
 
 
-def _ops(counts: tuple[int, ...], phases: Sequence[int]) -> OpCounts:
-    """An OpCounts of `counts`, one per category in OpCategory order, and
-    the current entries of `phases`, which is not copied. It fills the
-    slots through their descriptors, which `__setattr__` does not guard."""
+def _lanes(counts: int) -> tuple[int, ...]:
+    """The count of every category, in OpCategory order, from the lanes of
+    `counts`."""
+    return _LANES.unpack(counts.to_bytes(_LANES.size, "little"))
+
+
+def _ops(counts: int, phases: Sequence[int]) -> OpCounts:
+    """An OpCounts of `counts`, one 64-bit lane per category in OpCategory
+    order, and the current entries of `phases`, which is not copied. It
+    fills the slots through their descriptors, which `__setattr__` does
+    not guard."""
     ops = object.__new__(OpCounts)
     _set_counts(ops, counts)
     _set_phases(ops, phases)
@@ -209,17 +233,20 @@ class OpLog:
     OpCounts: `snapshot()` for the whole ledger and `since(before)` for
     what was charged after the snapshot `before`. Counts and phases only
     grow: there is no way to wipe a log, so every delta between two of its
-    snapshots is a real interval of the machine's work.
+    snapshots is a real interval of the machine's work, and no lane of one
+    ever borrows from the next when the earlier is subtracted. The counts
+    are one int, one 64-bit lane per category (see OpCounts): a charge adds
+    its amount shifted to its category's lane.
     """
 
     def __init__(self) -> None:
-        self._counts: dict[OpCategory, int] = dict.fromkeys(OpCategory, 0)
+        self._counts = 0  # one 64-bit lane per category, in OpCategory order
         self._total = 0  # the sum over categories; phases are measured from it
         self._phase_ops: list[int] = []  # only appended to
         self._phase_start: int | None = None  # the total when the open phase began
 
     def charge(self, category: OpCategory, amount: int = 1) -> None:
-        self._counts[category] += amount
+        self._counts += amount << _SHIFT[category]
         self._total += amount
 
     def phase(self) -> OpLog:
@@ -258,7 +285,7 @@ class OpLog:
         yet, so a snapshot there would disagree with its own phases."""
         if self._phase_start is not None:
             raise MachineStateError("snapshot inside an open parallel phase")
-        return _ops(tuple(self._counts.values()), self._phase_ops)
+        return _ops(self._counts, self._phase_ops)
 
     def since(self, before: OpCounts) -> OpCounts:
         """The operations charged after the snapshot `before`: equal to
@@ -272,7 +299,7 @@ class OpLog:
         phases = self._phase_ops
         if type(before) is not OpCounts or before._phases is not phases:
             return self.snapshot() - before
-        return _ops(tuple(map(sub, self._counts.values(), before._counts)), phases[before._stop :])
+        return _ops(self._counts - before._counts, phases[before._stop :])
 
 
 class MvpMachine(ABC):

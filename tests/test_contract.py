@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpsim import (
     AxisLadderMachine,
@@ -26,6 +28,23 @@ from mvpsim import (
 from conftest import CONFIG_IDS, CONFIGS, matrix_vector_pairs
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
+
+# One step on an OpLog: a charge, a phase of charges (raising or not), a
+# run of equal phases, a snapshot (pickled or not), a delta since a taken
+# snapshot, or the subtraction of two taken snapshots, picked by index.
+_CHARGE = st.tuples(st.just("charge"), st.sampled_from(OpCategory), st.integers(0, 2**40))
+LEDGER_STEPS = st.lists(
+    st.one_of(
+        _CHARGE,
+        st.tuples(st.just("phase"), st.lists(_CHARGE, max_size=3), st.booleans()),
+        st.tuples(st.just("charge_phases"), st.sampled_from(OpCategory), st.integers(0, 2**40),
+                  st.integers(0, 3)),
+        st.tuples(st.just("snapshot"), st.booleans()),
+        st.tuples(st.just("since"), st.integers(0, 63)),
+        st.tuples(st.just("sub"), st.integers(0, 63), st.integers(0, 63)),
+    ),
+    max_size=30,
+)
 
 
 def run_pass(machine, v):
@@ -506,6 +525,108 @@ class TestOpLog:
             with pytest.raises(ValueError) as refused:
                 build()
             assert str(refused.value) == f"operation counts must be ints >= 0, got {bad}"
+
+    @pytest.mark.parametrize("big", [1 << 64, 1 << 200])
+    def test_built_snapshot_refuses_a_count_past_its_lane(self, big):
+        class Forged:
+            def __reduce__(self):
+                return OpCounts, ({OpCategory.SCAN_STEP: 2, OpCategory.CELL_LOAD: big}, ())
+
+        for build in (lambda: OpCounts({OpCategory.SCAN_STEP: 2, OpCategory.CELL_LOAD: big}),
+                      lambda: pickle.loads(pickle.dumps(Forged()))):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == f"operation counts must be below 2**64, got {big}"
+
+    def test_counts_fill_their_lanes(self):
+        # The largest count in every lane, beside phase entries past 2**64,
+        # which have no lane.
+        top = (1 << 64) - 1
+        full = OpCounts(dict.fromkeys(OpCategory, top), (top, 1 << 70))
+        assert full.counts == dict.fromkeys(OpCategory, top)
+        assert [full.count(c) for c in OpCategory] == [top] * len(OpCategory)
+        assert full.total == len(OpCategory) * top
+        assert full.phase_ops == (top, 1 << 70)
+        twin = pickle.loads(pickle.dumps(full))
+        assert twin == full and hash(twin) == hash(full)
+        assert twin.counts == full.counts and twin.total == full.total
+        assert full - full == twin - full == OpCounts({})
+        # One full lane between empty ones, and a full lane emptied between
+        # full ones: no count spills into or borrows from its neighbours.
+        one = OpCounts({OpCategory.LADDER_MOVE: top})
+        assert one.counts == {**dict.fromkeys(OpCategory, 0), OpCategory.LADDER_MOVE: top}
+        assert one.total == top and one != full
+        rest = full - one
+        assert rest.counts == {**dict.fromkeys(OpCategory, top), OpCategory.LADDER_MOVE: 0}
+        assert rest.total == (len(OpCategory) - 1) * top
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            one - full
+
+    @settings(max_examples=60)
+    @given(LEDGER_STEPS)
+    def test_ledger_agrees_with_a_plain_reference(self, steps):
+        # The reference keeps the counts in a dict and the phases in a list;
+        # `taken` holds every snapshot with the reference's state at the time.
+        log = OpLog()
+        counts, phases = dict.fromkeys(OpCategory, 0), []
+        taken = [(log.snapshot(), dict(counts), ())]
+
+        def charge(category, amount):
+            log.charge(category, amount)
+            counts[category] += amount
+
+        def agrees(ops, want_counts, want_phases):
+            assert ops.counts == want_counts
+            assert [ops.count(c) for c in OpCategory] == list(want_counts.values())
+            assert ops.total == sum(want_counts.values())
+            assert ops.phase_ops == want_phases and ops.parallel_phases == len(want_phases)
+
+        def reference_delta(later, earlier):
+            """(counts, phases) of later minus earlier, or None if refused."""
+            diff = {c: later[1][c] - earlier[1][c] for c in OpCategory}
+            if min(diff.values()) < 0 or later[2][: len(earlier[2])] != earlier[2]:
+                return None
+            return diff, later[2][len(earlier[2]) :]
+
+        for step in steps:
+            kind = step[0]
+            if kind == "charge":
+                charge(step[1], step[2])
+            elif kind == "phase":
+                _, charges, raises = step
+                with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+                    with log.phase():
+                        for _, category, amount in charges:
+                            charge(category, amount)
+                        if raises:
+                            raise RuntimeError("motion refused")
+                charged = sum(amount for _, _, amount in charges)
+                if charged or not raises:
+                    phases.append(charged)
+            elif kind == "charge_phases":
+                _, category, amount, k = step
+                log.charge_phases(category, amount, k)
+                counts[category] += amount * k
+                phases += [amount] * k
+            elif kind == "snapshot":
+                snap = log.snapshot()
+                taken.append((pickle.loads(pickle.dumps(snap)) if step[1] else snap,
+                              dict(counts), tuple(phases)))
+            elif kind == "since":
+                before = taken[step[1] % len(taken)][0]
+                assert log.since(before) == log.snapshot() - before
+            else:
+                later, earlier = taken[step[1] % len(taken)], taken[step[2] % len(taken)]
+                want = reference_delta(later, earlier)
+                if want is None:
+                    with pytest.raises(ValueError, match="do not share a machine history"):
+                        later[0] - earlier[0]
+                else:
+                    agrees(later[0] - earlier[0], *want)
+            now = (log.snapshot(), dict(counts), tuple(phases))
+            agrees(*now)
+            for before in taken:
+                agrees(log.since(before[0]), *reference_delta(now, before))
 
     def test_earlier_minus_later_is_refused(self):
         log = OpLog()

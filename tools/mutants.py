@@ -243,6 +243,27 @@ MUTANTS = (
         ("test_contract.py",),
     ),
     Mutant(
+        "the lane mask one bit short",
+        "contract.py",
+        "_LANE = (1 << 64) - 1",
+        "_LANE = (1 << 63) - 1",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "count reads the neighbouring lane",
+        "contract.py",
+        "return self._counts >> _SHIFT[category] & _LANE",
+        "return self._counts >> _SHIFT[category] + 64 & _LANE",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "since subtracts the wrong way round",
+        "contract.py",
+        "_ops(self._counts - before._counts,",
+        "_ops(before._counts - self._counts,",
+        ("test_contract.py",),
+    ),
+    Mutant(
         "snapshot read inside an open phase",
         "contract.py",
         'raise MachineStateError("snapshot inside an open parallel phase")',
