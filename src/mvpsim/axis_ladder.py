@@ -70,9 +70,6 @@ class AxisLadderMachine(MvpMachine):
     _sense_category = _LADDER_MOVE
     _return_steps = 1  # one return step per ladder
 
-    def _sense_row(self, i: int) -> None:
-        self.move_ladder(i)
-
     # -- machine-wide parallel drives -------------------------------------------
 
     def parallel_load_matrix(self, a: BitMatrix) -> None:

@@ -53,7 +53,6 @@ in the MvpMachine docstring.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import reduce
@@ -246,6 +245,9 @@ class OpLog:
         self._phase_start: int | None = None  # the total when the open phase began
 
     def charge(self, category: OpCategory, amount: int = 1) -> None:
+        """Add `amount` operations of `category`. Unchecked, since every
+        primitive charges through it: a negative amount would borrow from
+        the next category's lane, and no machine charges one."""
         self._counts += amount << _SHIFT[category]
         self._total += amount
 
@@ -272,8 +274,11 @@ class OpLog:
     def charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
         """Record `phases` parallel phases that each charge `amount` of
         `category`, as that many `phase()` blocks of one charge each would,
-        in one step. Refused with MachineStateError, before anything is
-        charged, inside an open phase, where a `phase()` would be too."""
+        in one step. Refused before anything is charged: with ValueError
+        for a negative amount or phase count, and with MachineStateError
+        inside an open phase, where a `phase()` would be too."""
+        if amount < 0 or phases < 0:
+            raise ValueError(f"phases must charge amounts >= 0, got {amount!r} in {phases!r} phases")
         if self._phase_start is not None:
             raise MachineStateError("phases recorded inside an open parallel phase")
         self.charge(category, amount * phases)
@@ -302,7 +307,7 @@ class OpLog:
         return _ops(self._counts - before._counts, phases[before._stop :])
 
 
-class MvpMachine(ABC):
+class MvpMachine:
     """Abstract matrix-vector processor.
 
     The machine state model lives here, as int bit masks in the format of
@@ -312,19 +317,23 @@ class MvpMachine(ABC):
     so a load keeps it as it is and `loaded_matrix()` wraps it. One step,
     `_load_columns`, makes the whole state change of a load, and a load it
     refuses changes nothing. The mask of
-    rows holding a 1 in an active column is not stored: `_blocked_rows()`
-    computes it on every read, since each pass reads it once, after its
-    sync. The output sections are a bytearray, one 0/1 byte per row
+    rows holding a 1 in an active column, `_blocked`, is kept from its
+    last read until a column changes: `_toggle_columns`, the one step that
+    changes `_active` (a load goes through it before it swaps `_cols`),
+    empties it, the next `row_blocked` probe reads it again through
+    `_blocked_rows()`, and the bulk stroke reads it afresh and keeps it.
+    The output sections are a bytearray, one 0/1 byte per row
     (`_sections[i]` is section i), and report_output packs those bytes,
     not the blocked mask, so a machine that senses differently is reported
     as its sections read. Only this class writes them: the bulk stroke
-    installs them whole, reset_output restores them, and a per-row sensing
-    step that finds row i clear calls `_clear_section(i)`, which switches
-    the section to 0 and charges its OutputSwitch. Column switching, the
-    six contract operations, the legal call order and the shared parts of
-    the cost model live here too. Subclasses supply only their physics:
-    how a row is sensed (the `_sense_row` hook) and how many ResetStep each
-    row's output part takes to return home (the `_return_steps` constant).
+    installs them whole, reset_output restores them, and a per-row stroke
+    that finds row i clear calls `_clear_section(i)`, which switches the
+    section to 0 and charges its OutputSwitch. Column switching, the six
+    contract operations, the legal call order and the shared parts of the
+    cost model live here too. Subclasses supply only their physics: the
+    sensing primitive and the category it charges (`_sensor`,
+    `_sense_category`) and how many ResetStep each row's output part takes
+    to return home (the `_return_steps` constant).
 
     Bulk charging. A contract operation charges each of its categories
     once, with the amount counted from the masks. A load keeps the
@@ -374,17 +383,24 @@ class MvpMachine(ABC):
     Xeon). They depend only on `_cols`, so they stay valid across passes,
     and `_load_columns` voids them and the count once per load,
     sequential or parallel. No operation is charged for them either way.
+    A per-row stroke's n probes share one read, so it spends ORs as a bulk
+    stroke does and builds the tables on the same pass.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
     machine, overrides the backend's sensing primitive (`_sensor`, i.e.
     `move_ladder` or `observe_light`). When `type(self)` overrides it, at
-    any depth below the backend, set_output calls it once per row
-    (`_sense_row`), exactly as a stroke of n primitive calls, so the
-    override sees every row. The answer depends only on the class, so
-    `__init__` decides it once (`_per_row`), not every stroke. Column switches
-    need no such rule: no subclass models them differently, and a sync
-    toggles a whole mask of columns in one motion.
+    any depth below the backend, set_output drives the stroke itself and
+    calls it once per row, exactly as a stroke of n primitive calls, so the
+    override sees every row. A completed axis stroke flips its own section
+    (see Output home); for the wall, which has no moving output part,
+    set_output flips the section of each row the primitive senses clear.
+    The answer depends only on the class, so `__init__` decides it once
+    (`_per_row`), not every stroke. Column switches need no such rule: no
+    subclass models them differently, and a sync toggles a whole mask of
+    columns in one motion. An override that switches a column part way
+    through a stroke is sensed with the new active set from that row on,
+    since the switch empties the kept mask.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`, `row_blocked`) read machine state
@@ -392,7 +408,7 @@ class MvpMachine(ABC):
     machine, not the machine working. `row_blocked(i)` is the one row
     probe of both backends, free of their polarity: row i holds a 1 in
     some active column, so a protrusion blocks its ladder or a shifted
-    wall occludes its light. Computing the blocked rows is bookkeeping
+    wall occludes its light. Reading the blocked rows is bookkeeping
     only and never charges operations.
 
     Output home. A backend's moving output part (the axis ladder; the wall
@@ -433,7 +449,9 @@ class MvpMachine(ABC):
         self._synced = False
         self._output_set = False
         self._cols: tuple[int, ...] = (0,) * n
-        self._active = 0
+        # No column is active, so no row is blocked: the kept blocked-row
+        # mask, None from a column change until it is read (see row_blocked).
+        self._active = self._blocked = 0
         self._sections = bytearray(b"\x01") * n
         # The report of a stroke that blocks every row, built once: values
         # are immutable, so every such report can be this one.
@@ -474,9 +492,13 @@ class MvpMachine(ABC):
         return self._sections[i]
 
     def row_blocked(self, i: int) -> bool:
-        """Whether row i holds a 1 in some active column."""
+        """Whether row i holds a 1 in some active column. Read from the
+        kept blocked-row mask, which the first probe after a column change
+        fills, so a per-row stroke's n probes make one read."""
         _index(i, self.n, "row")
-        return bool(self._blocked_rows() >> i & 1)
+        if self._blocked is None:
+            self._blocked = self._blocked_rows()
+        return bool(self._blocked >> i & 1)
 
     # -- column switching, counted --------------------------------------------
 
@@ -501,6 +523,7 @@ class MvpMachine(ABC):
         self._log.charge(_COLUMN_ACTIVATE, on)
         self._log.charge(_COLUMN_DEACTIVATE, diff.bit_count() - on)
         self._active ^= diff
+        self._blocked = None
 
     def _blocked_rows(self) -> int:
         """The mask of rows holding a 1 in some active column: the OR of
@@ -539,13 +562,6 @@ class MvpMachine(ABC):
                 table += [x | col for x in table]
             tables.append(table)
         return tables
-
-    # -- physics hooks supplied by backends -----------------------------------
-
-    @abstractmethod
-    def _sense_row(self, i: int) -> None:
-        """Sense row i through the sensing primitive, with charges, flipping
-        its output section when the row is clear (per-row set_output)."""
 
     # -- shared steps of the contract operations and the parallel drive -------
 
@@ -625,10 +641,13 @@ class MvpMachine(ABC):
         if self._output_set or 0 in self._sections:
             raise MachineStateError("set_output called before reset_output")
         if self._per_row:
+            sense = getattr(self, self._sensor.__name__)
             for i in range(self.n):
-                self._sense_row(i)
+                # A moving output part's stroke flips its own section; the wall has none.
+                if sense(i) and not self._return_steps:
+                    self._clear_section(i)
         else:
-            blocked = self._blocked_rows()
+            blocked = self._blocked = self._blocked_rows()
             self._log.charge(self._sense_category, self.n)
             clear = self.n - blocked.bit_count()
             # Sections start at 1 (the home check above proved it) and flip

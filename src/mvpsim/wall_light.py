@@ -12,10 +12,10 @@ observed at row i exactly when no active column holds a 1 there, i.e. when
 coordinates. Resetting only switches flipped sections back; there is no
 return stroke. This backend has no machine-wide parallel drive.
 
-Column switching and the row probe are the machine's, shared with the axis
-backend; this class holds only the wall's physics: `passes_light` (light
-polarity, where the axis reads a protrusion), `observe_light` and its
-sensing hooks.
+Column switching, the row probe and the per-row stroke are the machine's,
+shared with the axis backend; this class holds only the wall's physics:
+`passes_light` (light polarity, where the axis reads a protrusion) and
+`observe_light`, which it names as its sensing primitive.
 """
 
 from __future__ import annotations
@@ -50,7 +50,3 @@ class WallLightMachine(MvpMachine):
 
     _sensor = observe_light
     _sense_category = _LIGHT_OBSERVE
-
-    def _sense_row(self, i: int) -> None:
-        if self.observe_light(i):
-            self._clear_section(i)

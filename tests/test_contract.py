@@ -701,6 +701,20 @@ class TestOpLog:
         assert earlier.phase_ops == (4,) and earlier.total == 4
         assert log.since(earlier) == OpCounts({})
 
+    @pytest.mark.parametrize("amount,phases", [(-1, 2), (3, -1)], ids=["amount", "phases"])
+    def test_charge_phases_refuses_a_negative_amount_or_count(self, amount, phases):
+        # A negative charge would borrow from the next category's lane.
+        log = OpLog()
+        log.charge(OpCategory.VECTOR_COORD_LOAD, 5)
+        with log.phase():
+            log.charge(OpCategory.SCAN_STEP, 4)
+        earlier = log.snapshot()
+        with pytest.raises(ValueError, match="amounts >= 0"):
+            log.charge_phases(OpCategory.CELL_LOAD, amount, phases)
+        assert log.snapshot() == earlier
+        assert earlier.phase_ops == (4,) and earlier.total == 9
+        assert log.since(earlier) == OpCounts({})
+
     def test_raising_phase_is_recorded_only_if_it_charged(self):
         log = OpLog()
         with pytest.raises(RuntimeError):

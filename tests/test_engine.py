@@ -4,8 +4,10 @@ pass by pass over a long stream. Spy machines, one and two subclasses
 below a backend, see every row sensed. Values built by every path
 (public tuples, text, generation, columns, a machine's state, a product)
 hold exact int bits and are equal. Then the tables of the blocked-row OR:
-built mid-stream once a load's ORs repay them, voided by the next load,
-and never built for sparse or saturating traffic.
+built mid-stream once a load's ORs repay them, on the same pass for a
+per-row stroke, whose row probes share one read, voided by the next load,
+and never built for sparse or saturating traffic. An override that
+switches a column in mid-stroke is sensed with the new columns from there.
 
 The machine state under random interleavings of every operation is
 checked against a shadow model in test_stateful.py.
@@ -26,6 +28,7 @@ from mvpsim import (
     BitVector,
     Mode,
     OpCategory,
+    OpCounts,
     WallLightMachine,
     matmul,
     matvec,
@@ -359,8 +362,7 @@ def test_row_blocked_only_after_the_first_16_masks(cls, mode, n):
     (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
     for v in vectors:
         _check_matvec(m, a, v, mode)
-    if not m._per_row:  # a per-row stroke reads n times, so it builds them
-        assert m._tables is None
+    assert m._tables is None
     while m._tables is None:
         _check_matvec(m, a, BitVector.ones(n), mode)
     for v in vectors:
@@ -382,13 +384,22 @@ def test_saturating_product_never_builds_the_tables(bulk_cls, row_cls, mode):
 def test_sparse_rows_times_dense_vectors_build_the_tables(bulk_cls, row_cls, mode):
     # Some 64 active columns a pass leave about three rows in four clear
     # after 16 of them, so each read spends all 64 ORs and the tables for
-    # n = 128 (4080 ORs) are built partway through the product.
+    # n = 128 (4080 ORs) are built partway through the product: on the
+    # same pass for a per-row stroke, which reads once, as for a bulk one.
     n = 128
     rng = Random("tables:sparse-dense")
     a, b = BitMatrix.random(n, rng, 0.02), BitMatrix.random(n, rng, 0.5)
-    m = bulk_cls(n)
-    _check_matmul(m, a, b, oracle_matmul(a, b), mode)
-    assert m._tables is not None
+    built = []
+    for cls in (bulk_cls, row_cls):
+        m = cls(n)
+        (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+        first = None
+        for k, v in enumerate(b.columns(), 1):
+            _check_matvec(m, a, v, mode)
+            if first is None and m._tables is not None:
+                first = k
+        built.append(first)
+    assert built[0] == built[1] and 1 < built[0] < n
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
@@ -397,15 +408,91 @@ def test_saturating_stream_builds_the_tables(bulk_cls, row_cls, mode):
     # within the first 16 of its some 32 active columns, so it stops there
     # and spends 16 ORs, and the tables for n = 64 (2040 ORs) are built on
     # read 128. Counting every active column would build them on read 64.
+    # A per-row stroke reads once too, so it builds them on the same pass.
     n = 64
-    rng = Random("tables:stream")
-    a = BitMatrix.random(n, rng, 0.5)
-    m = bulk_cls(n)
-    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
-    reads = -(-m._table_ors // 16)
-    for k in range(1, reads + 2):
-        v = BitVector.random(n, rng, 0.5)
-        first = [j for j in range(n) if v[j]][:16]
-        assert all(any(row[j] for j in first) for row in a.rows)
-        _check_matvec(m, a, v, mode)
-        assert (m._tables is not None) == (k >= reads)
+    for cls in (bulk_cls, row_cls):
+        rng = Random("tables:stream")
+        a = BitMatrix.random(n, rng, 0.5)
+        m = cls(n)
+        (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+        reads = -(-m._table_ors // 16)
+        for k in range(1, reads + 2):
+            v = BitVector.random(n, rng, 0.5)
+            first = [j for j in range(n) if v[j]][:16]
+            assert all(any(row[j] for j in first) for row in a.rows)
+            _check_matvec(m, a, v, mode)
+            assert (m._tables is not None) == (k >= reads)
+
+
+@pytest.mark.parametrize("cls", [AxisLadderMachine, WallLightMachine], ids=["axis", "wall"])
+def test_row_probes_read_the_mask_once_per_column_change(cls):
+    # 1000 rounds of probes over every row after one sync: 64 000 probes.
+    # Each read of this dense n = 64 matrix spends 16 ORs, so reading the
+    # mask per probe would build the tables (2040 ORs) within 128 probes.
+    n = 64
+    a = BitMatrix.random(n, Random("tables:probes"), 0.5)
+    m = cls(n)
+    m.load_matrix(a)
+    m.load_vector(BitVector.ones(n))
+    m.sync_columns()
+    want = [any(row) for row in a.rows]
+    before = m.oplog.snapshot()
+    for _ in range(1000):
+        assert [m.row_blocked(i) for i in range(n)] == want
+    assert m._tables is None
+    assert m.oplog.since(before) == OpCounts({})
+
+
+def _switch_column_0(m) -> None:
+    (m.deactivate_column if m.column_active(0) else m.activate_column)(0)
+
+
+class SwitchingAxisMachine(AxisLadderMachine):
+    """Switches column 0 to its other state just before row n // 2's stroke."""
+
+    def move_ladder(self, i: int) -> bool:
+        if i == self.n // 2:
+            _switch_column_0(self)
+        return super().move_ladder(i)
+
+
+class SwitchingWallMachine(WallLightMachine):
+    """The wall counterpart of SwitchingAxisMachine."""
+
+    def observe_light(self, i: int) -> bool:
+        if i == self.n // 2:
+            _switch_column_0(self)
+        return super().observe_light(i)
+
+
+@pytest.mark.parametrize("cls", [SwitchingAxisMachine, SwitchingWallMachine], ids=["axis", "wall"])
+@pytest.mark.parametrize("n", (2, 9, 65))
+def test_a_column_switched_mid_stroke_counts_from_that_row(cls, n):
+    # Column 0 blocks every row, so switching it changes every row from
+    # n // 2 on whenever the other active columns leave one clear: the rows
+    # before it are sensed with the synced columns, the rest with the new
+    # active set, and a blocked-row read kept across the switch shows.
+    rng = Random(f"mid-stroke:{n}")
+    h = n // 2
+    a = BitMatrix(tuple((1,) + row[1:] for row in BitMatrix.random(n, rng, 0.1).rows))
+    m = cls(n)
+    m.load_matrix(a)
+    sense = OpCategory.LADDER_MOVE if m.backend == "axis" else OpCategory.LIGHT_OBSERVE
+    changed = False
+    for k in range(8):
+        v = BitVector((k % 2,) + tuple(int(rng.random() < 0.2) for _ in range(n - 1)))
+        switched = BitVector((1 - v[0],) + v.coords[1:])
+        want = oracle_matvec(a, v).coords[:h] + oracle_matvec(a, switched).coords[h:]
+        changed |= want != oracle_matvec(a, v).coords
+        m.load_vector(v)
+        m.sync_columns()
+        before = m.oplog.snapshot()
+        m.set_output()
+        assert tuple(m.output_section(i) for i in range(n)) == want
+        toggle = OpCategory.COLUMN_DEACTIVATE if v[0] else OpCategory.COLUMN_ACTIVATE
+        assert m.oplog.since(before).counts == {
+            **dict.fromkeys(OpCategory, 0), sense: n, OpCategory.OUTPUT_SWITCH: want.count(0), toggle: 1,
+        }
+        assert m.report_output().coords == want
+        m.reset_output()
+    assert changed

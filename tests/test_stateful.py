@@ -55,6 +55,20 @@ class MachineModel(RuleBasedStateMachine):
     @initialize(cls=st.sampled_from(CLASSES), n=st.sampled_from(SIZES))
     def build(self, cls, n):
         self.m = cls(n)
+        # Every charge must be an int >= 0: a negative one would borrow
+        # from the next category's lane and show as another's count.
+        log = self.m.oplog
+        charge, charge_phases = log.charge, log.charge_phases
+
+        def checked_charge(category, amount=1):
+            assert type(amount) is int and amount >= 0, (category, amount)
+            charge(category, amount)
+
+        def checked_charge_phases(category, amount, phases):
+            assert type(amount) is type(phases) is int and min(amount, phases) >= 0, (amount, phases)
+            charge_phases(category, amount, phases)
+
+        log.charge, log.charge_phases = checked_charge, checked_charge_phases
         self.n = n
         self.axis = isinstance(self.m, AxisLadderMachine)
         self.a = BitMatrix.zeros(n)

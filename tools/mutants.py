@@ -408,9 +408,23 @@ MUTANTS = (
     Mutant(
         "row_blocked reads the clear rows",
         "contract.py",
-        "return bool(self._blocked_rows() >> i & 1)",
-        "return not self._blocked_rows() >> i & 1",
+        "return bool(self._blocked >> i & 1)",
+        "return not self._blocked >> i & 1",
         ("test_wall_light.py", "test_axis_ladder.py"),
+    ),
+    Mutant(
+        "the kept blocked-row read survives a column change",
+        "contract.py",
+        "        self._active ^= diff\n        self._blocked = None\n",
+        "        self._active ^= diff\n",
+        ("test_engine.py", "test_stateful.py"),
+    ),
+    Mutant(
+        "the wall's section left to its primitive",
+        "contract.py",
+        "not self._return_steps",
+        "False",
+        ("test_engine.py",),
     ),
     Mutant(
         "rows split at any line break",
@@ -513,6 +527,7 @@ def run(mutant: Mutant) -> str:
 
 def main() -> int:
     bad = 0
+    batch = time.perf_counter()
     for mutant in MUTANTS:
         start = time.perf_counter()
         verdict = run(mutant)
@@ -521,7 +536,8 @@ def main() -> int:
               f"{time.perf_counter() - start:.1f}s", flush=True)
         if "\n" in verdict:
             print(verdict.split("\n", 1)[1])
-    print(f"mutants: {len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    print(f"mutants: {len(MUTANTS) - bad} of {len(MUTANTS)} killed "
+          f"in {time.perf_counter() - batch:.0f} s")
     return 1 if bad else 0
 
 
