@@ -12,8 +12,10 @@ stored: ladder i is away from home exactly while section i reads 0.
 Resetting returns every ladder home, one step each, wherever it stopped.
 
 This backend also offers machine-wide parallel drives: each `parallel_*`
-method performs one or two whole-machine motions, recorded as parallel
-phases in the ledger. A full matrix-vector pass takes exactly six phases.
+method performs one or two whole-machine motions, each one call of
+`OpLog.phase` that runs a contract operation (or a shared step of one) and
+records what it charged as a parallel phase in the ledger. A full
+matrix-vector pass takes exactly six phases.
 """
 
 from __future__ import annotations
@@ -76,41 +78,34 @@ class AxisLadderMachine(MvpMachine):
         """Read a matrix in n + 1 phases: one machine-wide release of any
         active columns, then one phase per column writing its n cells (n
         CellLoad each). It is load_matrix grouped into phases: the load's
-        whole state change runs inside the release phase, so a load refused
+        whole state change runs as the release phase, so a load refused
         there (inside an open phase, or for its operand) changes nothing,
         and the n column phases are recorded in one ledger call."""
-        with self._log.phase():
-            self._load_columns(a)
+        self._log.phase(self._load_columns, a)
         self._log.charge_phases(_CELL_LOAD, self.n, self.n)
 
     def parallel_load_vector(self, v: BitVector) -> None:
         """Read all n vector coordinates in one phase."""
-        with self._log.phase():
-            self.load_vector(v)
+        self._log.phase(self.load_vector, v)
 
     def parallel_sync(self) -> None:
         """Match column activation to the loaded vector in two toggles,
         one phase each: the active columns switch off, then the columns
         the vector selects switch on."""
         self._check_syncable()
-        with self._log.phase():
-            self._toggle_columns(self._active)
-        with self._log.phase():
-            self._toggle_columns(self._vector._bits)
+        self._log.phase(self._toggle_columns, self._active)
+        self._log.phase(self._toggle_columns, self._vector._bits)
         self._synced = True
 
     def parallel_ladder_step(self) -> None:
         """Release every ladder for its stroke in one phase."""
-        with self._log.phase():
-            self.set_output()
+        self._log.phase(self.set_output)
 
     def parallel_report_output(self) -> BitVector:
         """Read all n output sections in one phase."""
-        with self._log.phase():
-            return self.report_output()
+        return self._log.phase(self.report_output)
 
     def parallel_reset_output(self) -> None:
         """Drive every ladder home and restore the sections in one phase.
         Like reset_output, legal in any state."""
-        with self._log.phase():
-            self.reset_output()
+        self._log.phase(self.reset_output)

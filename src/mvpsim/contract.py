@@ -59,7 +59,7 @@ from functools import reduce
 from itertools import compress, islice
 from operator import or_, sub
 from struct import Struct
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence, TypeVar
 
 from .bits import BitMatrix, BitVector, _dimension, _flags, _index, _mask, _operand
 
@@ -97,6 +97,11 @@ _LANES = Struct(f"<{len(_CATEGORIES)}Q")
 # The members bound once, for the charges (see MvpMachine, Bulk charging).
 (_COLUMN_ACTIVATE, _COLUMN_DEACTIVATE, _SCAN_STEP, _LADDER_MOVE, _OUTPUT_SWITCH, _LIGHT_OBSERVE,
  _CELL_LOAD, _VECTOR_COORD_LOAD, _OUTPUT_COORD_REPORT, _RESET_STEP) = _CATEGORIES
+# The lanes of the amounts a contract operation counts from its masks.
+# ColumnActivate and ColumnDeactivate are lanes 0 and 1, so a toggle's
+# activations `on` and deactivations `off` are `on | off << 64`.
+_OUTPUT_SWITCH_SHIFT, _RESET_STEP_SHIFT = _SHIFT[_OUTPUT_SWITCH], _SHIFT[_RESET_STEP]
+_T = TypeVar("_T")
 
 
 class OpCounts:
@@ -200,6 +205,7 @@ class OpCounts:
         return _ops(self._counts - earlier._counts, self._phases[start : self._stop])
 
 
+_new = object.__new__
 _set_counts = OpCounts._counts.__set__
 _set_phases = OpCounts._phases.__set__
 _set_stop = OpCounts._stop.__set__
@@ -216,7 +222,7 @@ def _ops(counts: int, phases: Sequence[int]) -> OpCounts:
     order, and the current entries of `phases`, which is not copied. It
     fills the slots through their descriptors, which `__setattr__` does
     not guard."""
-    ops = object.__new__(OpCounts)
+    ops = _new(OpCounts)
     _set_counts(ops, counts)
     _set_phases(ops, phases)
     _set_stop(ops, len(phases))
@@ -226,16 +232,20 @@ def _ops(counts: int, phases: Sequence[int]) -> OpCounts:
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
-    Machines charge into it with `charge` and group charges into phases
-    with `phase()`, or record a run of equal phases of one category at
-    once with `charge_phases`; everything else reads it only through
-    OpCounts: `snapshot()` for the whole ledger and `since(before)` for
-    what was charged after the snapshot `before`. Counts and phases only
-    grow: there is no way to wipe a log, so every delta between two of its
-    snapshots is a real interval of the machine's work, and no lane of one
-    ever borrows from the next when the earlier is subtracted. The counts
-    are one int, one 64-bit lane per category (see OpCounts): a charge adds
-    its amount shifted to its category's lane.
+    Machines charge into it with `charge`, one category at a time, and run
+    each parallel phase as one call, `phase(step, *args)`, which records
+    what the step charged; `charge_phases` records a run of equal phases of
+    one category at once. A contract operation charges all its categories
+    in one private `_add(lanes, total)` (see MvpMachine, Bulk charging).
+    Everything else reads the log only through OpCounts: `snapshot()` for
+    the whole ledger and `since(before)` for what was charged after the
+    snapshot `before`. Counts and phases only grow: there is no way to wipe
+    a log, so every delta between two of its snapshots is a real interval
+    of the machine's work, and no lane of one ever borrows from the next
+    when the earlier is subtracted. The counts are one int, one 64-bit lane
+    per category (see OpCounts): a charge adds its amount shifted to its
+    category's lane, and `_add` adds amounts already shifted. Beside them
+    the log keeps their running sum, from which phases are measured.
     """
 
     def __init__(self) -> None:
@@ -251,34 +261,47 @@ class OpLog:
         self._counts += amount << _SHIFT[category]
         self._total += amount
 
-    def phase(self) -> OpLog:
-        """Account one parallel phase; charges inside are attributed to it.
+    def _add(self, lanes: int, total: int) -> None:
+        """Add several categories' amounts in one step: `lanes` holds each
+        amount shifted to its category's lane, and `total` is their sum.
+        Unchecked, like `charge`: a contract operation builds both from
+        amounts >= 0 (see MvpMachine, Bulk charging)."""
+        self._counts += lanes
+        self._total += total
 
-        A phase that raises is recorded if and only if it charged at least
-        one operation, so a refused motion leaves `phase_ops` untouched and
-        `sum(phase_ops)` always equals the operations charged in phases.
+    def phase(self, step: Callable[..., _T], *args: object) -> _T:
+        """Run `step(*args)` as one parallel phase and return its result;
+        what the step charges is attributed to the phase.
+
+        Refused with MachineStateError inside an open phase, before the
+        step runs: phases do not nest. A step that raises has its phase
+        recorded if and only if it charged at least one operation, so a
+        refused motion leaves `phase_ops` untouched and `sum(phase_ops)`
+        always equals the operations charged in phases.
         """
-        return self
-
-    def __enter__(self) -> None:
         if self._phase_start is not None:
             raise MachineStateError("parallel phases cannot nest")
-        self._phase_start = self._total
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        charged = self._total - self._phase_start
+        start = self._phase_start = self._total
+        try:
+            result = step(*args)
+        except BaseException:
+            self._phase_start = None
+            if self._total != start:
+                self._phase_ops.append(self._total - start)
+            raise
         self._phase_start = None
-        if exc_type is None or charged:
-            self._phase_ops.append(charged)
+        self._phase_ops.append(self._total - start)
+        return result
 
     def charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
         """Record `phases` parallel phases that each charge `amount` of
-        `category`, as that many `phase()` blocks of one charge each would,
+        `category`, as that many `phase` calls of one charge each would,
         in one step. Refused before anything is charged: with ValueError
-        for a negative amount or phase count, and with MachineStateError
-        inside an open phase, where a `phase()` would be too."""
-        if amount < 0 or phases < 0:
-            raise ValueError(f"phases must charge amounts >= 0, got {amount!r} in {phases!r} phases")
+        unless the amount and the phase count are ints >= 0 (a bool is
+        refused too), and with MachineStateError inside an open phase,
+        where a `phase` would be too."""
+        if type(amount) is not int or type(phases) is not int or amount < 0 or phases < 0:
+            raise ValueError(f"phases must charge int amounts >= 0, got {amount!r} in {phases!r} phases")
         if self._phase_start is not None:
             raise MachineStateError("phases recorded inside an open parallel phase")
         self.charge(category, amount * phases)
@@ -287,10 +310,16 @@ class OpLog:
     def snapshot(self) -> OpCounts:
         """The whole ledger. Refused with MachineStateError while a phase
         is open: its charges are in the counts but in no recorded phase
-        yet, so a snapshot there would disagree with its own phases."""
+        yet, so a snapshot there would disagree with its own phases. It
+        fills the slots as `_ops` does, inline: one call fewer a pass, as
+        in `since`."""
         if self._phase_start is not None:
             raise MachineStateError("snapshot inside an open parallel phase")
-        return _ops(self._counts, self._phase_ops)
+        ops = _new(OpCounts)
+        _set_counts(ops, self._counts)
+        _set_phases(ops, self._phase_ops)
+        _set_stop(ops, len(self._phase_ops))
+        return ops
 
     def since(self, before: OpCounts) -> OpCounts:
         """The operations charged after the snapshot `before`: equal to
@@ -304,7 +333,12 @@ class OpLog:
         phases = self._phase_ops
         if type(before) is not OpCounts or before._phases is not phases:
             return self.snapshot() - before
-        return _ops(self._counts - before._counts, phases[before._stop :])
+        later = phases[before._stop :]
+        ops = _new(OpCounts)
+        _set_counts(ops, self._counts - before._counts)
+        _set_phases(ops, later)
+        _set_stop(ops, len(later))
+        return ops
 
 
 class MvpMachine:
@@ -335,27 +369,38 @@ class MvpMachine:
     `_sense_category`) and how many ResetStep each row's output part takes
     to return home (the `_return_steps` constant).
 
-    Bulk charging. A contract operation charges each of its categories
-    once, with the amount counted from the masks. A load keeps the
-    matrix's tuple of column masks, uncopied, and charges n^2 CellLoad in
-    one call, a sync flips `_active` by the mask of the columns that
-    differ from the vector's mask, set_output ORs the active columns
-    (reduce over itertools.compress, or over the tables below) and
-    installs the section bytes whole from the blocked mask, report_output
-    packs the section bytes into a vector's mask, and reset_output counts
-    the 0 bytes and restores them. All three touch the section bytes only
-    when a row is clear: a stroke that blocks every row leaves the
-    sections at home, all 1, so it installs nothing and charges no
-    OutputSwitch, the report finds no 0 byte and returns the all-ones
-    vector that `__init__` built once (values are immutable, so every such
-    report shares it), and the reset finds no flipped section to restore.
-    A pass is therefore O(1) ledger calls and O(1) Python steps; its O(n)
-    work runs inside C-level calls. The primitives (activate_column,
-    move_ladder, observe_light, ...) keep their single charges. Each
-    parallel operation but the sync is its sequential step grouped into
-    phases: the parallel load runs `_load_columns` inside its release
-    phase and records its n phases of n CellLoad in one
-    `OpLog.charge_phases` call. The parallel sync differs because its two
+    Bulk charging. A contract operation counts each of its amounts from
+    the masks and charges them all in one ledger write, `OpLog._add(lanes,
+    total)`: the amounts shifted to their categories' 64-bit lanes and
+    summed into one int, and their total. The n-sized amounts
+    (VectorCoordLoad, ScanStep, the sensing category, OutputCoordReport
+    and the n * `_return_steps` ResetStep of the return home) are constant
+    per machine, so `__init__` shifts them once into the tuple `_lanes`;
+    only the amounts read from masks are shifted per call. A sync flips
+    `_active` by the mask of the columns that differ from the vector's
+    mask and hands its ScanStep lanes to `_toggle_columns`, whose one
+    `_add` holds them beside the activations and deactivations, adjacent
+    lanes 0 and 1. set_output ORs the active columns (reduce over
+    itertools.compress, or over the tables below), adds its sensing and
+    OutputSwitch lanes at once and installs the section bytes whole from
+    the blocked mask, report_output packs the section bytes into a
+    vector's mask, and reset_output counts the 0 bytes and restores them.
+    All three touch the section bytes only when a row is clear: a stroke
+    that blocks every row leaves the sections at home, all 1, so it
+    installs nothing and charges no OutputSwitch, the report finds no 0
+    byte and returns the all-ones vector that `__init__` built once
+    (values are immutable, so every such report shares it), and the reset
+    finds no flipped section to restore. A load keeps the matrix's tuple
+    of column masks, uncopied, and charges n^2 CellLoad in one `charge`
+    beside the `_add` of its release. A pass is therefore O(1) ledger
+    calls and O(1) Python steps; its O(n) work runs inside C-level calls.
+    The primitives (activate_column, move_ladder, observe_light, ...) and
+    `_clear_section` keep their single charges through the public
+    `charge`. Each parallel operation is one `OpLog.phase(step, *args)`
+    call per motion over a contract operation or a shared step of one:
+    the parallel load runs `_load_columns` as its release phase and
+    records its n phases of n CellLoad in one `OpLog.charge_phases` call,
+    and the parallel sync runs `_toggle_columns` twice, since its two
     motions, a release and an activation, are other physics than the one
     toggle of a sequential sync. Every charge here and in the backends
     names its category by a module name bound at import (`_SCAN_STEP`,
@@ -461,6 +506,14 @@ class MvpMachine:
         self._tables: list[list[int]] | None = None
         self._ors = 0
         self._table_ors = 255 * (n // 8) + (1 << n % 8) - 1
+        # The n-sized amounts of the bulk operations, each shifted to its
+        # lane once (see Bulk charging): VectorCoordLoad, ScanStep, the
+        # sensing category, OutputCoordReport and the ResetStep of the
+        # moving output parts' return.
+        self._lanes = (
+            n << _SHIFT[_VECTOR_COORD_LOAD], n << _SHIFT[_SCAN_STEP], n << _SHIFT[self._sense_category],
+            n << _SHIFT[_OUTPUT_COORD_REPORT], n * self._return_steps << _SHIFT[_RESET_STEP],
+        )
         # Whether set_output senses row by row (see Per-row dispatch).
         cls = type(self)
         self._per_row = getattr(cls, cls._sensor.__name__) is not cls._sensor
@@ -516,12 +569,14 @@ class MvpMachine:
             raise MachineStateError(f"column {j} is {'already' if on else 'not'} active")
         self._toggle_columns(1 << j)
 
-    def _toggle_columns(self, diff: int) -> None:
+    def _toggle_columns(self, diff: int, lanes: int = 0, total: int = 0) -> None:
         """Switch every column in the mask `diff` to its other state (one
-        ColumnActivate or ColumnDeactivate each)."""
+        ColumnActivate or ColumnDeactivate each), charged in one `_add`
+        together with the caller's `lanes` of sum `total`: the sync's
+        ScanStep."""
+        flips = diff.bit_count()
         on = (diff & ~self._active).bit_count()
-        self._log.charge(_COLUMN_ACTIVATE, on)
-        self._log.charge(_COLUMN_DEACTIVATE, diff.bit_count() - on)
+        self._log._add(lanes + (on | flips - on << 64), total + flips)
         self._active ^= diff
         self._blocked = None
 
@@ -610,7 +665,7 @@ class MvpMachine:
         """Read a vector into the input vector (n operations). Does not
         touch column activation; call sync_columns afterwards."""
         self._vector = _operand(v, BitVector, self.n, "vector")
-        self._log.charge(_VECTOR_COORD_LOAD, self.n)
+        self._log._add(self._lanes[0], self.n)
         self._synced = False
 
     def sync_columns(self) -> None:
@@ -621,8 +676,7 @@ class MvpMachine:
         with an unchanged vector performs zero activations/deactivations.
         """
         self._check_syncable()
-        self._log.charge(_SCAN_STEP, self.n)
-        self._toggle_columns(self._vector._bits ^ self._active)
+        self._toggle_columns(self._vector._bits ^ self._active, self._lanes[1], self.n)
         self._synced = True
 
     def set_output(self) -> None:
@@ -648,13 +702,11 @@ class MvpMachine:
                     self._clear_section(i)
         else:
             blocked = self._blocked = self._blocked_rows()
-            self._log.charge(self._sense_category, self.n)
             clear = self.n - blocked.bit_count()
+            self._log._add(self._lanes[2] + (clear << _OUTPUT_SWITCH_SHIFT), self.n + clear)
             # Sections start at 1 (the home check above proved it) and flip
-            # to 0 on the clear rows, so a stroke with none writes and
-            # charges nothing.
+            # to 0 on the clear rows, so a stroke with none writes nothing.
             if clear:
-                self._log.charge(_OUTPUT_SWITCH, clear)
                 self._sections = bytearray(_flags(blocked, self.n))
         self._output_set = True
 
@@ -662,7 +714,7 @@ class MvpMachine:
         """Read the output vector (n operations, non-destructive)."""
         if not self._output_set:
             raise MachineStateError("report_output called before set_output")
-        self._log.charge(_OUTPUT_COORD_REPORT, self.n)
+        self._log._add(self._lanes[3], self.n)
         if 0 in self._sections:
             return BitVector._of(_mask(self._sections), self.n)
         return self._ones
@@ -675,7 +727,8 @@ class MvpMachine:
         nothing observable. Column activation is untouched, so a following
         set_output (no resync needed) recomputes the same output."""
         flipped = self._sections.count(0)
-        self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped)
+        self._log._add(self._lanes[4] + (flipped << _RESET_STEP_SHIFT),
+                       self.n * self._return_steps + flipped)
         if flipped:
             self._sections = bytearray(b"\x01") * self.n
         self._output_set = False

@@ -101,7 +101,7 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     extra bookkeeping; column activation is left matching `v`. Charges at
     most 8n operations; in parallel mode, exactly six phases.
     """
-    log = machine.oplog
+    log = machine._log
     before = log.snapshot()
     if mode is _SEQ:
         machine.load_vector(v)
@@ -109,13 +109,14 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
         machine.set_output()
         result = machine.report_output()
         machine.reset_output()
-    else:
-        _require_parallel(machine, mode)
+    elif mode is _PAR and machine.supports_parallel:
         machine.parallel_load_vector(v)
         machine.parallel_sync()
         machine.parallel_ladder_step()
         result = machine.parallel_report_output()
         machine.parallel_reset_output()
+    else:
+        _require_parallel(machine, mode)  # raises: this mode cannot run here
     return _report(machine, mode, result, log.since(before))
 
 
@@ -130,11 +131,12 @@ def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SE
     (DimensionError), is refused before anything is charged.
     """
     _operand(b, BitMatrix, _operand(a, BitMatrix, None, "left-hand matrix").n, "right-hand matrix")
-    before = machine.oplog.snapshot()
+    log = machine._log
+    before = log.snapshot()
     if mode is _SEQ:
         machine.load_matrix(a)
     else:
         _require_parallel(machine, mode)
         machine.parallel_load_matrix(a)
     result = BitMatrix._of(tuple([matvec(machine, col, mode).result._bits for col in b.columns()]))
-    return _report(machine, mode, result, machine.oplog.since(before))
+    return _report(machine, mode, result, log.since(before))

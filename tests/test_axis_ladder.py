@@ -195,13 +195,9 @@ class TestOutputMechanism:
         n = 4
         m = cls(n)
         log = m.oplog
-        with log.phase():
-            m.load_matrix(BitMatrix.zeros(n))
-        with log.phase():
-            m.load_vector(BitVector.ones(n))
-            m.sync_columns()
-        with log.phase():
-            assert m.move_ladder(n - 1)  # every row is clear: ladder 3 stays away
+        log.phase(m.load_matrix, BitMatrix.zeros(n))
+        log.phase(lambda: (m.load_vector(BitVector.ones(n)), m.sync_columns()))
+        assert log.phase(m.move_ladder, n - 1)  # every row is clear: ladder 3 stays away
         before = log.snapshot()
         with pytest.raises(MachineStateError, match="set_output called before reset_output"):
             if parallel:
@@ -268,8 +264,7 @@ class TestParallelDrive:
                 assert m.oplog.snapshot() == before
 
         def load_in_open_phase():
-            with m.oplog.phase():
-                m.parallel_load_matrix(A4)
+            m.oplog.phase(m.parallel_load_matrix, A4)
 
         assert_refused(
             lambda: m.parallel_load_matrix(BitMatrix.identity(3)),
@@ -355,9 +350,7 @@ class TestParallelDrive:
         call(m.parallel_reset_output)
         call(m.reset_output)
         with pytest.raises(MachineStateError):
-            with log.phase():
-                with log.phase():
-                    pass
+            log.phase(log.phase, lambda: None)
         call(m.load_matrix, BitMatrix.identity(4))
         ops = log.snapshot()
         assert ops.phase_ops[-4:] == (2, 2, 5, 5)  # release, rotate, jam, reset

@@ -329,10 +329,8 @@ class TestOpLog:
 
     def test_snapshot_subtraction_requires_shared_history(self):
         a, b = OpLog(), OpLog()
-        with a.phase():
-            a.charge(OpCategory.LADDER_MOVE, 2)
-        with b.phase():
-            b.charge(OpCategory.SCAN_STEP)
+        a.phase(a.charge, OpCategory.LADDER_MOVE, 2)
+        b.phase(b.charge, OpCategory.SCAN_STEP)
         with pytest.raises(ValueError):  # phase shapes disagree
             b.snapshot() - a.snapshot()
         c = OpLog()
@@ -353,11 +351,9 @@ class TestOpLog:
 
     def test_subtraction_drops_shared_phases(self):
         log = OpLog()
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
         first = log.snapshot()
-        with log.phase():
-            log.charge(OpCategory.LADDER_MOVE, 5)
+        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
         delta = log.snapshot() - first
         assert delta.phase_ops == (5,)
         assert delta.parallel_phases == 1
@@ -366,8 +362,7 @@ class TestOpLog:
     def test_snapshots_of_one_state_are_equal(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
         first = log.snapshot()
         assert log.snapshot() == first
         log.charge(OpCategory.SCAN_STEP)
@@ -376,15 +371,13 @@ class TestOpLog:
 
     def test_snapshot_is_immutable(self):
         log = OpLog()
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
         snap = log.snapshot()
         with pytest.raises(AttributeError):
             snap.phase_ops = ()
         with pytest.raises(AttributeError):
             snap.counts = {}
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 3)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
         assert snap.phase_ops == (2,)
         assert snap.parallel_phases == 1
         assert snap.total == 2
@@ -392,12 +385,10 @@ class TestOpLog:
     def test_delta_of_deltas(self):
         log = OpLog()
         start = log.snapshot()
-        with log.phase():
-            log.charge(OpCategory.LADDER_MOVE, 2)
+        log.phase(log.charge, OpCategory.LADDER_MOVE, 2)
         middle = log.snapshot()
         log.charge(OpCategory.CELL_LOAD)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 3)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
         end = log.snapshot()
         delta = (end - start) - (middle - start)
         assert delta == end - middle
@@ -408,12 +399,10 @@ class TestOpLog:
 
     def test_delta_from_a_built_snapshot(self):
         log = OpLog()
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
         built = OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.SCAN_STEP: 2}, (2,))
         assert log.snapshot() == built
-        with log.phase():
-            log.charge(OpCategory.LADDER_MOVE, 5)
+        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
         delta = log.snapshot() - built
         assert delta == OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.LADDER_MOVE: 5}, (5,))
         assert log.snapshot() - OpCounts(dict.fromkeys(OpCategory, 0)) == log.snapshot()
@@ -470,16 +459,13 @@ class TestOpLog:
     def test_since_any_other_snapshot_agrees_with_subtraction(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
         snap = log.snapshot()
         other = OpLog()
-        with other.phase():
-            other.charge(OpCategory.SCAN_STEP, 1)
+        other.phase(other.charge, OpCategory.SCAN_STEP, 1)
         bigger = OpLog()
         bigger.charge(OpCategory.LADDER_MOVE, 9)
-        with log.phase():
-            log.charge(OpCategory.LADDER_MOVE, 5)
+        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
         befores = (
             snap, snap - OpCounts({}), pickle.loads(pickle.dumps(snap)), copy.deepcopy(snap),
             OpCounts({OpCategory.CELL_LOAD: 4, OpCategory.SCAN_STEP: 2}, (2,)), OpCounts({}),
@@ -594,12 +580,15 @@ class TestOpLog:
                 charge(step[1], step[2])
             elif kind == "phase":
                 _, charges, raises = step
+
+                def motion():
+                    for _, category, amount in charges:
+                        charge(category, amount)
+                    if raises:
+                        raise RuntimeError("motion refused")
+
                 with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-                    with log.phase():
-                        for _, category, amount in charges:
-                            charge(category, amount)
-                        if raises:
-                            raise RuntimeError("motion refused")
+                    log.phase(motion)
                 charged = sum(amount for _, _, amount in charges)
                 if charged or not raises:
                     phases.append(charged)
@@ -631,8 +620,7 @@ class TestOpLog:
     def test_earlier_minus_later_is_refused(self):
         log = OpLog()
         earlier = log.snapshot()
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP)
+        log.phase(log.charge, OpCategory.SCAN_STEP)
         with pytest.raises(ValueError, match="do not share a machine history"):
             earlier - log.snapshot()
 
@@ -641,8 +629,7 @@ class TestOpLog:
         # only a phase that charged nothing: a slice alone would read empty.
         log = OpLog()
         earlier = log.snapshot()
-        with log.phase():
-            pass
+        log.phase(lambda: None)
         later = log.snapshot()
         assert later.phase_ops == (0,)
         with pytest.raises(ValueError, match="do not share a machine history"):
@@ -661,21 +648,17 @@ class TestOpLog:
     def test_phases_do_not_nest(self):
         log = OpLog()
         with pytest.raises(MachineStateError):
-            with log.phase():
-                with log.phase():
-                    pass
+            log.phase(log.phase, lambda: None)
 
     def test_charge_phases_records_equal_phases_in_one_call(self):
-        # The same ledger as k phase() blocks that charge `amount` each.
+        # The same ledger as k phase() calls that charge `amount` each.
         bulk, blocks = OpLog(), OpLog()
         for log in (bulk, blocks):
-            with log.phase():
-                log.charge(OpCategory.COLUMN_DEACTIVATE, 2)
+            log.phase(log.charge, OpCategory.COLUMN_DEACTIVATE, 2)
         before = bulk.snapshot()
         bulk.charge_phases(OpCategory.CELL_LOAD, 5, 3)
         for _ in range(3):
-            with blocks.phase():
-                blocks.charge(OpCategory.CELL_LOAD, 5)
+            blocks.phase(blocks.charge, OpCategory.CELL_LOAD, 5)
         ops = bulk.snapshot()
         assert ops == blocks.snapshot()
         assert ops.count(OpCategory.CELL_LOAD) == 15 and ops.total == 17
@@ -690,24 +673,28 @@ class TestOpLog:
 
     def test_charge_phases_is_refused_inside_an_open_phase(self):
         log = OpLog()
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 4)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 4)
         earlier = log.snapshot()
         with pytest.raises(MachineStateError, match="inside an open parallel phase"):
-            with log.phase():
-                log.charge_phases(OpCategory.CELL_LOAD, 3, 2)
+            log.phase(log.charge_phases, OpCategory.CELL_LOAD, 3, 2)
         # The refused call charged nothing, so its phase is not recorded.
         assert log.snapshot() == earlier
         assert earlier.phase_ops == (4,) and earlier.total == 4
         assert log.since(earlier) == OpCounts({})
 
-    @pytest.mark.parametrize("amount,phases", [(-1, 2), (3, -1)], ids=["amount", "phases"])
+    @pytest.mark.parametrize(
+        "amount,phases",
+        [(-1, 2), (3, -1), (True, 2), (3, True), (2.0, 2), (3, 2.0), (3, None)],
+        ids=["amount", "phases", "bool-amount", "bool-phases", "float-amount", "float-phases",
+             "none-phases"],
+    )
     def test_charge_phases_refuses_a_negative_amount_or_count(self, amount, phases):
-        # A negative charge would borrow from the next category's lane.
+        # A negative charge would borrow from the next category's lane; a
+        # bool would be recorded as a phase entry that no snapshot can be
+        # rebuilt from, and a float cannot be shifted to a lane.
         log = OpLog()
         log.charge(OpCategory.VECTOR_COORD_LOAD, 5)
-        with log.phase():
-            log.charge(OpCategory.SCAN_STEP, 4)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 4)
         earlier = log.snapshot()
         with pytest.raises(ValueError, match="amounts >= 0"):
             log.charge_phases(OpCategory.CELL_LOAD, amount, phases)
@@ -717,13 +704,17 @@ class TestOpLog:
 
     def test_raising_phase_is_recorded_only_if_it_charged(self):
         log = OpLog()
+        def jammed():
+            log.charge(OpCategory.LADDER_MOVE, 3)
+            raise RuntimeError("stroke jammed")
+
+        def refused():
+            raise RuntimeError("motion refused")
+
         with pytest.raises(RuntimeError):
-            with log.phase():
-                log.charge(OpCategory.LADDER_MOVE, 3)
-                raise RuntimeError("stroke jammed")
+            log.phase(jammed)
         with pytest.raises(RuntimeError):
-            with log.phase():
-                raise RuntimeError("motion refused")
+            log.phase(refused)
         ops = log.snapshot()
         assert ops.total == 3
         assert ops.phase_ops == (3,)
@@ -732,10 +723,12 @@ class TestOpLog:
     def test_ledger_is_not_read_inside_a_phase(self, read):
         log = OpLog()
         start = log.snapshot()
+        def charge_and_read():
+            log.charge(OpCategory.SCAN_STEP, 5)
+            log.snapshot() if read == "snapshot" else log.since(start)
+
         with pytest.raises(MachineStateError, match=f"{read} inside an open parallel phase"):
-            with log.phase():
-                log.charge(OpCategory.SCAN_STEP, 5)
-                log.snapshot() if read == "snapshot" else log.since(start)
+            log.phase(charge_and_read)
         log.charge(OpCategory.SCAN_STEP, 3)
         ops = log.since(start)
         assert ops == log.snapshot() - start

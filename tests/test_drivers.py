@@ -130,11 +130,21 @@ class TestSequentialCosts:
         m.load_matrix(a)
         assert matvec(m, v).ops.total <= 8 * a.n
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 17, 32, 64])
     def test_matmul_worst_case_exact(self, n):
         b = alternating_columns(n)
-        assert matmul(AxisLadderMachine(n), BitMatrix.ones(n), b).ops.total == 8 * n * n
-        assert matmul(WallLightMachine(n), BitMatrix.ones(n), b).ops.total == 7 * n * n
+        # An odd n ends on an all-ones column, whose pass costs n less.
+        odd = n % 2 * n
+        assert matmul(AxisLadderMachine(n), BitMatrix.ones(n), b).ops.total == 8 * n * n - odd
+        assert matmul(WallLightMachine(n), BitMatrix.ones(n), b).ops.total == 7 * n * n - odd
+        # A zero `a` leaves every row clear and the alternating columns
+        # toggle every column each pass, so every sequential axis pass costs
+        # 8n and the product attains the 9n^2 bound; a parallel pass skips
+        # the ScanStep and a wall pass the return steps.
+        zeros = BitMatrix.zeros(n)
+        assert matmul(AxisLadderMachine(n), zeros, b).ops.total == 9 * n * n
+        assert matmul(AxisLadderMachine(n), zeros, b, Mode.PAR).ops.total == 8 * n * n
+        assert matmul(WallLightMachine(n), zeros, b).ops.total == 8 * n * n
 
     @given(matrix_pairs(max_n=6))
     @settings(max_examples=40, deadline=None)

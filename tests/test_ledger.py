@@ -127,24 +127,35 @@ def test_seeded_matmul(backend, mode, n, density):
 @pytest.mark.parametrize("n", [2, 17, 64])
 def test_each_sequential_operation_charges_each_category_once(cls, n):
     # Bulk charging: a contract operation counts each category's amount
-    # from the masks and charges it in one ledger call, whatever n is. The
-    # parallel drives (a charge per phase) and per-row machines (a charge
-    # per sensed row) are left out: they charge more often by design.
+    # from the masks and makes one ledger write, an `_add` of all its
+    # lanes, whatever n is; a load adds its n^2 CellLoad in one `charge`
+    # beside the `_add` of its release. The parallel drives (a write per
+    # phase) and per-row machines (a charge per sensed row) are left out:
+    # they write more often by design.
     rng = Random(f"bulk:{n}")
     a, b = BitMatrix.random(n, rng, 0.1), BitMatrix.random(n, rng, 0.3)
     m = cls(n)
-    calls: list[OpCategory] = []
-    charge = m.oplog.charge
-    m.oplog.charge = lambda category, amount=1: (calls.append(category), charge(category, amount))
+    writes: list[tuple[str, list[OpCategory]]] = []
+    log = m.oplog
+    charge, add = log.charge, log._add
 
-    def run(step, *args) -> None:
-        calls.clear()
+    def spy_add(lanes, total):
+        writes.append(("_add", [c for k, c in enumerate(OpCategory) if lanes >> 64 * k & (1 << 64) - 1]))
+        add(lanes, total)
+
+    log.charge = lambda category, amount=1: (writes.append(("charge", [category])), charge(category, amount))
+    log._add = spy_add
+
+    def run(step, *args, kinds=("_add",)) -> None:
+        writes.clear()
         step(*args)
-        assert len(calls) == len(set(calls)), (step.__name__, calls)
+        assert tuple(kind for kind, _ in writes) == kinds, (step.__name__, writes)
+        categories = [c for _, written in writes for c in written]
+        assert len(categories) == len(set(categories)), (step.__name__, writes)
 
     # The second load also releases the columns the last pass left active.
     for matrix in (a, b):
-        run(m.load_matrix, matrix)
+        run(m.load_matrix, matrix, kinds=("_add", "charge"))
         for v in b.columns():
             run(m.load_vector, v)
             for step in (m.sync_columns, m.set_output, m.report_output, m.reset_output):

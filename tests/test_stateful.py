@@ -56,9 +56,12 @@ class MachineModel(RuleBasedStateMachine):
     def build(self, cls, n):
         self.m = cls(n)
         # Every charge must be an int >= 0: a negative one would borrow
-        # from the next category's lane and show as another's count.
+        # from the next category's lane and show as another's count. A bulk
+        # `_add` must hold every lane >= 0 (one that borrowed reads as a
+        # lane near 2**64), and its total, from which phases are measured,
+        # must be the sum of its lanes.
         log = self.m.oplog
-        charge, charge_phases = log.charge, log.charge_phases
+        charge, charge_phases, add = log.charge, log.charge_phases, log._add
 
         def checked_charge(category, amount=1):
             assert type(amount) is int and amount >= 0, (category, amount)
@@ -68,7 +71,13 @@ class MachineModel(RuleBasedStateMachine):
             assert type(amount) is type(phases) is int and min(amount, phases) >= 0, (amount, phases)
             charge_phases(category, amount, phases)
 
-        log.charge, log.charge_phases = checked_charge, checked_charge_phases
+        def checked_add(lanes, total):
+            assert type(lanes) is type(total) is int and 0 <= lanes < 1 << 64 * len(OpCategory), lanes
+            amounts = [lanes >> 64 * k & (1 << 64) - 1 for k in range(len(OpCategory))]
+            assert total == sum(amounts), (amounts, total)
+            add(lanes, total)
+
+        log.charge, log.charge_phases, log._add = checked_charge, checked_charge_phases, checked_add
         self.n = n
         self.axis = isinstance(self.m, AxisLadderMachine)
         self.a = BitMatrix.zeros(n)
@@ -272,13 +281,7 @@ class MachineModel(RuleBasedStateMachine):
     @rule()
     def refused_phase(self):
         log = self.m.oplog
-
-        def call():
-            with log.phase():
-                with log.phase():
-                    pass
-
-        self.run(call, refused=MachineStateError, phased=True)
+        self.run(lambda: log.phase(log.phase, lambda: None), refused=MachineStateError, phased=True)
 
     @invariant()
     def agrees_with_the_shadow(self):

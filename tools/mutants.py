@@ -48,15 +48,15 @@ MUTANTS = (
     Mutant(
         "reset-step overcharge at n > 16",
         "contract.py",
-        "self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped)",
-        "self._log.charge(_RESET_STEP, self.n * self._return_steps + flipped + (self.n > 16))",
+        "flipped = self._sections.count(0)",
+        "flipped = self._sections.count(0) + (self.n > 16)",
         ("test_ledger.py",),
     ),
     Mutant(
         "output-switch overcharge at n > 40",
         "contract.py",
-        "self._log.charge(_OUTPUT_SWITCH, clear)",
-        "self._log.charge(_OUTPUT_SWITCH, clear + (self.n > 40))",
+        "(clear << _OUTPUT_SWITCH_SHIFT), self.n + clear)",
+        "(clear + (self.n > 40) << _OUTPUT_SWITCH_SHIFT), self.n + clear + (self.n > 40))",
         ("test_ledger.py",),
     ),
     Mutant(
@@ -153,14 +153,14 @@ MUTANTS = (
     Mutant(
         "a phase never closes",
         "contract.py",
-        "        self._phase_start = None\n        if exc_type",
-        "        if exc_type",
+        "        self._phase_start = None\n        self._phase_ops.append(self._total - start)\n",
+        "        self._phase_ops.append(self._total - start)\n",
         ("test_contract.py",),
     ),
     Mutant(
         "a raising phase always recorded",
         "contract.py",
-        "if exc_type is None or charged:",
+        "if self._total != start:",
         "if True:",
         ("test_contract.py",),
     ),
@@ -172,6 +172,27 @@ MUTANTS = (
         ("test_contract.py",),
     ),
     Mutant(
+        "a raising phase step recorded without a charge",
+        "contract.py",
+        "                self._phase_ops.append(self._total - start)\n",
+        "                self._phase_ops.append(0)\n",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "sensing lane built for OutputSwitch",
+        "contract.py",
+        "n << _SHIFT[self._sense_category]",
+        "n << _SHIFT[_OUTPUT_SWITCH]",
+        ("test_ledger.py",),
+    ),
+    Mutant(
+        "an `_add` total one short of its lanes",
+        "contract.py",
+        "self._lanes[1], self.n)",
+        "self._lanes[1], self.n - 1)",
+        ("test_stateful.py",),
+    ),
+    Mutant(
         "the bulk load records one phase fewer",
         "contract.py",
         "self._phase_ops.extend([amount] * phases)",
@@ -181,9 +202,8 @@ MUTANTS = (
     Mutant(
         "a parallel load marks the machine loaded before entering its phase",
         "axis_ladder.py",
-        "        with self._log.phase():\n            self._load_columns(a)\n",
-        "        self._matrix_loaded = True\n        with self._log.phase():\n"
-        "            self._load_columns(a)\n",
+        "        self._log.phase(self._load_columns, a)\n",
+        "        self._matrix_loaded = True\n        self._log.phase(self._load_columns, a)\n",
         ("test_axis_ladder.py",),
     ),
     Mutant(
@@ -259,8 +279,8 @@ MUTANTS = (
     Mutant(
         "since subtracts the wrong way round",
         "contract.py",
-        "_ops(self._counts - before._counts,",
-        "_ops(before._counts - self._counts,",
+        "_set_counts(ops, self._counts - before._counts)",
+        "_set_counts(ops, before._counts - self._counts)",
         ("test_contract.py",),
     ),
     Mutant(
