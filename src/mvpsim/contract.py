@@ -118,23 +118,23 @@ class OpCounts:
     either order, raises TypeError. Equal snapshots hash alike, so a
     RunReport that holds one can be hashed.
 
-    A snapshot taken by `OpLog.snapshot()` copies nothing: it holds the
+    Every value is built by `_ops`, from an int of lanes and a phase list
+    that it does not copy. A snapshot taken by `OpLog.snapshot()` holds the
     log's int and its phase list, which only ever grows, and the list's
-    length at the time. A delta holds the phases past the subtracted
-    snapshot's length. When both are snapshots of one log and the
-    subtracted one was taken no later, that needs no history check and no
-    lane can borrow, so `OpLog.since` costs one int subtraction plus the
-    phases in the interval. Subtraction decodes both sides, since for any
-    other pair (snapshots of two logs, built or unpickled ones, or a
-    snapshot minus a later one) no count may go negative and the
-    subtracted phase history must be a prefix of the other. Either
-    failure raises ValueError.
+    length at the time; a delta holds the difference of the ints and the
+    phases past the subtracted value's length. Subtraction has one rule,
+    for any pair: no count may go negative and the subtracted phase
+    history must be a prefix of the other, or it raises ValueError; when
+    it holds, no lane can borrow from the next. The prefix check reads the
+    whole subtracted history, so its cost grows with the log's phases.
+    `OpLog.since` builds a delta from a snapshot of its own log without
+    that check, which such a snapshot always passes.
 
-    Building one by hand (and unpickling one) refuses with ValueError an
-    unknown category, any count or phase entry that is not an int >= 0, a
-    bool included, and any count that does not fit its lane, 2**64 or
-    more. Snapshots and deltas hold only what a log counted and are built
-    unchecked by `_ops`.
+    Building one by hand (and unpickling one) checks the counts before
+    `_ops` builds it: it refuses with ValueError an unknown category, any
+    count or phase entry that is not an int >= 0, a bool included, and any
+    count that does not fit its lane, 2**64 or more. Snapshots and deltas
+    hold only what a log counted and are built unchecked.
     """
 
     __slots__ = ("_counts", "_phases", "_stop")
@@ -197,9 +197,8 @@ class OpCounts:
         if not isinstance(earlier, OpCounts):
             return NotImplemented
         start = earlier._stop
-        shared = earlier._phases is self._phases and start <= self._stop
         counts = tuple(map(sub, _lanes(self._counts), _lanes(earlier._counts)))
-        if min(counts) < 0 or not shared and self.phase_ops[:start] != earlier.phase_ops:
+        if min(counts) < 0 or self.phase_ops[:start] != earlier.phase_ops:
             raise ValueError("snapshots do not share a machine history")
         # No lane is below its counterpart, so no lane borrows from the next.
         return _ops(self._counts - earlier._counts, self._phases[start : self._stop])
@@ -308,37 +307,27 @@ class OpLog:
         self._phase_ops.extend([amount] * phases)
 
     def snapshot(self) -> OpCounts:
-        """The whole ledger. Refused with MachineStateError while a phase
-        is open: its charges are in the counts but in no recorded phase
-        yet, so a snapshot there would disagree with its own phases. It
-        fills the slots as `_ops` does, inline: one call fewer a pass, as
-        in `since`."""
+        """The whole ledger, built by `_ops` from the log's int and phase
+        list. Refused with MachineStateError while a phase is open: its
+        charges are in the counts but in no recorded phase yet, so a
+        snapshot there would disagree with its own phases."""
         if self._phase_start is not None:
             raise MachineStateError("snapshot inside an open parallel phase")
-        ops = _new(OpCounts)
-        _set_counts(ops, self._counts)
-        _set_phases(ops, self._phase_ops)
-        _set_stop(ops, len(self._phase_ops))
-        return ops
+        return _ops(self._counts, self._phase_ops)
 
     def since(self, before: OpCounts) -> OpCounts:
         """The operations charged after the snapshot `before`: equal to
-        `self.snapshot() - before`, without building the second snapshot.
-        A snapshot of this log needs no check, since its counts and phases
-        only grow; anything else is subtracted, with its history check, so
-        what is not a snapshot is a TypeError, as in subtraction. Refused,
-        like snapshot, while a phase is open."""
+        `self.snapshot() - before`, and built by `_ops` without the second
+        snapshot. A snapshot of this log needs no check, since its counts
+        and phases only grow; anything else is subtracted, under
+        subtraction's one rule, so what is not a snapshot is a TypeError,
+        as in subtraction. Refused, like snapshot, while a phase is open."""
         if self._phase_start is not None:
             raise MachineStateError("since inside an open parallel phase")
         phases = self._phase_ops
         if type(before) is not OpCounts or before._phases is not phases:
             return self.snapshot() - before
-        later = phases[before._stop :]
-        ops = _new(OpCounts)
-        _set_counts(ops, self._counts - before._counts)
-        _set_phases(ops, later)
-        _set_stop(ops, len(later))
-        return ops
+        return _ops(self._counts - before._counts, phases[before._stop :])
 
 
 class MvpMachine:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
 from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BACKEND_CLASSES = (AxisLadderMachine, WallLightMachine)
 # The three configurations a product runs in: backend and drive mode.
 CONFIGS = [("axis", Mode.SEQ), ("axis", Mode.PAR), ("wall", Mode.SEQ)]
@@ -36,6 +41,15 @@ class PerRowWallMachine(WallLightMachine):
     def observe_light(self, i: int) -> bool:
         self.sensed.append(i)
         return super().observe_light(i)
+
+
+def load_tool(name: str):
+    """The script `tools/<name>.py` as a module, registered in sys.modules
+    under `name` (its dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # Session scope: the value is a class, safe to share, and hypothesis

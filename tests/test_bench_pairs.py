@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
-
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
-bench_pairs = sys.modules["bench_pairs"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 METRICS = [{"name": "job_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
 

@@ -7,7 +7,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvpsim import (
@@ -29,14 +29,16 @@ from conftest import CONFIG_IDS, CONFIGS, matrix_vector_pairs
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
 
-# One step on an OpLog: a charge, a phase of charges (raising or not), a
-# run of equal phases, a snapshot (pickled or not), a delta since a taken
-# snapshot, or the subtraction of two taken snapshots, picked by index.
+# One step on an OpLog: a charge, a phase of charges (raising an Exception,
+# a BaseException that is not one, or nothing), a run of equal phases, a
+# snapshot (pickled or not), a delta since a taken snapshot, or the
+# subtraction of two taken snapshots, picked by index.
 _CHARGE = st.tuples(st.just("charge"), st.sampled_from(OpCategory), st.integers(0, 2**40))
 LEDGER_STEPS = st.lists(
     st.one_of(
         _CHARGE,
-        st.tuples(st.just("phase"), st.lists(_CHARGE, max_size=3), st.booleans()),
+        st.tuples(st.just("phase"), st.lists(_CHARGE, max_size=3),
+                  st.sampled_from((None, RuntimeError, KeyboardInterrupt))),
         st.tuples(st.just("charge_phases"), st.sampled_from(OpCategory), st.integers(0, 2**40),
                   st.integers(0, 3)),
         st.tuples(st.just("snapshot"), st.booleans()),
@@ -349,16 +351,6 @@ class TestOpLog:
             with pytest.raises(TypeError):
                 log.since(bad)
 
-    def test_subtraction_drops_shared_phases(self):
-        log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
-        first = log.snapshot()
-        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
-        delta = log.snapshot() - first
-        assert delta.phase_ops == (5,)
-        assert delta.parallel_phases == 1
-        assert delta.total == 5
-
     def test_snapshots_of_one_state_are_equal(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
@@ -550,6 +542,26 @@ class TestOpLog:
 
     @settings(max_examples=60)
     @given(LEDGER_STEPS)
+    # A later snapshot minus an earlier one holds only the phases between
+    # (test_subtraction_drops_shared_phases).
+    @example([("phase", [("charge", OpCategory.SCAN_STEP, 2)], None), ("snapshot", False),
+              ("phase", [("charge", OpCategory.LADDER_MOVE, 5)], None), ("snapshot", False),
+              ("sub", 2, 1)])
+    # An earlier snapshot minus a later one is refused
+    # (test_earlier_minus_later_is_refused).
+    @example([("phase", [("charge", OpCategory.SCAN_STEP, 1)], None), ("snapshot", False),
+              ("sub", 0, 1)])
+    # Refused too when the later snapshot adds no count, only a phase that
+    # charged nothing
+    # (test_earlier_minus_a_later_snapshot_past_an_empty_phase_is_refused).
+    @example([("phase", [], None), ("snapshot", False), ("sub", 0, 1)])
+    # A raising phase is recorded if and only if it charged
+    # (test_raising_phase_is_recorded_only_if_it_charged), and so is one
+    # that raises a BaseException; the next phase and snapshot succeed.
+    @example([("phase", [("charge", OpCategory.LADDER_MOVE, 3)], RuntimeError),
+              ("phase", [], RuntimeError)])
+    @example([("phase", [("charge", OpCategory.LADDER_MOVE, 3)], KeyboardInterrupt),
+              ("phase", [], KeyboardInterrupt), ("phase", [], None)])
     def test_ledger_agrees_with_a_plain_reference(self, steps):
         # The reference keeps the counts in a dict and the phases in a list;
         # `taken` holds every snapshot with the reference's state at the time.
@@ -585,9 +597,9 @@ class TestOpLog:
                     for _, category, amount in charges:
                         charge(category, amount)
                     if raises:
-                        raise RuntimeError("motion refused")
+                        raise raises("motion refused")
 
-                with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+                with pytest.raises(raises) if raises else contextlib.nullcontext():
                     log.phase(motion)
                 charged = sum(amount for _, _, amount in charges)
                 if charged or not raises:
@@ -601,6 +613,7 @@ class TestOpLog:
                 snap = log.snapshot()
                 taken.append((pickle.loads(pickle.dumps(snap)) if step[1] else snap,
                               dict(counts), tuple(phases)))
+                agrees(*taken[-1])
             elif kind == "since":
                 before = taken[step[1] % len(taken)][0]
                 assert log.since(before) == log.snapshot() - before
@@ -616,24 +629,6 @@ class TestOpLog:
             agrees(*now)
             for before in taken:
                 agrees(log.since(before[0]), *reference_delta(now, before))
-
-    def test_earlier_minus_later_is_refused(self):
-        log = OpLog()
-        earlier = log.snapshot()
-        log.phase(log.charge, OpCategory.SCAN_STEP)
-        with pytest.raises(ValueError, match="do not share a machine history"):
-            earlier - log.snapshot()
-
-    def test_earlier_minus_a_later_snapshot_past_an_empty_phase_is_refused(self):
-        # The later snapshot shares the log's phase list and adds no count,
-        # only a phase that charged nothing: a slice alone would read empty.
-        log = OpLog()
-        earlier = log.snapshot()
-        log.phase(lambda: None)
-        later = log.snapshot()
-        assert later.phase_ops == (0,)
-        with pytest.raises(ValueError, match="do not share a machine history"):
-            earlier - later
 
     def test_long_parallel_stream_delta_holds_only_its_phases(self):
         m = AxisLadderMachine(4)
@@ -701,23 +696,6 @@ class TestOpLog:
         assert log.snapshot() == earlier
         assert earlier.phase_ops == (4,) and earlier.total == 9
         assert log.since(earlier) == OpCounts({})
-
-    def test_raising_phase_is_recorded_only_if_it_charged(self):
-        log = OpLog()
-        def jammed():
-            log.charge(OpCategory.LADDER_MOVE, 3)
-            raise RuntimeError("stroke jammed")
-
-        def refused():
-            raise RuntimeError("motion refused")
-
-        with pytest.raises(RuntimeError):
-            log.phase(jammed)
-        with pytest.raises(RuntimeError):
-            log.phase(refused)
-        ops = log.snapshot()
-        assert ops.total == 3
-        assert ops.phase_ops == (3,)
 
     @pytest.mark.parametrize("read", ["snapshot", "since"])
     def test_ledger_is_not_read_inside_a_phase(self, read):

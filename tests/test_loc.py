@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
+from conftest import load_tool
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location("loc", os.path.join(ROOT, "tools", "loc.py"))
-loc = sys.modules["loc"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(loc)
+loc = load_tool("loc")
 
 FIXTURE = '''"""Module docstring,
 on two lines."""

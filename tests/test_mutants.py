@@ -2,21 +2,20 @@
 
 Running the mutants takes minutes and is its own CI step; this only checks
 that every substitution applies exactly once and names test files that
-exist, so a refactor that moves the code it breaks fails here first.
+exist, so a refactor that moves the code it breaks fails here first, and
+that no two mutants make the same edit.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import collections
 import os
-import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location("mutants", os.path.join(ROOT, "tools", "mutants.py"))
-mutants = sys.modules["mutants"] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
+from conftest import load_tool
+
+mutants = load_tool("mutants")
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
@@ -25,4 +24,9 @@ def test_mutant_applies_once(mutant):
         assert f.read().count(mutant.old) == 1
     assert mutant.old != mutant.new
     for name in mutant.tests:
-        assert os.path.isfile(os.path.join(ROOT, "tests", name))
+        assert os.path.isfile(os.path.join(mutants.ROOT, "tests", name))
+
+
+def test_no_two_mutants_make_the_same_edit():
+    edits = collections.Counter((m.path, m.old, m.new) for m in mutants.MUTANTS)
+    assert [edit for edit, k in edits.items() if k > 1] == []

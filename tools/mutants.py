@@ -237,15 +237,8 @@ MUTANTS = (
     Mutant(
         "another history subtracted unchecked",
         "contract.py",
-        "not shared and self.phase_ops[:start] != earlier.phase_ops",
+        "self.phase_ops[:start] != earlier.phase_ops",
         "False",
-        ("test_contract.py",),
-    ),
-    Mutant(
-        "a later snapshot of one log sliced as shared",
-        "contract.py",
-        " and start <= self._stop",
-        "",
         ("test_contract.py",),
     ),
     Mutant(
@@ -279,8 +272,15 @@ MUTANTS = (
     Mutant(
         "since subtracts the wrong way round",
         "contract.py",
-        "_set_counts(ops, self._counts - before._counts)",
-        "_set_counts(ops, before._counts - self._counts)",
+        "_ops(self._counts - before._counts,",
+        "_ops(before._counts - self._counts,",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "a phase interrupted by a BaseException left open",
+        "contract.py",
+        "except BaseException:",
+        "except Exception:",
         ("test_contract.py",),
     ),
     Mutant(
