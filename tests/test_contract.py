@@ -351,6 +351,16 @@ class TestOpLog:
             with pytest.raises(TypeError):
                 log.since(bad)
 
+    def test_subtraction_drops_shared_phases(self):
+        log = OpLog()
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        first = log.snapshot()
+        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
+        delta = log.snapshot() - first
+        assert delta.phase_ops == (5,)
+        assert delta.parallel_phases == 1
+        assert delta.total == 5
+
     def test_snapshots_of_one_state_are_equal(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
@@ -542,24 +552,9 @@ class TestOpLog:
 
     @settings(max_examples=60)
     @given(LEDGER_STEPS)
-    # A later snapshot minus an earlier one holds only the phases between
-    # (test_subtraction_drops_shared_phases).
-    @example([("phase", [("charge", OpCategory.SCAN_STEP, 2)], None), ("snapshot", False),
-              ("phase", [("charge", OpCategory.LADDER_MOVE, 5)], None), ("snapshot", False),
-              ("sub", 2, 1)])
-    # An earlier snapshot minus a later one is refused
-    # (test_earlier_minus_later_is_refused).
-    @example([("phase", [("charge", OpCategory.SCAN_STEP, 1)], None), ("snapshot", False),
-              ("sub", 0, 1)])
-    # Refused too when the later snapshot adds no count, only a phase that
-    # charged nothing
-    # (test_earlier_minus_a_later_snapshot_past_an_empty_phase_is_refused).
-    @example([("phase", [], None), ("snapshot", False), ("sub", 0, 1)])
-    # A raising phase is recorded if and only if it charged
-    # (test_raising_phase_is_recorded_only_if_it_charged), and so is one
-    # that raises a BaseException; the next phase and snapshot succeed.
-    @example([("phase", [("charge", OpCategory.LADDER_MOVE, 3)], RuntimeError),
-              ("phase", [], RuntimeError)])
+    # A phase that raises a BaseException is recorded if and only if it
+    # charged, as one raising an Exception is; the next phase and snapshot
+    # succeed.
     @example([("phase", [("charge", OpCategory.LADDER_MOVE, 3)], KeyboardInterrupt),
               ("phase", [], KeyboardInterrupt), ("phase", [], None)])
     def test_ledger_agrees_with_a_plain_reference(self, steps):
@@ -630,6 +625,24 @@ class TestOpLog:
             for before in taken:
                 agrees(log.since(before[0]), *reference_delta(now, before))
 
+    def test_earlier_minus_later_is_refused(self):
+        log = OpLog()
+        earlier = log.snapshot()
+        log.phase(log.charge, OpCategory.SCAN_STEP)
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            earlier - log.snapshot()
+
+    def test_earlier_minus_a_later_snapshot_past_an_empty_phase_is_refused(self):
+        # The later snapshot shares the log's phase list and adds no count,
+        # only a phase that charged nothing: a slice alone would read empty.
+        log = OpLog()
+        earlier = log.snapshot()
+        log.phase(lambda: None)
+        later = log.snapshot()
+        assert later.phase_ops == (0,)
+        with pytest.raises(ValueError, match="do not share a machine history"):
+            earlier - later
+
     def test_long_parallel_stream_delta_holds_only_its_phases(self):
         m = AxisLadderMachine(4)
         m.load_matrix(A4)
@@ -696,6 +709,23 @@ class TestOpLog:
         assert log.snapshot() == earlier
         assert earlier.phase_ops == (4,) and earlier.total == 9
         assert log.since(earlier) == OpCounts({})
+
+    def test_raising_phase_is_recorded_only_if_it_charged(self):
+        log = OpLog()
+        def jammed():
+            log.charge(OpCategory.LADDER_MOVE, 3)
+            raise RuntimeError("stroke jammed")
+
+        def refused():
+            raise RuntimeError("motion refused")
+
+        with pytest.raises(RuntimeError):
+            log.phase(jammed)
+        with pytest.raises(RuntimeError):
+            log.phase(refused)
+        ops = log.snapshot()
+        assert ops.total == 3
+        assert ops.phase_ops == (3,)
 
     @pytest.mark.parametrize("read", ["snapshot", "since"])
     def test_ledger_is_not_read_inside_a_phase(self, read):
