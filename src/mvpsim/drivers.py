@@ -5,8 +5,13 @@ report, reset) against a machine whose matrix is already loaded, and
 `matmul` computes a Boolean matrix product by streaming the right-hand
 matrix through such passes column by column. Both return a RunReport
 carrying the result together with the operations the run charged, taken
-as a snapshot delta so pre-existing ledger content never leaks in: one
-snapshot before the run, and `OpLog.since` of it after. The report's
+as a delta so pre-existing ledger content never leaks in. `matmul` takes
+one snapshot before the run and `OpLog.since` of it after; `matvec`,
+which every pass of a stream or a product runs, reads the log's counts
+int and the length of its phase list before the pass and builds its one
+OpCounts from their growth after it, as `since` would, without building
+a snapshot first. Both refuse inside an open parallel phase, as
+`OpLog.snapshot()` does, before anything is charged. The report's
 slots are filled through their descriptors, since the frozen dataclass's
 __init__ pays one object.__setattr__ a field, on every pass.
 Both refuse with ValueError, before anything is charged, a mode that is
@@ -26,7 +31,7 @@ from enum import Enum
 
 from .axis_ladder import AxisLadderMachine
 from .bits import BitMatrix, BitVector, _operand
-from .contract import MvpMachine, OpCounts
+from .contract import MachineStateError, MvpMachine, OpCounts, _ops
 from .wall_light import WallLightMachine
 
 
@@ -100,9 +105,16 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     The pass ends with the output mechanism reset, so passes chain without
     extra bookkeeping; column activation is left matching `v`. Charges at
     most 8n operations; in parallel mode, exactly six phases.
+
+    Its ops are the growth of the log's counts int and phase list over the
+    pass, built in one `_ops` call, as `OpLog.since` of a snapshot taken
+    before it would be. Refused inside an open phase, as `snapshot()` is.
     """
     log = machine._log
-    before = log.snapshot()
+    if log._phase_start is not None:
+        raise MachineStateError("snapshot inside an open parallel phase")
+    counts, phases = log._counts, log._phase_ops
+    start = len(phases)
     if mode is _SEQ:
         machine.load_vector(v)
         machine.sync_columns()
@@ -117,7 +129,7 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
         machine.parallel_reset_output()
     else:
         _require_parallel(machine, mode)  # raises: this mode cannot run here
-    return _report(machine, mode, result, log.since(before))
+    return _report(machine, mode, result, _ops(log._counts - counts, phases[start:]))
 
 
 def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SEQ) -> RunReport:

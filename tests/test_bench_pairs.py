@@ -59,6 +59,23 @@ def test_summary_per_workload_with_medians_quartiles_and_spread():
     assert row["ratio"] == pytest.approx(0.75)
     assert (row["change_wins"], row["parent_wins"], row["ties"]) == (5, 0, 0)
     assert row["beyond_spread"]  # 12 - 9 > 13 - 11
+    assert not row["worse_beyond_spread"]
     assert summary["w"]["ops_per_s"]["ties"] == 5
     assert not summary["w"]["ops_per_s"]["beyond_spread"]
     assert summary["other"]["job_ms"]["parent_wins"] == 1
+
+
+@pytest.mark.parametrize("shift, flagged", [(3.0, True), (0.5, False)],
+                         ids=["loss-beyond-spread", "loss-inside-spread"])
+def test_a_loss_beyond_the_parent_spread_is_flagged(shift, flagged):
+    # The change loses all 10 pairs in both metrics' directions: by 3 against
+    # a parent quartile spread of 1.75 (flagged), or by 0.5 (noise).
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 12.0]
+    pairs = [pair((p, 20 - p), (p + shift, 20 - p - shift)) for p in parent]
+    summary = bench_pairs.summarize(pairs, METRICS)["w"]
+    for name in ("job_ms", "ops_per_s"):
+        row = summary[name]
+        assert (row["change_wins"], row["parent_wins"], row["ties"]) == (0, 10, 0)
+        assert row["parent"]["q3"] - row["parent"]["q1"] == pytest.approx(1.75)
+        assert row["worse_beyond_spread"] is flagged
+        assert not row["beyond_spread"]

@@ -35,6 +35,7 @@ from mvpsim import (
     Mode,
     OpCategory,
     WallLightMachine,
+    matmul,
     matvec,
     oracle_matvec,
 )
@@ -278,10 +279,16 @@ class MachineModel(RuleBasedStateMachine):
         self.vector, self.synced = v, True
         self.active = {j for j in range(self.n) if v[j]}
 
-    @rule()
-    def refused_phase(self):
-        log = self.m.oplog
+    @rule(seed=SEEDS, density=DENSITIES, mode=st.sampled_from(Mode))
+    def refused_phase(self, seed, density, mode):
+        """No phase opens inside another, and neither driver runs inside
+        one: in any state and mode, each is refused before it charges or
+        records anything."""
+        log, m = self.m.oplog, self.m
+        v, a = self.vector_of(seed, density), BitMatrix.random(self.n, Random(seed), density)
         self.run(lambda: log.phase(log.phase, lambda: None), refused=MachineStateError, phased=True)
+        self.run(lambda: log.phase(matvec, m, v, mode), refused=MachineStateError, phased=True)
+        self.run(lambda: log.phase(matmul, m, a, a, mode), refused=MachineStateError, phased=True)
 
     @invariant()
     def agrees_with_the_shadow(self):

@@ -15,8 +15,10 @@ are in the output. For each workload and end-to-end metric it also holds
 the parent's and the change's medians and quartiles, and how many pairs
 each side won: a pair is won by the side whose value is strictly better in
 the metric's direction, and a tie counts for neither; and whether the gap
-between the medians, in the better direction, exceeds the spread between
-the parent's quartiles. The Python version, nproc and both commits are
+between the medians exceeds the spread between the parent's quartiles,
+in the better direction (`beyond_spread`) or the worse one
+(`worse_beyond_spread`, a regression beyond noise), both printed in the
+batch summary. The Python version, nproc and both commits are
 recorded too, with the files where the working tree differs from its
 commit. An existing --out file gets this invocation appended as one more
 batch. Standard library only.
@@ -73,10 +75,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             row["change_wins"] = sum(g > 0 for g in gain)
             row["parent_wins"] = sum(g < 0 for g in gain)
             row["ties"] = sum(g == 0 for g in gain)
-            # The change's median gain beats the spread of the parent's runs.
+            # The change's median gain, or loss, beats the spread of the parent's runs.
             parent = row["parent"]
-            row["beyond_spread"] = sign * (row["change"]["median"] - parent["median"]) \
-                > parent["q3"] - parent["q1"]
+            gap = sign * (row["change"]["median"] - parent["median"])
+            spread = parent["q3"] - parent["q1"]
+            row["beyond_spread"] = gap > spread
+            row["worse_beyond_spread"] = -gap > spread
             if row["parent"]["median"]:
                 row["ratio"] = row["change"]["median"] / row["parent"]["median"]
     return out
@@ -166,7 +170,9 @@ def main(argv=None) -> int:
         for name, row in table.items():
             print(f"{workload:13} {name:24} parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} ratio {row.get('ratio', float('nan')):.3f} "
-                  f"wins {row['change_wins']}/{row['pairs']} ties {row['ties']}")
+                  f"wins {row['change_wins']}/{row['pairs']} ties {row['ties']}"
+                  f"{' BEYOND SPREAD' if row['beyond_spread'] else ''}"
+                  f"{' WORSE BEYOND SPREAD' if row['worse_beyond_spread'] else ''}")
     return 0
 
 

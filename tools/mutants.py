@@ -90,21 +90,21 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "if count > 16 and blocked.bit_count() == self.n:",
-        "if count > 16:",
+        "if count > head and blocked.bit_count() == self.n:",
+        "if count > head:",
         ("test_engine.py",),
     ),
     Mutant(
         "early exit never taken",
         "contract.py",
-        "if count > 16 and blocked.bit_count() == self.n:",
+        "if count > head and blocked.bit_count() == self.n:",
         "if False:",
         ("test_engine.py",),
     ),
     Mutant(
         "16 ORs counted as all of them after an early exit",
         "contract.py",
-        "            count = 16\n",
+        "            count = head\n",
         "            pass\n",
         ("test_engine.py",),
     ),
@@ -237,8 +237,15 @@ MUTANTS = (
     Mutant(
         "another history subtracted unchecked",
         "contract.py",
-        "self.phase_ops[:start] != earlier.phase_ops",
+        "tuple(self._phases[:start]) != tuple(phases[:start])",
         "False",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "a longer history of the same log subtracted unchecked",
+        "contract.py",
+        "start > self._stop or ",
+        "",
         ("test_contract.py",),
     ),
     Mutant(
@@ -473,6 +480,20 @@ MUTANTS = (
         '_number(part, "--sizes")',
         "int(part)",
         ("test_cli.py",),
+    ),
+    Mutant(
+        "matvec's delta starts one phase late",
+        "drivers.py",
+        "phases[start:]",
+        "phases[start + 1 :]",
+        ("test_drivers.py",),
+    ),
+    Mutant(
+        "matvec reads the ledger inside an open phase",
+        "drivers.py",
+        'raise MachineStateError("snapshot inside an open parallel phase")',
+        "pass",
+        ("test_stateful.py",),
     ),
     Mutant(
         "the product helper ignores the mode",
