@@ -244,17 +244,18 @@ class OpLog:
     in one private `_add(lanes, total)` (see MvpMachine, Bulk charging).
     Everything else reads the log only through OpCounts: `snapshot()` for
     the whole ledger and `since(before)` for what was charged after the
-    snapshot `before`. The one other read is `drivers.matvec`'s, which
-    every pass makes: it keeps the counts int and the phase list's length
-    before the pass, refusing inside an open phase as `snapshot()` does,
-    and builds its delta by `_ops` from their growth, as `since` would,
-    without a snapshot. Counts and phases only grow: there is no way to wipe
-    a log, so every delta between two of its snapshots is a real interval
-    of the machine's work, and no lane of one ever borrows from the next
-    when the earlier is subtracted. The counts are one int, one 64-bit lane
-    per category (see OpCounts): a charge adds its amount shifted to its
-    category's lane, and `_add` adds amounts already shifted. Beside them
-    the log keeps their running sum, from which phases are measured.
+    snapshot `before`. The one exception is `drivers.matvec`, which every
+    pass runs: it takes a private `_mark()`, the counts int and the phase
+    count, refused inside an open phase as `snapshot()` is, and reads its
+    delta with `_since_mark(mark)`, as `since` would read it from a
+    snapshot, without building the snapshot. Counts and phases only grow:
+    there is no way to wipe a log, so every delta between two of its
+    snapshots is a real interval of the machine's work, and no lane of one
+    ever borrows from the next when the earlier is subtracted. The counts
+    are one int, one 64-bit lane per category (see OpCounts): a charge
+    adds its amount shifted to its category's lane, and `_add` adds
+    amounts already shifted. Beside them the log keeps their running sum,
+    from which phases are measured.
     """
 
     def __init__(self) -> None:
@@ -339,6 +340,22 @@ class OpLog:
             return self.snapshot() - before
         return _ops(self._counts - before._counts, phases[before._stop :])
 
+    def _mark(self) -> tuple[int, int]:
+        """What a snapshot would hold, the counts int and the phase count,
+        without building one: `_since_mark` of it is then `since` of that
+        snapshot. `drivers.matvec` takes one a pass. Refused, like
+        snapshot, while a phase is open."""
+        if self._phase_start is not None:
+            raise MachineStateError("snapshot inside an open parallel phase")
+        return self._counts, len(self._phase_ops)
+
+    def _since_mark(self, mark: tuple[int, int]) -> OpCounts:
+        """The operations charged after `mark` was taken, built by `_ops`
+        as `since` builds them. Unchecked: a mark of this log is always
+        behind it, and its one caller makes no call inside a phase."""
+        counts, start = mark
+        return _ops(self._counts - counts, self._phase_ops[start:])
+
 
 class MvpMachine:
     """Abstract matrix-vector processor.
@@ -412,25 +429,21 @@ class MvpMachine:
     (the last may hold fewer), the loaded columns give one table per
     group whose entry m is the OR of the group's columns that the bits of
     m select, so a read takes one lookup and one OR per group: n/8, all
-    C-level. A read ORs its first masks, 16 columns or, once the tables
-    are built, 4 table entries (32 columns), and stops there if every row
-    is blocked, as on a dense input it nearly always is; only otherwise
-    does it OR the rest. The 4 entries hold about the 16 active columns
-    of a vector of density 1/2, and stopping after them rather than 16
-    entries saves a dense read up to 12 lookups and ORs. Building the
-    tables takes 2^k - 1 ORs for a group of k columns, about 32n. They
-    are built inside `_blocked_rows()`, after the read with which the ORs
-    actually spent since the last load reach that cost, so the n reads of
-    a product that stay sparse (a few active columns a pass) or stop
-    after 16 columns never pay for them, while a longer stream on one load
-    does. The stream-matvec benchmark workload (n = 64, density 1/2, 4000
-    passes that each stop after 16 columns) builds them on pass 127 and
-    needs them: held off, its reads take about 1.6x as long and its
-    passes about 1.15x (timeit, and interleaved runs in one process, on a
-    shared 2-vCPU Xeon). They depend only on `_cols`, so they stay valid
-    across passes, and `_load_columns` voids them and the count once per
-    load, sequential or parallel. No operation is charged for them either
-    way.
+    C-level. A read ORs the first 16 masks (columns or table entries) and
+    stops there if every row is blocked, as on a dense input it nearly
+    always is; only otherwise does it OR the rest. Building the tables
+    takes 2^k - 1 ORs for a group of k columns, about 32n. They are built
+    inside `_blocked_rows()`, after the read with which the ORs actually
+    spent since the last load reach that cost, so the n reads of a product
+    that stay sparse (a few active columns a pass) or stop after 16 columns
+    never pay for them, while a longer stream on one load does. The
+    stream-matvec benchmark workload (n = 64, density 1/2, 4000 passes
+    that each stop after 16 columns) builds them on pass 127 and needs
+    them: held off, its reads take about 1.6x as long and its passes about
+    1.15x (timeit, and interleaved runs in one process, on a shared 2-vCPU
+    Xeon). They depend only on `_cols`, so they stay valid across passes,
+    and `_load_columns` voids them and the count once per load,
+    sequential or parallel. No operation is charged for them either way.
     A per-row stroke's n probes share one read, so it spends ORs as a bulk
     stroke does and builds the tables on the same pass.
 
@@ -586,25 +599,23 @@ class MvpMachine:
     def _blocked_rows(self) -> int:
         """The mask of rows holding a 1 in some active column: the OR of
         the active columns, or of one table entry per group once the tables
-        are built. The first `head` masks, 16 columns or 4 table entries,
-        are ORed, and the rest only if a row is still clear; a read of
-        `head` masks or fewer ORs them all in that one step, unsliced, and
-        tests no row. Without tables, the ORs spent (at most 16 after a
-        read that blocked every row) count toward their build, which
-        follows the read that reaches its cost: on pass 127 of the
-        stream-matvec workload, which needs them (see Blocked-row
-        tables)."""
+        are built. The first 16 masks are ORed, and the rest only if a row
+        is still clear; a read of 16 masks or fewer ORs them all in that one
+        step, unsliced, and tests no row. Without tables, the ORs
+        spent (at most 16 after a read that blocked every row) count toward
+        their build, which follows the read that reaches its cost: on pass
+        127 of the stream-matvec workload, which needs them (see
+        Blocked-row tables)."""
         active = self._active
         tables = self._tables
         if tables is None:
-            masks, count, head = compress(self._cols, _flags(active, self.n)), active.bit_count(), 16
+            masks, count = compress(self._cols, _flags(active, self.n)), active.bit_count()
         else:
-            masks = map(list.__getitem__, tables, active.to_bytes(len(tables), "little"))
-            count, head = len(tables), 4
-        blocked = reduce(or_, islice(masks, head) if count > head else masks, 0)
-        if count > head and blocked.bit_count() == self.n:
-            count = head
-        elif count > head:
+            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
+        blocked = reduce(or_, islice(masks, 16) if count > 16 else masks, 0)
+        if count > 16 and blocked.bit_count() == self.n:
+            count = 16
+        elif count > 16:
             blocked = reduce(or_, masks, blocked)
         if tables is None:
             self._ors += count

@@ -7,13 +7,13 @@ matrix through such passes column by column. Both return a RunReport
 carrying the result together with the operations the run charged, taken
 as a delta so pre-existing ledger content never leaks in. `matmul` takes
 one snapshot before the run and `OpLog.since` of it after; `matvec`,
-which every pass of a stream or a product runs, reads the log's counts
-int and the length of its phase list before the pass and builds its one
-OpCounts from their growth after it, as `since` would, without building
-a snapshot first. Both refuse inside an open parallel phase, as
-`OpLog.snapshot()` does, before anything is charged. The report's
-slots are filled through their descriptors, since the frozen dataclass's
-__init__ pays one object.__setattr__ a field, on every pass.
+which every pass of a stream or a product runs, takes the log's private
+mark (its counts int and phase count) before the pass and reads the delta
+from it after, so it builds one OpCounts a pass rather than two. Both
+refuse inside an open parallel phase, as `OpLog.snapshot()` does, before
+anything is charged. The report's slots are filled through their
+descriptors, since the frozen dataclass's __init__ pays one
+object.__setattr__ a field, on every pass.
 Both refuse with ValueError, before anything is charged, a mode that is
 not a Mode member and a parallel run on a backend without a parallel
 drive.
@@ -31,7 +31,7 @@ from enum import Enum
 
 from .axis_ladder import AxisLadderMachine
 from .bits import BitMatrix, BitVector, _operand
-from .contract import MachineStateError, MvpMachine, OpCounts, _ops
+from .contract import MvpMachine, OpCounts
 from .wall_light import WallLightMachine
 
 
@@ -106,15 +106,12 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
     extra bookkeeping; column activation is left matching `v`. Charges at
     most 8n operations; in parallel mode, exactly six phases.
 
-    Its ops are the growth of the log's counts int and phase list over the
-    pass, built in one `_ops` call, as `OpLog.since` of a snapshot taken
-    before it would be. Refused inside an open phase, as `snapshot()` is.
+    Its ops are `OpLog._since_mark` of a mark taken before the pass, which
+    equals `OpLog.since` of a snapshot taken there but builds one OpCounts,
+    not two. Refused inside an open phase, as `snapshot()` is.
     """
     log = machine._log
-    if log._phase_start is not None:
-        raise MachineStateError("snapshot inside an open parallel phase")
-    counts, phases = log._counts, log._phase_ops
-    start = len(phases)
+    mark = log._mark()
     if mode is _SEQ:
         machine.load_vector(v)
         machine.sync_columns()
@@ -129,7 +126,7 @@ def matvec(machine: MvpMachine, v: BitVector, mode: Mode = Mode.SEQ) -> RunRepor
         machine.parallel_reset_output()
     else:
         _require_parallel(machine, mode)  # raises: this mode cannot run here
-    return _report(machine, mode, result, _ops(log._counts - counts, phases[start:]))
+    return _report(machine, mode, result, log._since_mark(mark))
 
 
 def matmul(machine: MvpMachine, a: BitMatrix, b: BitMatrix, mode: Mode = Mode.SEQ) -> RunReport:

@@ -90,21 +90,21 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "if count > head and blocked.bit_count() == self.n:",
-        "if count > head:",
+        "if count > 16 and blocked.bit_count() == self.n:",
+        "if count > 16:",
         ("test_engine.py",),
     ),
     Mutant(
         "early exit never taken",
         "contract.py",
-        "if count > head and blocked.bit_count() == self.n:",
+        "if count > 16 and blocked.bit_count() == self.n:",
         "if False:",
         ("test_engine.py",),
     ),
     Mutant(
         "16 ORs counted as all of them after an early exit",
         "contract.py",
-        "            count = head\n",
+        "            count = 16\n",
         "            pass\n",
         ("test_engine.py",),
     ),
@@ -256,6 +256,21 @@ MUTANTS = (
         ("test_contract.py",),
     ),
     Mutant(
+        "matvec's delta starts one phase late",
+        "contract.py",
+        "self._phase_ops[start:]",
+        "self._phase_ops[start + 1 :]",
+        ("test_drivers.py",),
+    ),
+    Mutant(
+        "matvec reads the ledger inside an open phase",
+        "contract.py",
+        'raise MachineStateError("snapshot inside an open parallel phase")\n'
+        "        return self._counts, len(",
+        "pass\n        return self._counts, len(",
+        ("test_stateful.py",),
+    ),
+    Mutant(
         "since skips the shared-history fallback",
         "contract.py",
         "if type(before) is not OpCounts or before._phases is not phases:",
@@ -293,8 +308,9 @@ MUTANTS = (
     Mutant(
         "snapshot read inside an open phase",
         "contract.py",
-        'raise MachineStateError("snapshot inside an open parallel phase")',
-        "pass",
+        'raise MachineStateError("snapshot inside an open parallel phase")\n'
+        "        return _ops(",
+        "pass\n        return _ops(",
         ("test_contract.py",),
     ),
     Mutant(
@@ -480,20 +496,6 @@ MUTANTS = (
         '_number(part, "--sizes")',
         "int(part)",
         ("test_cli.py",),
-    ),
-    Mutant(
-        "matvec's delta starts one phase late",
-        "drivers.py",
-        "phases[start:]",
-        "phases[start + 1 :]",
-        ("test_drivers.py",),
-    ),
-    Mutant(
-        "matvec reads the ledger inside an open phase",
-        "drivers.py",
-        'raise MachineStateError("snapshot inside an open parallel phase")',
-        "pass",
-        ("test_stateful.py",),
     ),
     Mutant(
         "the product helper ignores the mode",
