@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
+from types import FunctionType
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,15 +18,17 @@ from mvpsim import (
     DimensionError,
     MachineStateError,
     Mode,
+    MvpMachine,
     OpCategory,
     OpCounts,
     OpLog,
+    WallLightMachine,
     make_machine,
     matmul,
     matvec,
     oracle_matvec,
 )
-from conftest import CONFIG_IDS, CONFIGS, matrix_vector_pairs
+from conftest import CONFIG_IDS, CONFIGS, PerRowAxisMachine, PerRowWallMachine, matrix_vector_pairs
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
 
@@ -311,6 +314,73 @@ class TestReadback:
         assert m.loaded_vector() == BitVector((1, 0, 0, 1))
 
 
+class _PlainWallMachine(WallLightMachine):
+    """Overrides nothing."""
+
+
+class _OwnReportWallMachine(_PlainWallMachine):
+    """Overrides one contract operation, below a class that has a copy of it."""
+
+    def report_output(self) -> BitVector:
+        return super().report_output()
+
+
+class _BelowOwnReportWallMachine(_OwnReportWallMachine):
+    """Inherits the override above."""
+
+
+class TestPerBackendCode:
+    # Each class and the MvpMachine functions it or a base overrides.
+    CLASSES = {
+        AxisLadderMachine: {"__init__"},
+        WallLightMachine: set(),
+        PerRowAxisMachine: {"__init__"},
+        PerRowWallMachine: {"__init__"},
+        _PlainWallMachine: set(),
+        _OwnReportWallMachine: {"report_output"},
+        _BelowOwnReportWallMachine: {"report_output"},
+    }
+    SHARED = {name: f for name, f in vars(MvpMachine).items() if type(f) is FunctionType}
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_class_runs_its_own_copy_of_the_shared_code(self, cls):
+        assert {"set_output", "load_vector", "_blocked_rows"} <= self.SHARED.keys()
+        for name, f in self.SHARED.items():
+            mine = getattr(cls, name)
+            if name in self.CLASSES[cls]:
+                assert mine.__code__ != f.__code__, name
+                continue
+            assert mine.__code__ == f.__code__ and mine.__code__ is not f.__code__, name
+            assert vars(cls)[name] is mine, name  # not a base's copy
+            assert (mine.__qualname__, mine.__doc__, mine.__module__) == (
+                f.__qualname__, f.__doc__, f.__module__), name
+            assert mine.__code__.co_firstlineno == f.__code__.co_firstlineno, name
+            assert (mine.__defaults__, mine.__kwdefaults__, mine.__annotations__) == (
+                f.__defaults__, f.__kwdefaults__, f.__annotations__), name
+            assert mine.__globals__ is f.__globals__, name
+
+    def test_an_override_is_kept_below_and_above(self):
+        assert _OwnReportWallMachine.report_output is vars(_OwnReportWallMachine)["report_output"]
+        assert _BelowOwnReportWallMachine.report_output is _OwnReportWallMachine.report_output
+        # A backend's own __init__ stays above a subclass that defines none.
+        assert AxisLadderMachine.__init__ is vars(AxisLadderMachine)["__init__"]
+        m = type("PlainAxisMachine", (AxisLadderMachine,), {})(3)
+        assert type(m).__init__ is AxisLadderMachine.__init__
+        assert m._ladder_shifted == bytearray(3)
+        assert type(MvpMachine.__dict__["oplog"]) is property and "oplog" not in vars(AxisLadderMachine)
+
+    @pytest.mark.parametrize("cls, per_row", [
+        (AxisLadderMachine, False), (WallLightMachine, False), (_OwnReportWallMachine, False),
+        (PerRowAxisMachine, True), (PerRowWallMachine, True),
+    ])
+    def test_copies_work_as_the_shared_code_and_leave_per_row_dispatch_alone(self, cls, per_row):
+        m = cls(4)
+        assert m._per_row is per_row
+        m.load_matrix(A4)
+        v = BitVector((1, 0, 0, 1))
+        assert run_pass(m, v) == oracle_matvec(A4, v)
+
+
 class TestOpLog:
     def test_total_is_sum_of_categories(self, machine_cls):
         m = machine_cls(3)
@@ -370,6 +440,34 @@ class TestOpLog:
         log.charge(OpCategory.SCAN_STEP)
         assert log.snapshot() != first
         assert first.total == 6 and first.phase_ops == (2,)
+
+    def test_snapshots_of_one_log_compare_and_hash_without_reading_a_phase(self):
+        class Unreadable(list):
+            def __getitem__(self, k):
+                raise AssertionError("a phase entry was read")
+
+            def __iter__(self):
+                raise AssertionError("the phases were iterated")
+
+        log = OpLog()
+        log._phase_ops = Unreadable()
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        first, again = log.snapshot(), log.snapshot()
+        assert first == again and hash(first) == hash(again)
+        log.charge_phases(OpCategory.SCAN_STEP, 0, 1)  # same counts, one phase more
+        assert log.snapshot() != first and hash(log.snapshot()) != hash(first)
+        log.charge(OpCategory.SCAN_STEP)
+        assert log.snapshot() != first
+
+    def test_values_over_other_phase_lists_compare_their_entries(self):
+        log = OpLog()
+        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
+        snap = log.snapshot()
+        built = OpCounts(snap.counts, (2, 3))
+        assert built == snap and snap == pickle.loads(pickle.dumps(snap))
+        assert hash(built) == hash(snap)
+        assert OpCounts(snap.counts, (3, 2)) != snap
 
     def test_snapshot_is_immutable(self):
         log = OpLog()

@@ -299,6 +299,41 @@ MUTANTS = (
         ("test_contract.py",),
     ),
     Mutant(
+        "values of one phase list equal past their own stops",
+        "contract.py",
+        "self._stop == other._stop and (",
+        "(",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "equal snapshots of one log compare their phase entries",
+        "contract.py",
+        "self._phases is other._phases or self.phase_ops",
+        "self.phase_ops",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "every backend shares MvpMachine's code objects",
+        "contract.py",
+        "                setattr(cls, name, copy)",
+        "                pass",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "a copy put over a base's override",
+        "contract.py",
+        'getattr(getattr(cls, name), "__code__", None) == f.__code__',
+        "name not in vars(cls)",
+        ("test_contract.py",),
+    ),
+    Mutant(
+        "a backend's subclass shares the backend's copies",
+        "contract.py",
+        'getattr(getattr(cls, name), "__code__", None) == f.__code__',
+        "getattr(cls, name) is f",
+        ("test_contract.py",),
+    ),
+    Mutant(
         "a phase interrupted by a BaseException left open",
         "contract.py",
         "except BaseException:",
