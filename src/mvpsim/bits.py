@@ -52,8 +52,10 @@ def _flags(mask: int, n: int) -> bytes:
 
 def _columns(digits: str | bytes, n: int) -> tuple[int, ...]:
     """The column masks of an n x n matrix given as its n*n digits '0'/'1'
-    in row-major order: column j is the stride slice digits[j::n]."""
-    return tuple([int(digits[j::n][::-1], 2) for j in range(n)])
+    in row-major order: column j, last row first, is the one reversed
+    stride slice digits[n*n - n + j::-n]."""
+    last = n * n - n
+    return tuple([int(digits[last + j :: -n], 2) for j in range(n)])
 
 
 class DimensionError(ValueError):

@@ -435,23 +435,34 @@ class MvpMachine:
     (the last may hold fewer), the loaded columns give one table per
     group whose entry m is the OR of the group's columns that the bits of
     m select, so a read takes one lookup and one OR per group: n/8, all
-    C-level. A read ORs the first 16 masks (columns or table entries) and
-    stops there if every row is blocked, as on a dense input it nearly
-    always is; only otherwise does it OR the rest. Building the tables
-    takes 2^k - 1 ORs for a group of k columns, about 32n. They are built
-    inside `_blocked_rows()`, after the read with which the ORs actually
-    spent since the last load reach that cost, so the n reads of a product
-    that stay sparse (a few active columns a pass) or stop after 16 columns
-    never pay for them, while a longer stream on one load does. The
-    stream-matvec benchmark workload (n = 64, density 1/2, 4000 passes
-    that each stop after 16 columns) builds them on pass 127 and needs
-    them: held off, its reads take about 1.6x as long and its passes about
-    1.15x (timeit, and interleaved runs in one process, on a shared 2-vCPU
-    Xeon). They depend only on `_cols`, so they stay valid across passes,
-    and `_load_columns` voids them and the count once per load,
-    sequential or parallel. No operation is charged for them either way.
-    A per-row stroke's n probes share one read, so it spends ORs as a bulk
-    stroke does and builds the tables on the same pass.
+    C-level. A group of k columns takes 2^k - 1 ORs to build, about 32n
+    for all of them. They are built in column order and in two parts: the
+    head, the 4 tables of columns 0-31 (1020 ORs), and the rest. A read of
+    more than 16 active columns ORs the head first and stops there if
+    every row is blocked, as on a dense input it nearly always is: at
+    density 1/2 the head holds some 16 active columns, which leave a row
+    clear with probability 2^-16, so every row is blocked on 99.6% of the
+    reads at n = 256 and 98.4% at n = 1024. Only otherwise does it OR the
+    rest. A read of 16 columns or fewer ORs them in one step, as the head
+    would save it little. Each part is built inside `_blocked_rows()`
+    after the read with which the column ORs it would have saved reach
+    its cost: those that longer reads spent on the head's columns for the
+    head, and all of them since the last load for the rest, which then
+    builds every table not yet built. So a fresh n = 256 product at
+    density 1/2 (the dense-matmul benchmark workload) builds the head on
+    pass 63 and reads 4 entries a pass from then on, and the rest never;
+    the n = 64 stream of the stream-matvec workload builds the head on
+    about pass 64 and never the rest; the density-0.1 products of
+    cli-bench build neither part; and a sparse matrix times dense vectors,
+    whose reads OR all their columns, builds both by about pass 64. In
+    process the head cuts a density-1/2 n = 256 product to 0.81-0.85x of
+    the time it takes with reads that OR 16 columns and no tables (timeit,
+    shared 2-vCPU Xeon). The tables depend only on `_cols`, so they stay
+    valid across passes, and `_load_columns` voids them and both counts
+    once per load, sequential or parallel. No operation is charged for
+    them either way. A per-row stroke's n probes share one read, so it
+    spends ORs as a bulk stroke does and builds each part on the same
+    pass.
 
     Per-row dispatch. Sensing is the one physical step a subclass models
     per row: a machine that senses differently, such as a fault-injection
@@ -555,11 +566,14 @@ class MvpMachine:
         # The report of a stroke that blocks every row, built once: values
         # are immutable, so every such report can be this one.
         self._ones = BitVector._of((1 << n) - 1, n)
-        # The blocked-row tables, the ORs spent without them since the
-        # last load, and the ORs their build takes.
-        self._tables: list[list[int]] | None = None
-        self._ors = 0
+        # The blocked-row tables built since the last load, in column order:
+        # none, the head's or all of them (see Blocked-row tables). The
+        # column ORs spent since the load, in all and by reads of more than
+        # 16 columns on the head's, and the ORs that building all takes.
+        self._tables: list[list[int]] = []
+        self._ors = self._head_ors = 0
         self._table_ors = 255 * (n // 8) + (1 << n % 8) - 1
+        self._groups = -(-n // 8)
         # The n-sized amounts of the bulk operations, each shifted to its
         # lane once (see Bulk charging): VectorCoordLoad, ScanStep, the
         # sensing category, OutputCoordReport and the ResetStep of the
@@ -635,42 +649,57 @@ class MvpMachine:
         self._blocked = None
 
     def _blocked_rows(self) -> int:
-        """The mask of rows holding a 1 in some active column: the OR of
-        the active columns, or of one table entry per group once the tables
-        are built. The first 16 masks are ORed, and the rest only if a row
-        is still clear; a read of 16 masks or fewer ORs them all in that one
-        step, unsliced, and tests no row. Without tables, the ORs
-        spent (at most 16 after a read that blocked every row) count toward
-        their build, which follows the read that reaches its cost: on pass
-        127 of the stream-matvec workload, which needs them (see
-        Blocked-row tables)."""
-        active = self._active
-        tables = self._tables
-        if tables is None:
-            masks, count = compress(self._cols, _flags(active, self.n)), active.bit_count()
+        """The mask of rows holding a 1 in some active column. A read of 16
+        active columns or fewer ORs them in one step, or one table entry per
+        group once every table is built. A longer read ORs the head first,
+        columns 0-31: its 4 table entries, or its active columns before it
+        is built. It stops there if every row is blocked; otherwise it ORs
+        the rest's entries or the active columns past 31, never the head's
+        again. The column ORs spent count toward the tables: the head is
+        built after the read with which those that longer reads spent on
+        its columns reach its cost, 1020, and the rest after the read with
+        which all of them reach the cost of every table (see Blocked-row
+        tables)."""
+        active, tables = self._active, self._tables
+        count = active.bit_count()
+        if len(tables) == self._groups:
+            masks = map(list.__getitem__, tables, active.to_bytes(len(tables), "little"))
+            blocked = reduce(or_, islice(masks, 4), 0) if count > 16 else 0
+            return blocked if blocked.bit_count() == self.n else reduce(or_, masks, blocked)
+        if count <= 16:
+            blocked = reduce(or_, compress(self._cols, _flags(active, self.n)), 0)
         else:
-            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
-        blocked = reduce(or_, islice(masks, 16) if count > 16 else masks, 0)
-        if count > 16 and blocked.bit_count() == self.n:
-            count = 16
-        elif count > 16:
-            blocked = reduce(or_, masks, blocked)
-        if tables is None:
-            self._ors += count
-            if self._ors >= self._table_ors:
-                self._tables = self._build_tables()
+            if tables:
+                blocked = (tables[0][active & 255] | tables[1][active >> 8 & 255]
+                           | tables[2][active >> 16 & 255] | tables[3][active >> 24 & 255])
+                count = 0
+            else:
+                head = active & 0xFFFFFFFF
+                blocked = reduce(or_, compress(self._cols, _flags(head, 32)), 0)
+                count = head.bit_count()
+                self._head_ors += count
+                if self._head_ors >= 1020:
+                    self._build_tables(32)
+            if blocked.bit_count() != self.n:
+                rest = active >> 32
+                cols = islice(self._cols, 32, None)
+                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 32)), blocked)
+                count += rest.bit_count()
+        self._ors += count
+        if self._ors >= self._table_ors:
+            self._build_tables(self.n)
         return blocked
 
-    def _build_tables(self) -> list[list[int]]:
-        """One table per group of 8 columns (the last may hold fewer): at
-        index m, the OR of the group's columns that the bits of m select."""
-        tables = []
-        for g in range(0, self.n, 8):
+    def _build_tables(self, stop: int) -> None:
+        """Append to `_tables` one table per group of 8 columns (the last
+        may hold fewer), from the first group not yet built up to column
+        `stop` or n, whichever comes first: at index m, the OR of the
+        group's columns that the bits of m select."""
+        for g in range(8 * len(self._tables), min(stop, self.n), 8):
             table = [0]
             for col in self._cols[g : g + 8]:
                 table += [x | col for x in table]
-            tables.append(table)
-        return tables
+            self._tables.append(table)
 
     # -- shared steps of the contract operations and the parallel drive -------
 
@@ -685,8 +714,8 @@ class MvpMachine:
         self._cols = a._cols
         self._matrix_loaded = True
         self._synced = False
-        self._tables = None
-        self._ors = 0
+        self._tables = []
+        self._ors = self._head_ors = 0
 
     def _clear_section(self, i: int) -> None:
         """Switch output section i from 1 to 0 (one OutputSwitch): the one

@@ -292,7 +292,7 @@ class TestParallelDrive:
             m.parallel_ladder_step()
         m.parallel_reset_output()
         tables = m._tables
-        assert tables is not None
+        assert tables
         assert_refused(
             load_in_open_phase,
             lambda: m.load_matrix(BitMatrix.identity(5)),

@@ -4,10 +4,12 @@ pass by pass over a long stream. Spy machines, one and two subclasses
 below a backend, see every row sensed. Values built by every path
 (public tuples, text, generation, columns, a machine's state, a product)
 hold exact int bits and are equal. Then the tables of the blocked-row OR:
-built mid-stream once a load's ORs repay them, on the same pass for a
-per-row stroke, whose row probes share one read, voided by the next load,
-and never built for sparse or saturating traffic. An override that
-switches a column in mid-stroke is sensed with the new columns from there.
+the head's (columns 0-31) and the rest, each built mid-stream once a
+load's ORs repay it, on the pass that a model of the policy names and on
+the same pass for a per-row stroke, whose row probes share one read, and
+voided by the next load. Sparse traffic builds neither part, saturating
+traffic only the head. An override that switches a column in mid-stroke
+is sensed with the new columns from there.
 
 The machine state under random interleavings of every operation is
 checked against a shadow model in test_stateful.py.
@@ -53,6 +55,12 @@ PATHS = [
     (WallLightMachine, PerRowWallMachine, Mode.SEQ),
 ]
 PATH_IDS = ["axis-seq", "axis-par", "wall-seq"]
+# Each path's bulk and per-row machine class, with the path's mode.
+EACH_MACHINE = pytest.mark.parametrize(
+    "cls,mode",
+    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
+    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
+)
 
 
 def _pass_steps(m, v: BitVector, mode: Mode):
@@ -154,11 +162,7 @@ def _assert_exact_bits(value) -> None:
         assert {type(x) for x in row} == {int} and set(row) <= {0, 1}
 
 
-@pytest.mark.parametrize(
-    "cls,mode",
-    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
-    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
-)
+@EACH_MACHINE
 @pytest.mark.parametrize("n", (1, 65))
 def test_built_values_hold_exact_int_bits(cls, mode, n):
     rng = Random(f"exact:{cls.__name__}:{mode.value}:{n}")
@@ -284,11 +288,61 @@ def _check_matvec(m, a: BitMatrix, v: BitVector, mode: Mode) -> None:
     assert report.ops.counts == counts and report.ops.phase_ops == phases
 
 
-@pytest.mark.parametrize(
-    "cls,mode",
-    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
-    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
-)
+def _groups(n: int) -> int:
+    return -(-n // 8)
+
+
+def _parts_built(a: BitMatrix, vectors) -> list[int]:
+    """How many blocked-row tables a machine holds after each pass over
+    `vectors` on a fresh load of `a`: the policy written out over sets. A
+    read of 16 active columns or fewer ORs them. A longer one ORs those of
+    the head, columns 0-31 (or its 4 tables once built), and the rest only
+    if a row is still clear. Column ORs count: those on the head's columns
+    by longer reads build the head's 4 tables at 1020, and all of them
+    build every table at 255 per group of 8 plus 2^k - 1 for a last group
+    of k. No count is kept once every table is built."""
+    n = a.n
+    cost = 255 * (n // 8) + (1 << n % 8) - 1
+    built = ors = head_ors = 0
+    parts = []
+    for v in vectors:
+        active = [j for j in range(n) if v[j]]
+        head = [j for j in active if j < 32]
+        if built < _groups(n):
+            if len(active) <= 16:
+                ors += len(active)
+            else:
+                if not built:
+                    ors += len(head)
+                    head_ors += len(head)
+                    if head_ors >= 1020:
+                        built = min(4, _groups(n))
+                if not all(any(row[j] for j in head) for row in a.rows):
+                    ors += len(active) - len(head)
+            if ors >= cost:
+                built = _groups(n)
+        parts.append(built)
+    return parts
+
+
+def _tables_per_pass(m, a: BitMatrix, vectors, mode: Mode) -> list[int]:
+    """Load `a` and run a checked pass per vector: the oracle's result and
+    the exact ledger. Returns the tables the machine holds after each."""
+    (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
+    assert m._tables == []
+    parts = []
+    for v in vectors:
+        _check_matvec(m, a, v, mode)
+        parts.append(len(m._tables))
+    return parts
+
+
+def _first_pass(parts: list[int], k: int) -> int | None:
+    """The 1-based pass after which at least k tables were built."""
+    return next((i for i, p in enumerate(parts, 1) if p >= k), None)
+
+
+@EACH_MACHINE
 @pytest.mark.parametrize("n", (1, 7, 8, 9, 63, 65, 256))
 def test_blocked_row_tables_across_loads(cls, mode, n):
     (a, b, ab), (a2, b2, ab2) = _table_inputs(n)
@@ -298,16 +352,16 @@ def test_blocked_row_tables_across_loads(cls, mode, n):
     # tables cost (about 32n) at n < 63: all-ones passes on the same load
     # build them, n ORs each, since row 0 stays clear.
     for _ in range(n * n):
-        if m._tables is not None:
+        if len(m._tables) == _groups(n):
             break
         _check_matvec(m, a, BitVector.ones(n), mode)
-    assert m._tables is not None
+    assert len(m._tables) == _groups(n)
     # Unit vectors: rows blocked by a single column, the first and the
     # last group's included, read from the tables.
     for j in sorted({0, 7 % n, n // 2, n - 1}):
         _check_matvec(m, a, BitVector(tuple(int(i == j) for i in range(n))), mode)
     (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a2)
-    assert m._tables is None
+    assert m._tables == []
     # The second matrix is the first one's complement, so tables kept
     # from the first load would give a wrong product.
     _check_matmul(m, a2, b2, ab2, mode)
@@ -317,41 +371,54 @@ def test_blocked_row_tables_across_loads(cls, mode, n):
 @pytest.mark.parametrize("n", (7, 8, 9, 65))
 def test_a_load_resets_the_or_count(bulk_cls, row_cls, mode, n):
     # Row 0 is clear, so no all-ones pass stops early: each spends n ORs
-    # toward the tables. Spend as many as stay below their cost, then
-    # reload: one more such pass builds them only if the load kept the count.
+    # toward every table and, at n = 65, 32 toward the head. Spend as many
+    # as stay below both costs, then reload: one more such pass builds
+    # tables only if the load kept a count.
     a = _table_inputs(n)[0][0]
     m = bulk_cls(n)
     (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
     for _ in range((m._table_ors - 1) // n):
         _check_matvec(m, a, BitVector.ones(n), mode)
-    assert m._tables is None
+    assert m._tables == []
     (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
     _check_matvec(m, a, BitVector.ones(n), mode)
-    assert m._tables is None
+    assert m._tables == []
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
 def test_sparse_product_never_builds_the_tables(bulk_cls, row_cls, mode):
     # About 4 active columns a pass: 128 passes spend some 500 ORs, far
-    # below the 4080 that the tables for n = 128 take.
+    # below the 4080 that the tables for n = 128 take, and no read has
+    # more than 16 columns, so none counts toward the head.
     n = 128
     rng = Random("tables:sparse")
     a, b = BitMatrix.random(n, rng, 0.03), BitMatrix.random(n, rng, 0.03)
     m = bulk_cls(n)
     assert matmul(m, a, b, mode).result == oracle_matmul(a, b)
-    assert m._tables is None
+    assert m._tables == []
 
 
-@pytest.mark.parametrize(
-    "cls,mode",
-    [(cls, mode) for bulk, row, mode in PATHS for cls in (bulk, row)],
-    ids=[f"{p}-{kind}" for p in PATH_IDS for kind in ("bulk", "per-row")],
-)
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_cli_bench_products_build_no_table_part(bulk_cls, row_cls, mode):
+    # The products of the cli-bench benchmark workload: density 0.1 at
+    # n = 32, 64 and 128, drawn as `mvpsim bench --seed 1` draws its jobs'.
+    # Few reads pass 16 columns, with about 3 of them on the head's.
+    for s in range(8, 16):
+        for n in (32, 64, 128):
+            rng = Random(f"{s}:{n}:0")
+            a, b = BitMatrix.random(n, rng, 0.1), BitMatrix.random(n, rng, 0.1)
+            m = bulk_cls(n)
+            matmul(m, a, b, mode)
+            assert m._tables == [], (s, n)
+
+
+@EACH_MACHINE
 @pytest.mark.parametrize("n", (17, 136, 200))
 def test_row_blocked_only_after_the_first_16_masks(cls, mode, n):
     # Column 0 blocks every row but the first two. Row 0 holds its one 1 in
     # the last column, which is past the first 16 columns and, at n >= 136,
-    # in table group 16 or later; row 1 is clear, so no read stops early.
+    # past the head and in table group 16 or later; row 1 is clear, so no
+    # read stops after the head.
     rows = [[0] * n for _ in range(n)]
     rows[0][n - 1] = 1
     for i in range(2, n):
@@ -362,73 +429,105 @@ def test_row_blocked_only_after_the_first_16_masks(cls, mode, n):
     (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
     for v in vectors:
         _check_matvec(m, a, v, mode)
-    assert m._tables is None
-    while m._tables is None:
+    assert m._tables == []
+    while len(m._tables) < _groups(n):
         _check_matvec(m, a, BitVector.ones(n), mode)
     for v in vectors:
         _check_matvec(m, a, v, mode)
 
 
-@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
-def test_saturating_product_never_builds_the_tables(bulk_cls, row_cls, mode):
-    # Nearly every read has every row blocked after 16 of its some 128
-    # active columns: 256 passes spend about 4100 ORs, half the 8160 that
-    # the tables for n = 256 take.
+@EACH_MACHINE
+def test_saturating_product_builds_only_the_head(cls, mode):
+    # Nearly every read has every row blocked by the some 16 of its 128
+    # active columns that lie in the head: the head's ORs reach its cost,
+    # 1020, on pass 63, and from then on a read is 4 lookups. The 256
+    # passes spend about 1100 column ORs, far below the 8160 of every table.
     a, b, ab = _table_inputs(256)[1]
-    m = bulk_cls(256)
-    _check_matmul(m, a, b, ab, mode)
-    assert m._tables is None
+    vectors = list(b.columns())
+    parts = _tables_per_pass(cls(256), a, vectors, mode)
+    assert parts == _parts_built(a, vectors) == [0] * 62 + [4] * 194
+
+
+@pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
+def test_saturating_stream_builds_the_tables(bulk_cls, row_cls, mode):
+    # The shape of the stream-matvec benchmark: every read's head columns,
+    # some 16 of its 32 active ones, block every row, so it stops there.
+    # The head is built on pass 65 and the rest never: 300 passes spend
+    # about 1040 column ORs, half the 2040 of every table for n = 64.
+    n = 64
+    rng = Random("tables:stream")
+    a = BitMatrix.random(n, rng, 0.5)
+    vectors = [BitVector.random(n, rng, 0.5) for _ in range(300)]
+    for v in vectors:
+        head = [j for j in range(32) if v[j]]
+        assert all(any(row[j] for j in head) for row in a.rows)
+    for cls in (bulk_cls, row_cls):
+        parts = _tables_per_pass(cls(n), a, vectors, mode)
+        assert parts == _parts_built(a, vectors) == [0] * 64 + [4] * 236
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
 def test_sparse_rows_times_dense_vectors_build_the_tables(bulk_cls, row_cls, mode):
     # Some 64 active columns a pass leave about three rows in four clear
-    # after 16 of them, so each read spends all 64 ORs and the tables for
-    # n = 128 (4080 ORs) are built partway through the product: on the
-    # same pass for a per-row stroke, which reads once, as for a bulk one.
+    # after the head, so each read spends all 64 ORs, 16 of them on the
+    # head: the head for n = 128 is built on pass 63 and the rest (4080
+    # ORs for every table) on pass 64. A per-row stroke reads once, as a
+    # bulk one does, so it builds them on the same passes.
     n = 128
     rng = Random("tables:sparse-dense")
     a, b = BitMatrix.random(n, rng, 0.02), BitMatrix.random(n, rng, 0.5)
-    built = []
+    vectors = list(b.columns())
+    want = _parts_built(a, vectors)
+    assert (_first_pass(want, 4), _first_pass(want, 16)) == (63, 64)
     for cls in (bulk_cls, row_cls):
-        m = cls(n)
-        (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
-        first = None
-        for k, v in enumerate(b.columns(), 1):
-            _check_matvec(m, a, v, mode)
-            if first is None and m._tables is not None:
-                first = k
-        built.append(first)
-    assert built[0] == built[1] and 1 < built[0] < n
+        assert _tables_per_pass(cls(n), a, vectors, mode) == want
+
+
+@EACH_MACHINE
+def test_a_failed_head_read_goes_on_past_column_32(cls, mode):
+    # At density 0.3 the head's some 16 active columns leave a row clear on
+    # about half the reads, which then OR their columns past 31 (never the
+    # head's again) and count them. In a stream of 256 passes at n = 128 the
+    # head is built on pass 67 and the rest on pass 128: 31 of the 61 reads
+    # between read the head's entries, find a row clear and go on.
+    n = 128
+    rng = Random("tables:failed-head")
+    a = BitMatrix.random(n, rng, 0.3)
+    vectors = [BitVector.random(n, rng, 0.5) for _ in range(256)]
+    want = _parts_built(a, vectors)
+    assert (_first_pass(want, 4), _first_pass(want, 16)) == (67, 128)
+    failed = [not all(any(row[j] for j in range(32) if v[j]) for row in a.rows) for v in vectors]
+    assert sum(failed[67:128]) == 31
+    assert _tables_per_pass(cls(n), a, vectors, mode) == want
 
 
 @pytest.mark.parametrize("bulk_cls,row_cls,mode", PATHS, ids=PATH_IDS)
-def test_saturating_stream_builds_the_tables(bulk_cls, row_cls, mode):
-    # The shape of the stream-matvec benchmark: every read blocks every row
-    # within the first 16 of its some 32 active columns, so it stops there
-    # and spends 16 ORs, and the tables for n = 64 (2040 ORs) are built on
-    # read 128. Counting every active column would build them on read 64.
-    # A per-row stroke reads once too, so it builds them on the same pass.
-    n = 64
+@pytest.mark.parametrize("n", (31, 32, 33, 40, 41))
+def test_tables_at_the_head_boundary(bulk_cls, row_cls, mode, n):
+    # Sizes where the head is every table (31, 32), one column (33) or a
+    # full group (40) short of them, or a group and one column (41). Reads
+    # of up to 16 columns and of more, at densities where the head leaves a
+    # row clear or blocks every row, until every table is built, then unit
+    # vectors at the group edges. Every table is built when the head is at
+    # n <= 32, and at 33 too: the head's 1020 ORs already pass the 1021 of
+    # every table. At 40 and 41 the head comes some passes first.
+    rng = Random(f"tables:boundary:{n}")
+    a = BitMatrix.random(n, rng, 0.25)
+    vectors = [BitVector.random(n, rng, (0.2, 0.5, 0.9)[k % 3]) for k in range(150)]
+    vectors += [BitVector(tuple(int(i == j) for i in range(n))) for j in sorted({0, 7, 8, 31, 32 % n, n - 1})]
+    want = _parts_built(a, vectors)
+    passes = {31: (54, 54), 32: (62, 62), 33: (60, 60), 40: (68, 80), 41: (69, 71)}[n]
+    assert (_first_pass(want, 1), _first_pass(want, _groups(n))) == passes
     for cls in (bulk_cls, row_cls):
-        rng = Random("tables:stream")
-        a = BitMatrix.random(n, rng, 0.5)
-        m = cls(n)
-        (m.parallel_load_matrix if mode is Mode.PAR else m.load_matrix)(a)
-        reads = -(-m._table_ors // 16)
-        for k in range(1, reads + 2):
-            v = BitVector.random(n, rng, 0.5)
-            first = [j for j in range(n) if v[j]][:16]
-            assert all(any(row[j] for j in first) for row in a.rows)
-            _check_matvec(m, a, v, mode)
-            assert (m._tables is not None) == (k >= reads)
+        assert _tables_per_pass(cls(n), a, vectors, mode) == want
 
 
 @pytest.mark.parametrize("cls", [AxisLadderMachine, WallLightMachine], ids=["axis", "wall"])
 def test_row_probes_read_the_mask_once_per_column_change(cls):
     # 1000 rounds of probes over every row after one sync: 64 000 probes.
-    # Each read of this dense n = 64 matrix spends 16 ORs, so reading the
-    # mask per probe would build the tables (2040 ORs) within 128 probes.
+    # Each read of this dense n = 64 matrix spends 32 ORs on the head's
+    # columns, so reading the mask per probe would build the head (1020
+    # ORs) within 32 probes.
     n = 64
     a = BitMatrix.random(n, Random("tables:probes"), 0.5)
     m = cls(n)
@@ -439,7 +538,7 @@ def test_row_probes_read_the_mask_once_per_column_change(cls):
     before = m.oplog.snapshot()
     for _ in range(1000):
         assert [m.row_blocked(i) for i in range(n)] == want
-    assert m._tables is None
+    assert m._tables == []
     assert m.oplog.since(before) == OpCounts({})
 
 

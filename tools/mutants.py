@@ -90,43 +90,80 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "if count > 16 and blocked.bit_count() == self.n:",
-        "if count > 16:",
+        "return blocked if blocked.bit_count() == self.n else",
+        "return blocked if count > 16 else",
         ("test_engine.py",),
     ),
     Mutant(
         "early exit never taken",
         "contract.py",
-        "if count > 16 and blocked.bit_count() == self.n:",
-        "if False:",
+        "            if blocked.bit_count() != self.n:\n",
+        "            if True:\n",
         ("test_engine.py",),
     ),
     Mutant(
-        "16 ORs counted as all of them after an early exit",
+        "head saturation test always true",
         "contract.py",
-        "            count = 16\n",
-        "            pass\n",
+        "            if blocked.bit_count() != self.n:\n",
+        "            if False:\n",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "the head's ORs counted as all of them after an early exit",
+        "contract.py",
+        "                count = head.bit_count()\n                self._head_ors += count\n",
+        "                self._head_ors += head.bit_count()\n",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "head read ORs 3 entries",
+        "contract.py",
+        " | tables[3][active >> 24 & 255])",
+        ")",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "the read past the head starts at column 24",
+        "contract.py",
+        "rest = active >> 32\n                cols = islice(self._cols, 32, None)\n"
+        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 32)), blocked)",
+        "rest = active >> 24\n                cols = islice(self._cols, 24, None)\n"
+        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 24)), blocked)",
         ("test_engine.py",),
     ),
     Mutant(
         "last partial group dropped",
         "contract.py",
-        "for g in range(0, self.n, 8):",
-        "for g in range(0, self.n - self.n % 8, 8):",
+        "min(stop, self.n), 8):",
+        "min(stop, self.n - self.n % 8), 8):",
         ("test_engine.py",),
     ),
     Mutant(
         "tables kept across a load",
         "contract.py",
-        "        self._tables = None\n        self._ors = 0\n",
-        "        self._ors = 0\n",
+        "        self._tables = []\n        self._ors = self._head_ors = 0\n",
+        "        self._ors = self._head_ors = 0\n",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "a load keeps the head",
+        "contract.py",
+        "        self._tables = []\n",
+        "        del self._tables[4:]\n",
         ("test_engine.py",),
     ),
     Mutant(
         "OR count kept across a load",
         "contract.py",
-        "        self._tables = None\n        self._ors = 0\n",
-        "        self._tables = None\n",
+        "        self._tables = []\n        self._ors = self._head_ors = 0\n",
+        "        self._tables = []\n        self._head_ors = 0\n",
+        ("test_engine.py",),
+    ),
+    Mutant(
+        "the head's OR count kept across a load",
+        "contract.py",
+        "        self._tables = []\n        self._ors = self._head_ors = 0\n",
+        "        self._tables = []\n        self._ors = 0\n",
         ("test_engine.py",),
     ),
     Mutant(
@@ -387,8 +424,8 @@ MUTANTS = (
     Mutant(
         "column masks cut to 64 bits",
         "bits.py",
-        "return tuple([int(digits[j::n][::-1], 2) for j in range(n)])",
-        "return tuple([int(digits[j::n][::-1], 2) & (1 << 64) - 1 for j in range(n)])",
+        "return tuple([int(digits[last + j :: -n], 2) for j in range(n)])",
+        "return tuple([int(digits[last + j :: -n], 2) & (1 << 64) - 1 for j in range(n)])",
         ("test_engine.py",),
     ),
     Mutant(
