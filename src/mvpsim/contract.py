@@ -102,6 +102,11 @@ _LANES = Struct(f"<{len(_CATEGORIES)}Q")
 # ColumnActivate and ColumnDeactivate are lanes 0 and 1, so a toggle's
 # activations `on` and deactivations `off` are `on | off << 64`.
 _OUTPUT_SWITCH_SHIFT, _RESET_STEP_SHIFT = _SHIFT[_OUTPUT_SWITCH], _SHIFT[_RESET_STEP]
+# The head of the blocked-row tables (see MvpMachine): its columns, a
+# multiple of 8, the mask that selects them and the ORs its tables take.
+_HEAD = 32
+_HEAD_MASK = (1 << _HEAD) - 1
+_HEAD_ORS = 255 * (_HEAD // 8)
 _T = TypeVar("_T")
 
 
@@ -443,10 +448,15 @@ class MvpMachine:
     density 1/2 the head holds some 16 active columns, which leave a row
     clear with probability 2^-16, so every row is blocked on 99.6% of the
     reads at n = 256 and 98.4% at n = 1024. Only otherwise does it OR the
-    rest. A read of 16 columns or fewer ORs them in one step, as the head
-    would save it little. Each part is built inside `_blocked_rows()`
-    after the read with which the column ORs it would have saved reach
-    its cost: those that longer reads spent on the head's columns for the
+    columns past the head. A read of 16 columns or fewer ORs them in one
+    step, as the head would save it little. Once every table is built, a
+    read ORs one entry per group: the first 16, and the rest only if a row
+    is still clear. It does not stop after the head's 4 entries there: no
+    benchmark workload both builds every table and reads densely enough
+    for that exit to pay, and a density-0.1 stream at n = 64, which builds
+    them, ran 1.03-1.08x slower a pass with it. Each part is built inside
+    `_blocked_rows()` after the read with which the column ORs it would
+    have saved reach its cost: those that longer reads spent on the head's columns for the
     head, and all of them since the last load for the rest, which then
     builds every table not yet built. So a fresh n = 256 product at
     density 1/2 (the dense-matmul benchmark workload) builds the head on
@@ -455,7 +465,7 @@ class MvpMachine:
     about pass 64 and never the rest; the density-0.1 products of
     cli-bench build neither part; and a sparse matrix times dense vectors,
     whose reads OR all their columns, builds both by about pass 64. In
-    process the head cuts a density-1/2 n = 256 product to 0.81-0.85x of
+    process the head cuts a density-1/2 n = 256 product to 0.80-0.87x of
     the time it takes with reads that OR 16 columns and no tables (timeit,
     shared 2-vCPU Xeon). The tables depend only on `_cols`, so they stay
     valid across passes, and `_load_columns` voids them and both counts
@@ -649,41 +659,45 @@ class MvpMachine:
         self._blocked = None
 
     def _blocked_rows(self) -> int:
-        """The mask of rows holding a 1 in some active column. A read of 16
-        active columns or fewer ORs them in one step, or one table entry per
-        group once every table is built. A longer read ORs the head first,
-        columns 0-31: its 4 table entries, or its active columns before it
-        is built. It stops there if every row is blocked; otherwise it ORs
-        the rest's entries or the active columns past 31, never the head's
+        """The mask of rows holding a 1 in some active column. Once every
+        table is built, a read ORs one entry per group: the first 16, and
+        the rest only if a row is still clear; 16 entries or fewer in that
+        one step, unsliced, testing no row. Before that, a read of 16 active
+        columns or fewer ORs them in one step, and a longer one ORs the
+        head first, columns 0-31: its 4 table entries, or its active columns
+        before it is built. It stops there if every row is blocked;
+        otherwise it ORs the active columns past 31, never the head's
         again. The column ORs spent count toward the tables: the head is
         built after the read with which those that longer reads spent on
-        its columns reach its cost, 1020, and the rest after the read with
-        which all of them reach the cost of every table (see Blocked-row
-        tables)."""
+        its columns reach its cost, 1020, and every table after the read
+        with which all of them reach the cost of every table (see
+        Blocked-row tables)."""
         active, tables = self._active, self._tables
-        count = active.bit_count()
         if len(tables) == self._groups:
-            masks = map(list.__getitem__, tables, active.to_bytes(len(tables), "little"))
-            blocked = reduce(or_, islice(masks, 4), 0) if count > 16 else 0
-            return blocked if blocked.bit_count() == self.n else reduce(or_, masks, blocked)
+            masks, count = map(list.__getitem__, tables, active.to_bytes(len(tables), "little")), len(tables)
+            blocked = reduce(or_, islice(masks, 16) if count > 16 else masks, 0)
+            if count > 16 and blocked.bit_count() != self.n:
+                blocked = reduce(or_, masks, blocked)
+            return blocked
+        count = active.bit_count()
         if count <= 16:
             blocked = reduce(or_, compress(self._cols, _flags(active, self.n)), 0)
         else:
             if tables:
-                blocked = (tables[0][active & 255] | tables[1][active >> 8 & 255]
-                           | tables[2][active >> 16 & 255] | tables[3][active >> 24 & 255])
+                # The head's tables, so the map stops after _HEAD // 8 entries.
+                blocked = reduce(or_, map(list.__getitem__, tables, active.to_bytes(self._groups, "little")))
                 count = 0
             else:
-                head = active & 0xFFFFFFFF
-                blocked = reduce(or_, compress(self._cols, _flags(head, 32)), 0)
+                head = active & _HEAD_MASK
+                blocked = reduce(or_, compress(self._cols, _flags(head, _HEAD)), 0)
                 count = head.bit_count()
                 self._head_ors += count
-                if self._head_ors >= 1020:
-                    self._build_tables(32)
+                if self._head_ors >= _HEAD_ORS:
+                    self._build_tables(_HEAD)
             if blocked.bit_count() != self.n:
-                rest = active >> 32
-                cols = islice(self._cols, 32, None)
-                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 32)), blocked)
+                rest = active >> _HEAD
+                cols = islice(self._cols, _HEAD, None)
+                blocked = reduce(or_, compress(cols, _flags(rest, self.n - _HEAD)), blocked)
                 count += rest.bit_count()
         self._ors += count
         if self._ors >= self._table_ors:

@@ -90,8 +90,8 @@ MUTANTS = (
     Mutant(
         "every row blocked tested as always true",
         "contract.py",
-        "return blocked if blocked.bit_count() == self.n else",
-        "return blocked if count > 16 else",
+        "if count > 16 and blocked.bit_count() != self.n:",
+        "if False:",
         ("test_engine.py",),
     ),
     Mutant(
@@ -118,17 +118,17 @@ MUTANTS = (
     Mutant(
         "head read ORs 3 entries",
         "contract.py",
-        " | tables[3][active >> 24 & 255])",
-        ")",
+        'map(list.__getitem__, tables, active.to_bytes(self._groups, "little"))',
+        'map(list.__getitem__, tables[:-1], active.to_bytes(self._groups, "little"))',
         ("test_engine.py",),
     ),
     Mutant(
         "the read past the head starts at column 24",
         "contract.py",
-        "rest = active >> 32\n                cols = islice(self._cols, 32, None)\n"
-        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 32)), blocked)",
-        "rest = active >> 24\n                cols = islice(self._cols, 24, None)\n"
-        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - 24)), blocked)",
+        "rest = active >> _HEAD\n                cols = islice(self._cols, _HEAD, None)\n"
+        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - _HEAD)), blocked)",
+        "rest = active >> _HEAD - 8\n                cols = islice(self._cols, _HEAD - 8, None)\n"
+        "                blocked = reduce(or_, compress(cols, _flags(rest, self.n - _HEAD + 8)), blocked)",
         ("test_engine.py",),
     ),
     Mutant(
@@ -149,7 +149,7 @@ MUTANTS = (
         "a load keeps the head",
         "contract.py",
         "        self._tables = []\n",
-        "        del self._tables[4:]\n",
+        "        del self._tables[_HEAD // 8 :]\n",
         ("test_engine.py",),
     ),
     Mutant(
