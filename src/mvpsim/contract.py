@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from enum import Enum
-from functools import reduce
+from functools import reduce, update_wrapper
 from itertools import compress, islice
 from operator import or_, sub
 from struct import Struct
@@ -245,15 +245,74 @@ def _ops(counts: int, phases: Sequence[int]) -> OpCounts:
     return ops
 
 
+_NO_OPERAND = object()  # the operand of a motion called without one
+
+
+def _motion(step: Callable[..., _T], template: Callable[..., _T],
+            name: str | None = None) -> Callable[..., _T]:
+    """A method that runs `step(self)`, or `step(self, arg)` when it is
+    given an operand, as one parallel phase of the ledger `self._log`, and
+    returns the step's result. It takes `template`'s name, docstring and
+    signature (through `__wrapped__`), and keeps in `_step` the name of
+    the operation it steps, `name` or the step's own, so that
+    `MvpMachine.__init_subclass__` can build it again over each class's
+    own operation. Every parallel phase that runs a step runs here,
+    `OpLog.phase`'s too (`OpLog.charge_phases` records phases that run
+    none), so the phase rules are stated once:
+
+    - phases do not nest: a motion inside an open phase is refused with
+      MachineStateError ("parallel phases cannot nest") before its step
+      runs;
+    - a step that raises, a BaseException included, has its phase
+      recorded if and only if it charged at least one operation, so a
+      refused motion leaves `phase_ops` untouched and `sum(phase_ops)`
+      always equals the operations charged in phases;
+    - while a phase is open, its charges are in the counts but in no
+      recorded phase yet, so `OpLog.snapshot`, `since` and `_mark` refuse
+      with MachineStateError ("snapshot inside an open parallel phase",
+      "since inside an open parallel phase"), and so does
+      `charge_phases`.
+
+    A motion is one Python frame around its step, called with a fixed
+    number of arguments (see MvpMachine, Parallel motions)."""
+    def motion(self, arg=_NO_OPERAND):
+        log = self._log
+        if log._phase_start is not None:
+            raise MachineStateError("parallel phases cannot nest")
+        start = log._phase_start = log._total
+        try:
+            result = step(self) if arg is _NO_OPERAND else step(self, arg)
+        except BaseException:
+            log._phase_start = None
+            if log._total != start:
+                log._phase_ops.append(log._total - start)
+            raise
+        log._phase_start = None
+        log._phase_ops.append(log._total - start)
+        return result
+
+    update_wrapper(motion, template)
+    motion._step = name or step.__name__
+    return motion
+
+
+def _run(log: OpLog, call: tuple[Callable[..., _T], tuple]) -> _T:
+    """The step of `OpLog.phase`: `step(*args)` for `call` = (step, args)."""
+    step, args = call
+    return step(*args)
+
+
 class OpLog:
     """Mutable tally of counted mechanical operations.
 
-    Machines charge into it with `charge`, one category at a time, and run
-    each parallel phase as one call, `phase(step, *args)`, which records
-    what the step charged; `charge_phases` records a run of equal phases of
-    one category at once. A contract operation charges all its categories
-    in one private `_add(lanes, total)` (see MvpMachine, Bulk charging).
-    Everything else reads the log only through OpCounts: `snapshot()` for
+    Machines charge into it with `charge`, one category at a time. A
+    parallel phase is one motion (see `_motion`, where the phase rules
+    are stated), which records what its step charged: the axis drive's
+    motions are methods built over the contract operations, and
+    `phase(step, *args)` runs any step as one; `charge_phases` records a
+    run of equal phases of one category at once. A contract operation
+    charges all its categories in one private `_add(lanes, total)` (see
+    MvpMachine, Bulk charging). Everything else reads the log only through OpCounts: `snapshot()` for
     the whole ledger and `since(before)` for what was charged after the
     snapshot `before`. The one exception is `drivers.matvec`, which every
     pass runs: it takes a private `_mark()`, the counts int and the phase
@@ -290,29 +349,23 @@ class OpLog:
         self._counts += lanes
         self._total += total
 
+    @property
+    def _log(self) -> "OpLog":
+        """The log itself, so that `phase` runs as a motion of the log."""
+        return self
+
     def phase(self, step: Callable[..., _T], *args: object) -> _T:
         """Run `step(*args)` as one parallel phase and return its result;
         what the step charges is attributed to the phase.
 
-        Refused with MachineStateError inside an open phase, before the
-        step runs: phases do not nest. A step that raises has its phase
-        recorded if and only if it charged at least one operation, so a
-        refused motion leaves `phase_ops` untouched and `sum(phase_ops)`
-        always equals the operations charged in phases.
+        It runs through `_phase`, a motion (see `_motion`), under the
+        phase rules stated there: refused inside an open phase, before the
+        step runs, and a step that raises has its phase recorded if and
+        only if it charged at least one operation.
         """
-        if self._phase_start is not None:
-            raise MachineStateError("parallel phases cannot nest")
-        start = self._phase_start = self._total
-        try:
-            result = step(*args)
-        except BaseException:
-            self._phase_start = None
-            if self._total != start:
-                self._phase_ops.append(self._total - start)
-            raise
-        self._phase_start = None
-        self._phase_ops.append(self._total - start)
-        return result
+        return self._phase((step, args))
+
+    _phase = _motion(_run, _run)
 
     def charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
         """Record `phases` parallel phases that each charge `amount` of
@@ -423,16 +476,16 @@ class MvpMachine:
     calls and O(1) Python steps; its O(n) work runs inside C-level calls.
     The primitives (activate_column, move_ladder, observe_light, ...) and
     `_clear_section` keep their single charges through the public
-    `charge`. Each parallel operation is one `OpLog.phase(step, *args)`
-    call per motion over a contract operation or a shared step of one:
-    the parallel load runs `_load_columns` as its release phase and
-    records its n phases of n CellLoad in one `OpLog.charge_phases` call,
-    and the parallel sync runs `_toggle_columns` twice, since its two
-    motions, a release and an activation, are other physics than the one
-    toggle of a sequential sync. Every charge here and in the backends
-    names its category by a module name bound at import (`_SCAN_STEP`,
-    ...): reading `OpCategory.SCAN_STEP` goes through the enum class and
-    costs as much as the charge.
+    `charge`. Each parallel operation is one motion per phase over a
+    contract operation or a shared step of one (see Parallel motions):
+    the parallel load runs `_load_columns` through `OpLog.phase` as its
+    release phase and records its n phases of n CellLoad in one
+    `OpLog.charge_phases` call, and the parallel sync runs
+    `_toggle_columns` as two motions, since its release and activation
+    are other physics than the one toggle of a sequential sync. Every
+    charge here and in the backends names its category by a module name
+    bound at import (`_SCAN_STEP`, ...): reading `OpCategory.SCAN_STEP`
+    goes through the enum class and costs as much as the charge.
 
     Blocked-row tables (Four Russians: Arlazarov, Dinic, Kronrod and
     Faradzev, 1970). The OR of the active columns takes one OR per active
@@ -506,7 +559,30 @@ class MvpMachine:
     backends still share, such as the call sites in `drivers.matvec`. On
     3.10, which does not specialize, the cost is smaller and the copies
     move it only within noise. The copies cost about 0.1 ms and 40 KiB per
-    import.
+    import. The same hook builds each class's parallel motions (below).
+
+    Parallel motions. A parallel drive is phase grouping over the contract
+    operations, not a second copy of them. Each motion is built by
+    `_motion` from the operation it steps and a method stub that gives it
+    its name, docstring and signature, and it is one Python frame: it
+    opens the phase on `self._log`, calls its step as `step(self)` or
+    `step(self, v)`, and records the phase. A motion that was a method
+    around `OpLog.phase(step, *args)` took three frames and packed and
+    unpacked its arguments: on CPython 3.11.7 an n = 64 parallel stream
+    pass took 1.41-1.51x a sequential pass that way and 1.28-1.33x as one
+    frame (in process, shared 2-vCPU Xeon). Two other forms did not pay: a
+    built motion that passes `*args` took 1.43-1.48x, no less than the
+    three frames, and one that looks its step up by name on every call
+    1.37-1.46x. The step is the operation as the machine's class
+    resolves it: `__init_subclass__` builds every motion a class inherits
+    again over `getattr(cls, name)`, once per class, so a subclass's
+    override of a contract operation runs in parallel passes too, and
+    each class's motions have their own inline caches. A subclass that
+    overrides a motion keeps its override. An instance attribute (a
+    wrapper set on one machine) hides a motion as it hides any method,
+    but a motion does not see one set over its step. `OpLog.phase` runs
+    through the same code, as a motion of the log, two frames deeper;
+    only the parallel load, once per matrix, pays that on the drive.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`, `row_blocked`) read machine state
@@ -560,6 +636,12 @@ class MvpMachine:
                 copy.__kwdefaults__, copy.__annotations__ = f.__kwdefaults__, f.__annotations__
                 copy.__dict__.update(f.__dict__)
                 setattr(cls, name, copy)
+        # Every motion over its operation as `cls` resolves it, an override
+        # included (see Parallel motions); a motion's override is kept.
+        for name in dir(cls):
+            f = getattr(cls, name, None)
+            if getattr(f, "__code__", None) is OpLog._phase.__code__:
+                setattr(cls, name, _motion(getattr(cls, f._step), f.__wrapped__, f._step))
 
     def __init__(self, n: int) -> None:
         self.n = _dimension(n)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
+
 import pytest
 
 from mvpsim import (
@@ -12,7 +15,9 @@ from mvpsim import (
     MachineStateError,
     Mode,
     OpCategory,
+    matmul,
     matvec,
+    oracle_matmul,
     oracle_matvec,
 )
 from conftest import PerRowAxisMachine
@@ -387,3 +392,154 @@ class TestParallelDrive:
         assert matvec(m, v).result == want
         assert matvec(m, v, Mode.PAR).result == want
         assert matvec(m, v).result == want
+
+
+class RecordingMachine(AxisLadderMachine):
+    """Overrides each operation a parallel pass steps: each override calls
+    the inherited one and records its name."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.stepped: list[str] = []
+
+    def load_vector(self, v: BitVector) -> None:
+        self.stepped.append("load_vector")
+        super().load_vector(v)
+
+    def _toggle_columns(self, diff: int, lanes: int = 0, total: int = 0) -> None:
+        self.stepped.append("_toggle_columns")
+        super()._toggle_columns(diff, lanes, total)
+
+    def set_output(self) -> None:
+        self.stepped.append("set_output")
+        super().set_output()
+
+    def report_output(self) -> BitVector:
+        self.stepped.append("report_output")
+        return super().report_output()
+
+    def reset_output(self) -> None:
+        self.stepped.append("reset_output")
+        super().reset_output()
+
+
+class DeeperRecordingMachine(RecordingMachine):
+    """Inherits the overrides from one class further up."""
+
+
+class WrappedStrokeMachine(AxisLadderMachine):
+    """Overrides the stroke's motion itself, with a wrapper that copies the
+    inherited motion's attributes, as a decorator built on functools.wraps
+    does."""
+
+    @functools.wraps(AxisLadderMachine.parallel_ladder_step)
+    def parallel_ladder_step(self) -> None:
+        self.strokes = getattr(self, "strokes", 0) + 1
+        super().parallel_ladder_step()
+
+
+class DeeperWrappedStrokeMachine(WrappedStrokeMachine):
+    """Inherits the overridden motion from one class further up."""
+
+
+# Each public motion's name, qualified name, signature and docstring.
+MOTIONS = {
+    "parallel_load_matrix": (
+        "(self, a: 'BitMatrix') -> 'None'",
+        "Read a matrix in n + 1 phases: one machine-wide release of any\n"
+        "        active columns, then one phase per column writing its n cells (n\n"
+        "        CellLoad each). It is load_matrix grouped into phases: the load's\n"
+        "        whole state change runs as the release phase, so a load refused\n"
+        "        there (inside an open phase, or for its operand) changes nothing,\n"
+        "        and the n column phases are recorded in one ledger call."),
+    "parallel_load_vector": (
+        "(self, v: 'BitVector') -> 'None'", "Read all n vector coordinates in one phase."),
+    "parallel_sync": (
+        "(self) -> 'None'",
+        "Match column activation to the loaded vector in two toggles,\n"
+        "        one phase each: the active columns switch off, then the columns\n"
+        "        the vector selects switch on."),
+    "parallel_ladder_step": ("(self) -> 'None'", "Release every ladder for its stroke in one phase."),
+    "parallel_report_output": ("(self) -> 'BitVector'", "Read all n output sections in one phase."),
+    "parallel_reset_output": (
+        "(self) -> 'None'",
+        "Drive every ladder home and restore the sections in one phase.\n"
+        "        Like reset_output, legal in any state."),
+}
+
+
+class TestMotions:
+    @pytest.mark.parametrize("cls", [AxisLadderMachine, RecordingMachine], ids=["axis", "subclass"])
+    @pytest.mark.parametrize("name", sorted(MOTIONS))
+    def test_a_motion_keeps_its_name_docstring_and_signature(self, cls, name):
+        signature, doc = MOTIONS[name]
+        fn = getattr(cls, name)
+        assert fn.__name__ == name
+        assert fn.__qualname__ == f"AxisLadderMachine.{name}"
+        assert fn.__doc__ == doc
+        assert str(inspect.signature(fn)) == signature
+
+    def test_a_motion_called_with_the_wrong_operands_is_refused(self):
+        # An operand a motion does not take, or a missing one, is a
+        # TypeError before anything is charged, None included: no phase
+        # is recorded.
+        m = AxisLadderMachine(4)
+        m.load_matrix(A4)
+        before = m.oplog.snapshot()
+        calls = [lambda: m.parallel_load_vector(), lambda: m.parallel_load_vector(BitVector.ones(4), 1)]
+        calls += [lambda fn=getattr(m, name): fn(None) for name in MOTIONS
+                  if name not in ("parallel_load_matrix", "parallel_load_vector")]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+            assert m.oplog.snapshot() == before
+
+    def test_an_instance_wrapper_intercepts_each_motion(self):
+        # A wrapper set on one machine, as the benchmark's tracer sets one,
+        # sees every motion of a parallel product and its passes.
+        n = 5
+        a = BitMatrix.identity(n)
+        b = BitMatrix(tuple(tuple((i + j) % 2 for j in range(n)) for i in range(n)))
+        m, plain = AxisLadderMachine(n), AxisLadderMachine(n)
+        calls: list[str] = []
+
+        def wrap(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in MOTIONS:
+            setattr(m, name, wrap(name, getattr(m, name)))
+        rep = matmul(m, a, b, Mode.PAR)
+        assert rep.result == oracle_matmul(a, b)
+        assert rep.ops == matmul(plain, a, b, Mode.PAR).ops
+        assert calls[0] == "parallel_load_matrix"
+        assert calls[1:] == [name for name in MOTIONS if name != "parallel_load_matrix"] * n
+
+    @pytest.mark.parametrize("cls", [RecordingMachine, DeeperRecordingMachine], ids=["child", "grandchild"])
+    def test_a_parallel_pass_steps_the_class_overrides(self, cls):
+        # Each motion steps its operation as the machine's class resolves
+        # it, so an override runs in a parallel pass as in a sequential one.
+        v = BitVector((1, 0, 1, 0))
+        m, plain = cls(4), AxisLadderMachine(4)
+        for machine in (m, plain):
+            machine.load_matrix(A4)
+        m.stepped.clear()
+        rep = matvec(m, v, Mode.PAR)
+        assert m.stepped == ["load_vector", "_toggle_columns", "_toggle_columns", "set_output",
+                             "report_output", "reset_output"]
+        want = matvec(plain, v, Mode.PAR)
+        assert rep.result == want.result == oracle_matvec(A4, v)
+        assert rep.ops == want.ops
+        assert rep.ops.phase_ops == (4, 0, 2, 5, 4, 5)
+
+    @pytest.mark.parametrize("cls", [WrappedStrokeMachine, DeeperWrappedStrokeMachine],
+                             ids=["child", "grandchild"])
+    def test_an_overridden_motion_keeps_its_override(self, cls):
+        m = cls(4)
+        m.load_matrix(A4)
+        v = BitVector((1, 0, 1, 0))
+        for k in (1, 2):
+            assert matvec(m, v, Mode.PAR).result == oracle_matvec(A4, v)
+            assert m.strokes == k

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import load_tool
@@ -79,3 +81,45 @@ def test_a_loss_beyond_the_parent_spread_is_flagged(shift, flagged):
         assert row["parent"]["q3"] - row["parent"]["q1"] == pytest.approx(1.75)
         assert row["worse_beyond_spread"] is flagged
         assert not row["beyond_spread"]
+
+
+def test_pairs_interleave_interpreters_and_alternate_under_each():
+    # Per seed, one pair under each interpreter in turn; under each, the
+    # side that runs first alternates from its pair to its next, whatever
+    # the number of interpreters.
+    order = bench_pairs.schedule(["w", "v"], [1, 2], ["py-a", "py-b"])
+    assert [(w, s, py) for w, s, py, _ in order] == [
+        (w, s, py) for w in ("w", "v") for s in (1, 2) for py in ("py-a", "py-b")]
+    for py in ("py-a", "py-b"):
+        firsts = [sides[0] for _, _, p, sides in order if p == py]
+        assert firsts == ["parent", "change"] * 2
+    assert all(sorted(sides) == ["change", "parent"] for *_, sides in order)
+    one = bench_pairs.schedule(["w"], [3, 3, 3], ["py"])
+    assert [sides[0] for *_, sides in one] == ["parent", "change", "parent"]
+
+
+def test_each_interpreter_gets_its_own_summary_and_version():
+    # The same synthetic pairs under two interpreters: a clear gain under
+    # one and a loss under the other must not mix into one summary.
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    pairs = [dict(pair((p, 1), (p - 3, 1)), python="/py/a") for p in parent]
+    pairs += [dict(pair((p, 1), (p + 3, 1)), python="/py/b") for p in parent]
+    pairs.append(dict(pair((5, 1), (5, 1), workload="other"), python="/py/b"))
+    out = bench_pairs.by_interpreter(pairs, METRICS, {"/py/b": "3.13.0", "/py/a": "3.10.13"})
+    assert [(i["executable"], i["python"]) for i in out] == [("/py/b", "3.13.0"), ("/py/a", "3.10.13")]
+    b, a = (i["summary"] for i in out)
+    assert sorted(a) == ["w"] and sorted(b) == ["other", "w"]
+    assert a["w"]["job_ms"]["pairs"] == b["w"]["job_ms"]["pairs"] == 5
+    assert a["w"]["job_ms"]["beyond_spread"] and not a["w"]["job_ms"]["worse_beyond_spread"]
+    assert b["w"]["job_ms"]["worse_beyond_spread"] and not b["w"]["job_ms"]["beyond_spread"]
+    assert a["w"]["job_ms"]["change"]["values"] == [p - 3 for p in parent]
+
+
+def test_an_interpreter_that_cannot_run_is_refused(tmp_path):
+    assert bench_pairs.version(sys.executable) == sys.version.split()[0]
+    with pytest.raises(RuntimeError):
+        bench_pairs.version(str(tmp_path / "no-such-python"))
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--seeds", "1",
+                             "--out", str(tmp_path / "out.json"),
+                             "--python", str(tmp_path / "no-such-python")]) == 2
+    assert not (tmp_path / "out.json").exists()

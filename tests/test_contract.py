@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
-from types import FunctionType
+from types import FunctionType, SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,9 +28,25 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
+from mvpsim.contract import _motion
 from conftest import CONFIG_IDS, CONFIGS, PerRowAxisMachine, PerRowWallMachine, matrix_vector_pairs
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
+# The two ways to run a parallel phase: OpLog.phase, and a motion that
+# `_motion` builds, as the axis drive's are built.
+PHASE_RUNNERS = ["OpLog.phase", "motion"]
+
+
+def run_phase(how: str, log: OpLog, step):
+    """Run `step()` as one parallel phase of `log` in the way `how` names."""
+    if how == "OpLog.phase":
+        return log.phase(step)
+
+    def stub(self):
+        """A motion over `step`."""
+
+    return _motion(lambda holder: step(), stub, "step")(SimpleNamespace(_log=log))
+
 
 # One step on an OpLog: a charge, a phase of charges (raising an Exception,
 # a BaseException that is not one, or nothing), a run of equal phases, a
@@ -824,6 +840,44 @@ class TestOpLog:
         ops = log.snapshot()
         assert ops.total == 3
         assert ops.phase_ops == (3,)
+
+    @pytest.mark.parametrize("how", PHASE_RUNNERS)
+    def test_every_phase_rule_holds_in_oplog_phase_and_in_a_motion(self, how):
+        log = OpLog()
+        start = log.snapshot()
+        assert run_phase(how, log, lambda: (log.charge(OpCategory.SCAN_STEP, 2), "done")[1]) == "done"
+        # Phases do not nest: the inner phase, of either kind, is refused
+        # before its step runs, and the outer one charged nothing.
+        for inner in PHASE_RUNNERS:
+            ran = []
+            with pytest.raises(MachineStateError, match="^parallel phases cannot nest$"):
+                run_phase(how, log, lambda: run_phase(inner, log, lambda: ran.append(inner)))
+            assert not ran
+        # A step that raises, an Exception or a BaseException, has its
+        # phase recorded if and only if it charged.
+        for exc in (RuntimeError, KeyboardInterrupt):
+            def jammed():
+                log.charge(OpCategory.LADDER_MOVE, 3)
+                raise exc("stroke jammed")
+
+            def refused():
+                raise exc("motion refused")
+
+            for step in (jammed, refused):
+                with pytest.raises(exc):
+                    run_phase(how, log, step)
+        # The ledger is not read, nor phases recorded, inside a phase.
+        reads = [(log.snapshot, "snapshot inside an open parallel phase"),
+                 (lambda: log.since(start), "since inside an open parallel phase"),
+                 (log._mark, "snapshot inside an open parallel phase"),
+                 (lambda: log.charge_phases(OpCategory.CELL_LOAD, 1, 1),
+                  "phases recorded inside an open parallel phase")]
+        for read, message in reads:
+            with pytest.raises(MachineStateError, match=f"^{message}$"):
+                run_phase(how, log, read)
+        ops = log.since(start)
+        assert ops.phase_ops == (2, 3, 3)
+        assert ops.total == 8
 
     @pytest.mark.parametrize("read", ["snapshot", "since"])
     def test_ledger_is_not_read_inside_a_phase(self, read):

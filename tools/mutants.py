@@ -190,14 +190,14 @@ MUTANTS = (
     Mutant(
         "a phase never closes",
         "contract.py",
-        "        self._phase_start = None\n        self._phase_ops.append(self._total - start)\n",
-        "        self._phase_ops.append(self._total - start)\n",
+        "        log._phase_start = None\n        log._phase_ops.append(log._total - start)\n",
+        "        log._phase_ops.append(log._total - start)\n",
         ("test_contract.py",),
     ),
     Mutant(
         "a raising phase always recorded",
         "contract.py",
-        "if self._total != start:",
+        "if log._total != start:",
         "if True:",
         ("test_contract.py",),
     ),
@@ -211,9 +211,30 @@ MUTANTS = (
     Mutant(
         "a raising phase step recorded without a charge",
         "contract.py",
-        "                self._phase_ops.append(self._total - start)\n",
-        "                self._phase_ops.append(0)\n",
+        "                log._phase_ops.append(log._total - start)\n",
+        "                log._phase_ops.append(0)\n",
         ("test_contract.py",),
+    ),
+    Mutant(
+        "a motion records its step as two phases",
+        "contract.py",
+        "        log._phase_ops.append(log._total - start)\n        return result\n",
+        "        log._phase_ops += [0, log._total - start]\n        return result\n",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "a motion steps the base MvpMachine's operation, not its class's",
+        "contract.py",
+        "_motion(getattr(cls, f._step), f.__wrapped__, f._step)",
+        "_motion(getattr(MvpMachine, f._step), f.__wrapped__, f._step)",
+        ("test_axis_ladder.py",),
+    ),
+    Mutant(
+        "an override of a motion that copies its attributes rebuilt as a motion",
+        "contract.py",
+        'if getattr(f, "__code__", None) is OpLog._phase.__code__:',
+        'if hasattr(f, "_step"):',
+        ("test_axis_ladder.py",),
     ),
     Mutant(
         "sensing lane built for OutputSwitch",
