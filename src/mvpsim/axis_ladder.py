@@ -15,13 +15,10 @@ This backend also offers machine-wide parallel drives: each `parallel_*`
 method performs one or two whole-machine motions, each a parallel phase in
 the ledger that runs a contract operation (or a shared step of one) and
 records what it charged. A full matrix-vector pass takes exactly six
-phases. Each motion but the load's is built by `contract._motion` over the
-operation as the machine's class resolves it, and runs as one Python frame
-that calls its step with a fixed number of arguments. Motions of three
-frames and a varargs call made a parallel pass cost 1.41-1.51x a
-sequential one on CPython 3.11.7; motions of one frame make it 1.28-1.33x
-(see MvpMachine, Parallel motions). The load, once per matrix, runs
-through `OpLog.phase`.
+phases. Each motion is built by `contract._motion` over the operation as
+the machine's class resolves it, and runs as one Python frame that calls
+its step with a fixed number of arguments (see MvpMachine, Parallel
+motions, for what that saves).
 """
 
 from __future__ import annotations
@@ -89,12 +86,17 @@ class AxisLadderMachine(MvpMachine):
         whole state change runs as the release phase, so a load refused
         there (inside an open phase, or for its operand) changes nothing,
         and the n column phases are recorded in one ledger call."""
-        self._log.phase(self._load_columns, a)
-        self._log.charge_phases(_CELL_LOAD, self.n, self.n)
+        self._load_phase(a)
+        self._log._charge_phases(_CELL_LOAD, self.n, self.n)
 
     # Each stub below gives a motion its name, docstring and signature;
     # `_motion` builds its body over the operation named beside it, and
     # MvpMachine.__init_subclass__ builds it again for every class.
+
+    @partial(_motion, MvpMachine._load_columns)
+    def _load_phase(self, a: BitMatrix) -> None:
+        """Release the active columns and take the columns of `a` in one
+        phase."""
 
     @partial(_motion, MvpMachine.load_vector)
     def parallel_load_vector(self, v: BitVector) -> None:

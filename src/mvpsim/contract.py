@@ -85,7 +85,9 @@ class OpCategory(Enum):
     RESET_STEP = "reset_step"
 
     # Members are singletons compared by identity, also after unpickling: the
-    # C-level identity hash spares every ledger charge Enum.__hash__.
+    # C-level identity hash spares Enum.__hash__ to every dict lookup of a
+    # category, as `OpCounts.counts` builds a dict of all ten and `count`,
+    # `OpCounts(...)` and the per-row `charge` look categories up.
     __hash__ = object.__hash__
 
 
@@ -95,12 +97,12 @@ _CATEGORIES = tuple(OpCategory)
 _SHIFT = {c: 64 * k for k, c in enumerate(_CATEGORIES)}
 _LANE = (1 << 64) - 1  # a lane's mask and the largest count it holds
 _LANES = Struct(f"<{len(_CATEGORIES)}Q")
-# The members bound once, for the charges (see MvpMachine, Bulk charging).
-(_COLUMN_ACTIVATE, _COLUMN_DEACTIVATE, _SCAN_STEP, _LADDER_MOVE, _OUTPUT_SWITCH, _LIGHT_OBSERVE,
- _CELL_LOAD, _VECTOR_COORD_LOAD, _OUTPUT_COORD_REPORT, _RESET_STEP) = _CATEGORIES
+# The members bound once, for the charges (see MvpMachine, Bulk charging),
+# but ColumnActivate and ColumnDeactivate: they are lanes 0 and 1, so a
+# toggle's activations `on` and deactivations `off` are `on | off << 64`.
+(_SCAN_STEP, _LADDER_MOVE, _OUTPUT_SWITCH, _LIGHT_OBSERVE, _CELL_LOAD, _VECTOR_COORD_LOAD,
+ _OUTPUT_COORD_REPORT, _RESET_STEP) = _CATEGORIES[2:]
 # The lanes of the amounts a contract operation counts from its masks.
-# ColumnActivate and ColumnDeactivate are lanes 0 and 1, so a toggle's
-# activations `on` and deactivations `off` are `on | off << 64`.
 _OUTPUT_SWITCH_SHIFT, _RESET_STEP_SHIFT = _SHIFT[_OUTPUT_SWITCH], _SHIFT[_RESET_STEP]
 # The head of the blocked-row tables (see MvpMachine): its columns, a
 # multiple of 8, the mask that selects them and the ORs its tables take.
@@ -256,9 +258,9 @@ def _motion(step: Callable[..., _T], template: Callable[..., _T],
     signature (through `__wrapped__`), and keeps in `_step` the name of
     the operation it steps, `name` or the step's own, so that
     `MvpMachine.__init_subclass__` can build it again over each class's
-    own operation. Every parallel phase that runs a step runs here,
-    `OpLog.phase`'s too (`OpLog.charge_phases` records phases that run
-    none), so the phase rules are stated once:
+    own operation. Every parallel phase that runs a step runs here (the
+    parallel load's column phases run none: `OpLog._charge_phases`
+    records them at once), so the phase rules are stated once:
 
     - phases do not nest: a motion inside an open phase is refused with
       MachineStateError ("parallel phases cannot nest") before its step
@@ -270,8 +272,7 @@ def _motion(step: Callable[..., _T], template: Callable[..., _T],
     - while a phase is open, its charges are in the counts but in no
       recorded phase yet, so `OpLog.snapshot`, `since` and `_mark` refuse
       with MachineStateError ("snapshot inside an open parallel phase",
-      "since inside an open parallel phase"), and so does
-      `charge_phases`.
+      "since inside an open parallel phase").
 
     A motion is one Python frame around its step, called with a fixed
     number of arguments (see MvpMachine, Parallel motions)."""
@@ -296,10 +297,8 @@ def _motion(step: Callable[..., _T], template: Callable[..., _T],
     return motion
 
 
-def _run(log: OpLog, call: tuple[Callable[..., _T], tuple]) -> _T:
-    """The step of `OpLog.phase`: `step(*args)` for `call` = (step, args)."""
-    step, args = call
-    return step(*args)
+# The code of every motion `_motion` builds: a function of it is a motion.
+_MOTION_CODE = _motion(id, id).__code__
 
 
 class OpLog:
@@ -308,17 +307,18 @@ class OpLog:
     Machines charge into it with `charge`, one category at a time. A
     parallel phase is one motion (see `_motion`, where the phase rules
     are stated), which records what its step charged: the axis drive's
-    motions are methods built over the contract operations, and
-    `phase(step, *args)` runs any step as one; `charge_phases` records a
-    run of equal phases of one category at once. A contract operation
-    charges all its categories in one private `_add(lanes, total)` (see
-    MvpMachine, Bulk charging). Everything else reads the log only through OpCounts: `snapshot()` for
-    the whole ledger and `since(before)` for what was charged after the
-    snapshot `before`. The one exception is `drivers.matvec`, which every
-    pass runs: it takes a private `_mark()`, the counts int and the phase
-    count, refused inside an open phase as `snapshot()` is, and reads its
-    delta with `_since_mark(mark)`, as `since` would read it from a
-    snapshot, without building the snapshot. Counts and phases only grow:
+    motions are methods built over the contract operations, and the
+    private `_charge_phases` records the parallel load's run of equal
+    phases of one category at once. A contract operation charges all its
+    categories in one private `_add(lanes, total)` (see MvpMachine, Bulk
+    charging). Everything else reads the log only through OpCounts:
+    `snapshot()` for the whole ledger and `since(before)` for what was
+    charged after the snapshot `before`. The one exception is
+    `drivers.matvec`, which every pass runs: it takes a private
+    `_mark()`, the counts int and the phase count, refused inside an open
+    phase as `snapshot()` is, and reads its delta with `_since_mark(mark)`,
+    as `since` would read it from a snapshot, without building the
+    snapshot. Counts and phases only grow:
     there is no way to wipe a log, so every delta between two of its
     snapshots is a real interval of the machine's work, and no lane of one
     ever borrows from the next when the earlier is subtracted. The counts
@@ -349,35 +349,12 @@ class OpLog:
         self._counts += lanes
         self._total += total
 
-    @property
-    def _log(self) -> "OpLog":
-        """The log itself, so that `phase` runs as a motion of the log."""
-        return self
-
-    def phase(self, step: Callable[..., _T], *args: object) -> _T:
-        """Run `step(*args)` as one parallel phase and return its result;
-        what the step charges is attributed to the phase.
-
-        It runs through `_phase`, a motion (see `_motion`), under the
-        phase rules stated there: refused inside an open phase, before the
-        step runs, and a step that raises has its phase recorded if and
-        only if it charged at least one operation.
-        """
-        return self._phase((step, args))
-
-    _phase = _motion(_run, _run)
-
-    def charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
+    def _charge_phases(self, category: OpCategory, amount: int, phases: int) -> None:
         """Record `phases` parallel phases that each charge `amount` of
-        `category`, as that many `phase` calls of one charge each would,
-        in one step. Refused before anything is charged: with ValueError
-        unless the amount and the phase count are ints >= 0 (a bool is
-        refused too), and with MachineStateError inside an open phase,
-        where a `phase` would be too."""
-        if type(amount) is not int or type(phases) is not int or amount < 0 or phases < 0:
-            raise ValueError(f"phases must charge int amounts >= 0, got {amount!r} in {phases!r} phases")
-        if self._phase_start is not None:
-            raise MachineStateError("phases recorded inside an open parallel phase")
+        `category`, as that many motions of one charge each would, in one
+        step. Unchecked, like `charge`: its one caller, the parallel load,
+        passes n twice, right after its release phase, a motion that is
+        refused inside an open phase."""
         self.charge(category, amount * phases)
         self._phase_ops.extend([amount] * phases)
 
@@ -478,9 +455,9 @@ class MvpMachine:
     `_clear_section` keep their single charges through the public
     `charge`. Each parallel operation is one motion per phase over a
     contract operation or a shared step of one (see Parallel motions):
-    the parallel load runs `_load_columns` through `OpLog.phase` as its
-    release phase and records its n phases of n CellLoad in one
-    `OpLog.charge_phases` call, and the parallel sync runs
+    the parallel load runs `_load_columns` as one motion, its release
+    phase, and records its n phases of n CellLoad in one
+    `OpLog._charge_phases` call, and the parallel sync runs
     `_toggle_columns` as two motions, since its release and activation
     are other physics than the one toggle of a sequential sync. Every
     charge here and in the backends names its category by a module name
@@ -567,10 +544,10 @@ class MvpMachine:
     its name, docstring and signature, and it is one Python frame: it
     opens the phase on `self._log`, calls its step as `step(self)` or
     `step(self, v)`, and records the phase. A motion that was a method
-    around `OpLog.phase(step, *args)` took three frames and packed and
-    unpacked its arguments: on CPython 3.11.7 an n = 64 parallel stream
-    pass took 1.41-1.51x a sequential pass that way and 1.28-1.33x as one
-    frame (in process, shared 2-vCPU Xeon). Two other forms did not pay: a
+    around a varargs phase call took three frames and packed and unpacked
+    its arguments: on CPython 3.11.7 an n = 64 parallel stream pass took
+    1.41-1.51x a sequential pass that way and 1.28-1.33x as one frame (in
+    process, shared 2-vCPU Xeon). Two other forms did not pay: a
     built motion that passes `*args` took 1.43-1.48x, no less than the
     three frames, and one that looks its step up by name on every call
     1.37-1.46x. The step is the operation as the machine's class
@@ -580,9 +557,10 @@ class MvpMachine:
     each class's motions have their own inline caches. A subclass that
     overrides a motion keeps its override. An instance attribute (a
     wrapper set on one machine) hides a motion as it hides any method,
-    but a motion does not see one set over its step. `OpLog.phase` runs
-    through the same code, as a motion of the log, two frames deeper;
-    only the parallel load, once per matrix, pays that on the drive.
+    but a motion does not see one set over its step. Every motion runs
+    one code object, `_MOTION_CODE`, by which the hook knows a motion: an
+    override that copies a motion's attributes, as `functools.wraps`
+    does, runs other code and is kept.
 
     Inspection helpers (`loaded_matrix`, `loaded_vector`, `column_active`,
     `active_columns`, `output_section`, `row_blocked`) read machine state
@@ -640,7 +618,7 @@ class MvpMachine:
         # included (see Parallel motions); a motion's override is kept.
         for name in dir(cls):
             f = getattr(cls, name, None)
-            if getattr(f, "__code__", None) is OpLog._phase.__code__:
+            if getattr(f, "__code__", None) is _MOTION_CODE:
                 setattr(cls, name, _motion(getattr(cls, f._step), f.__wrapped__, f._step))
 
     def __init__(self, n: int) -> None:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
-from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, WallLightMachine
+from mvpsim import AxisLadderMachine, BitMatrix, BitVector, Mode, OpLog, WallLightMachine
+from mvpsim.contract import _motion
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BACKEND_CLASSES = (AxisLadderMachine, WallLightMachine)
@@ -41,6 +43,17 @@ class PerRowWallMachine(WallLightMachine):
     def observe_light(self, i: int) -> bool:
         self.sensed.append(i)
         return super().observe_light(i)
+
+
+def run_phase(log: OpLog, step, *args):
+    """Run `step(*args)` as one parallel phase of `log` and return its
+    result, through a motion that `contract._motion` builds, as the axis
+    drive's motions are built."""
+
+    def stub(holder):
+        """A motion over `step`."""
+
+    return _motion(lambda holder: step(*args), stub, "step")(SimpleNamespace(_log=log))
 
 
 def load_tool(name: str):

@@ -20,7 +20,7 @@ from mvpsim import (
     oracle_matmul,
     oracle_matvec,
 )
-from conftest import PerRowAxisMachine
+from conftest import PerRowAxisMachine, run_phase
 
 A4 = BitMatrix.from_columns(
     [
@@ -200,9 +200,9 @@ class TestOutputMechanism:
         n = 4
         m = cls(n)
         log = m.oplog
-        log.phase(m.load_matrix, BitMatrix.zeros(n))
-        log.phase(lambda: (m.load_vector(BitVector.ones(n)), m.sync_columns()))
-        assert log.phase(m.move_ladder, n - 1)  # every row is clear: ladder 3 stays away
+        run_phase(log, m.load_matrix, BitMatrix.zeros(n))
+        run_phase(log, lambda: (m.load_vector(BitVector.ones(n)), m.sync_columns()))
+        assert run_phase(log, m.move_ladder, n - 1)  # every row is clear: ladder 3 stays away
         before = log.snapshot()
         with pytest.raises(MachineStateError, match="set_output called before reset_output"):
             if parallel:
@@ -269,7 +269,7 @@ class TestParallelDrive:
                 assert m.oplog.snapshot() == before
 
         def load_in_open_phase():
-            m.oplog.phase(m.parallel_load_matrix, A4)
+            run_phase(m.oplog, m.parallel_load_matrix, A4)
 
         assert_refused(
             lambda: m.parallel_load_matrix(BitMatrix.identity(3)),
@@ -355,7 +355,7 @@ class TestParallelDrive:
         call(m.parallel_reset_output)
         call(m.reset_output)
         with pytest.raises(MachineStateError):
-            log.phase(log.phase, lambda: None)
+            run_phase(log, run_phase, log, lambda: None)
         call(m.load_matrix, BitMatrix.identity(4))
         ops = log.snapshot()
         assert ops.phase_ops[-4:] == (2, 2, 5, 5)  # release, rotate, jam, reset
@@ -395,12 +395,16 @@ class TestParallelDrive:
 
 
 class RecordingMachine(AxisLadderMachine):
-    """Overrides each operation a parallel pass steps: each override calls
-    the inherited one and records its name."""
+    """Overrides each operation a parallel product steps: each override
+    calls the inherited one and records its name."""
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
         self.stepped: list[str] = []
+
+    def _load_columns(self, a: BitMatrix) -> None:
+        self.stepped.append("_load_columns")
+        super()._load_columns(a)
 
     def load_vector(self, v: BitVector) -> None:
         self.stepped.append("load_vector")
@@ -533,6 +537,21 @@ class TestMotions:
         assert rep.result == want.result == oracle_matvec(A4, v)
         assert rep.ops == want.ops
         assert rep.ops.phase_ops == (4, 0, 2, 5, 4, 5)
+
+    @pytest.mark.parametrize("cls", [RecordingMachine, DeeperRecordingMachine], ids=["child", "grandchild"])
+    def test_the_parallel_load_steps_the_class_override(self, cls):
+        # The load's release phase is a motion too, over `_load_columns` as
+        # the machine's class resolves it.
+        n = 4
+        b = BitMatrix.identity(n)
+        m = cls(n)
+        rep = matmul(m, A4, b, Mode.PAR)
+        assert m.stepped[:2] == ["_load_columns", "_toggle_columns"]
+        assert m.stepped.count("_load_columns") == 1
+        want = matmul(AxisLadderMachine(n), A4, b, Mode.PAR)
+        assert rep.result == want.result == oracle_matmul(A4, b)
+        assert rep.ops == want.ops
+        assert rep.ops.phase_ops[: n + 1] == (0,) + (n,) * n
 
     @pytest.mark.parametrize("cls", [WrappedStrokeMachine, DeeperWrappedStrokeMachine],
                              ids=["child", "grandchild"])

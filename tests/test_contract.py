@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
-from types import FunctionType, SimpleNamespace
+from types import FunctionType
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,24 +28,11 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from mvpsim.contract import _motion
-from conftest import CONFIG_IDS, CONFIGS, PerRowAxisMachine, PerRowWallMachine, matrix_vector_pairs
+from conftest import (
+    CONFIG_IDS, CONFIGS, PerRowAxisMachine, PerRowWallMachine, matrix_vector_pairs, run_phase,
+)
 
 A4 = BitMatrix(((1, 0, 1, 0), (1, 1, 0, 1), (0, 0, 0, 0), (1, 0, 1, 1)))
-# The two ways to run a parallel phase: OpLog.phase, and a motion that
-# `_motion` builds, as the axis drive's are built.
-PHASE_RUNNERS = ["OpLog.phase", "motion"]
-
-
-def run_phase(how: str, log: OpLog, step):
-    """Run `step()` as one parallel phase of `log` in the way `how` names."""
-    if how == "OpLog.phase":
-        return log.phase(step)
-
-    def stub(self):
-        """A motion over `step`."""
-
-    return _motion(lambda holder: step(), stub, "step")(SimpleNamespace(_log=log))
 
 
 # One step on an OpLog: a charge, a phase of charges (raising an Exception,
@@ -58,7 +45,7 @@ LEDGER_STEPS = st.lists(
         _CHARGE,
         st.tuples(st.just("phase"), st.lists(_CHARGE, max_size=3),
                   st.sampled_from((None, RuntimeError, KeyboardInterrupt))),
-        st.tuples(st.just("charge_phases"), st.sampled_from(OpCategory), st.integers(0, 2**40),
+        st.tuples(st.just("bulk_phases"), st.sampled_from(OpCategory), st.integers(0, 2**40),
                   st.integers(0, 3)),
         st.tuples(st.just("snapshot"), st.booleans()),
         st.tuples(st.just("since"), st.integers(0, 63)),
@@ -417,8 +404,8 @@ class TestOpLog:
 
     def test_snapshot_subtraction_requires_shared_history(self):
         a, b = OpLog(), OpLog()
-        a.phase(a.charge, OpCategory.LADDER_MOVE, 2)
-        b.phase(b.charge, OpCategory.SCAN_STEP)
+        run_phase(a, a.charge, OpCategory.LADDER_MOVE, 2)
+        run_phase(b, b.charge, OpCategory.SCAN_STEP)
         with pytest.raises(ValueError):  # phase shapes disagree
             b.snapshot() - a.snapshot()
         c = OpLog()
@@ -439,9 +426,9 @@ class TestOpLog:
 
     def test_subtraction_drops_shared_phases(self):
         log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         first = log.snapshot()
-        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
+        run_phase(log, log.charge, OpCategory.LADDER_MOVE, 5)
         delta = log.snapshot() - first
         assert delta.phase_ops == (5,)
         assert delta.parallel_phases == 1
@@ -450,7 +437,7 @@ class TestOpLog:
     def test_snapshots_of_one_state_are_equal(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         first = log.snapshot()
         assert log.snapshot() == first
         log.charge(OpCategory.SCAN_STEP)
@@ -467,18 +454,18 @@ class TestOpLog:
 
         log = OpLog()
         log._phase_ops = Unreadable()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         first, again = log.snapshot(), log.snapshot()
         assert first == again and hash(first) == hash(again)
-        log.charge_phases(OpCategory.SCAN_STEP, 0, 1)  # same counts, one phase more
+        log._charge_phases(OpCategory.SCAN_STEP, 0, 1)  # same counts, one phase more
         assert log.snapshot() != first and hash(log.snapshot()) != hash(first)
         log.charge(OpCategory.SCAN_STEP)
         assert log.snapshot() != first
 
     def test_values_over_other_phase_lists_compare_their_entries(self):
         log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
-        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 3)
         snap = log.snapshot()
         built = OpCounts(snap.counts, (2, 3))
         assert built == snap and snap == pickle.loads(pickle.dumps(snap))
@@ -487,13 +474,13 @@ class TestOpLog:
 
     def test_snapshot_is_immutable(self):
         log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         snap = log.snapshot()
         with pytest.raises(AttributeError):
             snap.phase_ops = ()
         with pytest.raises(AttributeError):
             snap.counts = {}
-        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 3)
         assert snap.phase_ops == (2,)
         assert snap.parallel_phases == 1
         assert snap.total == 2
@@ -501,10 +488,10 @@ class TestOpLog:
     def test_delta_of_deltas(self):
         log = OpLog()
         start = log.snapshot()
-        log.phase(log.charge, OpCategory.LADDER_MOVE, 2)
+        run_phase(log, log.charge, OpCategory.LADDER_MOVE, 2)
         middle = log.snapshot()
         log.charge(OpCategory.CELL_LOAD)
-        log.phase(log.charge, OpCategory.SCAN_STEP, 3)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 3)
         end = log.snapshot()
         delta = (end - start) - (middle - start)
         assert delta == end - middle
@@ -515,10 +502,10 @@ class TestOpLog:
 
     def test_delta_from_a_built_snapshot(self):
         log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         built = OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.SCAN_STEP: 2}, (2,))
         assert log.snapshot() == built
-        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
+        run_phase(log, log.charge, OpCategory.LADDER_MOVE, 5)
         delta = log.snapshot() - built
         assert delta == OpCounts({**dict.fromkeys(OpCategory, 0), OpCategory.LADDER_MOVE: 5}, (5,))
         assert log.snapshot() - OpCounts(dict.fromkeys(OpCategory, 0)) == log.snapshot()
@@ -575,13 +562,13 @@ class TestOpLog:
     def test_since_any_other_snapshot_agrees_with_subtraction(self):
         log = OpLog()
         log.charge(OpCategory.CELL_LOAD, 4)
-        log.phase(log.charge, OpCategory.SCAN_STEP, 2)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP, 2)
         snap = log.snapshot()
         other = OpLog()
-        other.phase(other.charge, OpCategory.SCAN_STEP, 1)
+        run_phase(other, other.charge, OpCategory.SCAN_STEP, 1)
         bigger = OpLog()
         bigger.charge(OpCategory.LADDER_MOVE, 9)
-        log.phase(log.charge, OpCategory.LADDER_MOVE, 5)
+        run_phase(log, log.charge, OpCategory.LADDER_MOVE, 5)
         befores = (
             snap, snap - OpCounts({}), pickle.loads(pickle.dumps(snap)), copy.deepcopy(snap),
             OpCounts({OpCategory.CELL_LOAD: 4, OpCategory.SCAN_STEP: 2}, (2,)), OpCounts({}),
@@ -709,13 +696,13 @@ class TestOpLog:
                         raise raises("motion refused")
 
                 with pytest.raises(raises) if raises else contextlib.nullcontext():
-                    log.phase(motion)
+                    run_phase(log, motion)
                 charged = sum(amount for _, _, amount in charges)
                 if charged or not raises:
                     phases.append(charged)
-            elif kind == "charge_phases":
+            elif kind == "bulk_phases":
                 _, category, amount, k = step
-                log.charge_phases(category, amount, k)
+                log._charge_phases(category, amount, k)
                 counts[category] += amount * k
                 phases += [amount] * k
             elif kind == "snapshot":
@@ -742,7 +729,7 @@ class TestOpLog:
     def test_earlier_minus_later_is_refused(self):
         log = OpLog()
         earlier = log.snapshot()
-        log.phase(log.charge, OpCategory.SCAN_STEP)
+        run_phase(log, log.charge, OpCategory.SCAN_STEP)
         with pytest.raises(ValueError, match="do not share a machine history"):
             earlier - log.snapshot()
 
@@ -751,7 +738,7 @@ class TestOpLog:
         # only a phase that charged nothing: a slice alone would read empty.
         log = OpLog()
         earlier = log.snapshot()
-        log.phase(lambda: None)
+        run_phase(log, lambda: None)
         later = log.snapshot()
         assert later.phase_ops == (0,)
         with pytest.raises(ValueError, match="do not share a machine history"):
@@ -767,20 +754,15 @@ class TestOpLog:
         assert rep.ops.phase_ops == (4, 2, 2, 5, 4, 5)
         assert m.oplog.snapshot().parallel_phases == 6 * 2000
 
-    def test_phases_do_not_nest(self):
-        log = OpLog()
-        with pytest.raises(MachineStateError):
-            log.phase(log.phase, lambda: None)
-
     def test_charge_phases_records_equal_phases_in_one_call(self):
-        # The same ledger as k phase() calls that charge `amount` each.
+        # The same ledger as k motions that charge `amount` each.
         bulk, blocks = OpLog(), OpLog()
         for log in (bulk, blocks):
-            log.phase(log.charge, OpCategory.COLUMN_DEACTIVATE, 2)
+            run_phase(log, log.charge, OpCategory.COLUMN_DEACTIVATE, 2)
         before = bulk.snapshot()
-        bulk.charge_phases(OpCategory.CELL_LOAD, 5, 3)
+        bulk._charge_phases(OpCategory.CELL_LOAD, 5, 3)
         for _ in range(3):
-            blocks.phase(blocks.charge, OpCategory.CELL_LOAD, 5)
+            run_phase(blocks, blocks.charge, OpCategory.CELL_LOAD, 5)
         ops = bulk.snapshot()
         assert ops == blocks.snapshot()
         assert ops.count(OpCategory.CELL_LOAD) == 15 and ops.total == 17
@@ -790,69 +772,19 @@ class TestOpLog:
         assert delta == ops - before
         assert delta.counts == {**dict.fromkeys(OpCategory, 0), OpCategory.CELL_LOAD: 15}
         assert delta.phase_ops == (5, 5, 5)
-        bulk.charge_phases(OpCategory.CELL_LOAD, 5, 0)
+        bulk._charge_phases(OpCategory.CELL_LOAD, 5, 0)
         assert bulk.snapshot() == ops
 
-    def test_charge_phases_is_refused_inside_an_open_phase(self):
-        log = OpLog()
-        log.phase(log.charge, OpCategory.SCAN_STEP, 4)
-        earlier = log.snapshot()
-        with pytest.raises(MachineStateError, match="inside an open parallel phase"):
-            log.phase(log.charge_phases, OpCategory.CELL_LOAD, 3, 2)
-        # The refused call charged nothing, so its phase is not recorded.
-        assert log.snapshot() == earlier
-        assert earlier.phase_ops == (4,) and earlier.total == 4
-        assert log.since(earlier) == OpCounts({})
-
-    @pytest.mark.parametrize(
-        "amount,phases",
-        [(-1, 2), (3, -1), (True, 2), (3, True), (2.0, 2), (3, 2.0), (3, None)],
-        ids=["amount", "phases", "bool-amount", "bool-phases", "float-amount", "float-phases",
-             "none-phases"],
-    )
-    def test_charge_phases_refuses_a_negative_amount_or_count(self, amount, phases):
-        # A negative charge would borrow from the next category's lane; a
-        # bool would be recorded as a phase entry that no snapshot can be
-        # rebuilt from, and a float cannot be shifted to a lane.
-        log = OpLog()
-        log.charge(OpCategory.VECTOR_COORD_LOAD, 5)
-        log.phase(log.charge, OpCategory.SCAN_STEP, 4)
-        earlier = log.snapshot()
-        with pytest.raises(ValueError, match="amounts >= 0"):
-            log.charge_phases(OpCategory.CELL_LOAD, amount, phases)
-        assert log.snapshot() == earlier
-        assert earlier.phase_ops == (4,) and earlier.total == 9
-        assert log.since(earlier) == OpCounts({})
-
-    def test_raising_phase_is_recorded_only_if_it_charged(self):
-        log = OpLog()
-        def jammed():
-            log.charge(OpCategory.LADDER_MOVE, 3)
-            raise RuntimeError("stroke jammed")
-
-        def refused():
-            raise RuntimeError("motion refused")
-
-        with pytest.raises(RuntimeError):
-            log.phase(jammed)
-        with pytest.raises(RuntimeError):
-            log.phase(refused)
-        ops = log.snapshot()
-        assert ops.total == 3
-        assert ops.phase_ops == (3,)
-
-    @pytest.mark.parametrize("how", PHASE_RUNNERS)
-    def test_every_phase_rule_holds_in_oplog_phase_and_in_a_motion(self, how):
+    def test_every_phase_rule_holds_in_a_motion(self):
         log = OpLog()
         start = log.snapshot()
-        assert run_phase(how, log, lambda: (log.charge(OpCategory.SCAN_STEP, 2), "done")[1]) == "done"
-        # Phases do not nest: the inner phase, of either kind, is refused
-        # before its step runs, and the outer one charged nothing.
-        for inner in PHASE_RUNNERS:
-            ran = []
-            with pytest.raises(MachineStateError, match="^parallel phases cannot nest$"):
-                run_phase(how, log, lambda: run_phase(inner, log, lambda: ran.append(inner)))
-            assert not ran
+        assert run_phase(log, lambda: (log.charge(OpCategory.SCAN_STEP, 2), "done")[1]) == "done"
+        # Phases do not nest: the inner phase is refused before its step
+        # runs, and the outer one charged nothing.
+        ran = []
+        with pytest.raises(MachineStateError, match="^parallel phases cannot nest$"):
+            run_phase(log, run_phase, log, ran.append, "inner")
+        assert not ran
         # A step that raises, an Exception or a BaseException, has its
         # phase recorded if and only if it charged.
         for exc in (RuntimeError, KeyboardInterrupt):
@@ -865,32 +797,18 @@ class TestOpLog:
 
             for step in (jammed, refused):
                 with pytest.raises(exc):
-                    run_phase(how, log, step)
-        # The ledger is not read, nor phases recorded, inside a phase.
+                    run_phase(log, step)
+        # The ledger is not read inside a phase, and the refused read's
+        # phase is recorded if its step charged before the read.
         reads = [(log.snapshot, "snapshot inside an open parallel phase"),
                  (lambda: log.since(start), "since inside an open parallel phase"),
-                 (log._mark, "snapshot inside an open parallel phase"),
-                 (lambda: log.charge_phases(OpCategory.CELL_LOAD, 1, 1),
-                  "phases recorded inside an open parallel phase")]
+                 (log._mark, "snapshot inside an open parallel phase")]
         for read, message in reads:
-            with pytest.raises(MachineStateError, match=f"^{message}$"):
-                run_phase(how, log, read)
-        ops = log.since(start)
-        assert ops.phase_ops == (2, 3, 3)
-        assert ops.total == 8
-
-    @pytest.mark.parametrize("read", ["snapshot", "since"])
-    def test_ledger_is_not_read_inside_a_phase(self, read):
-        log = OpLog()
-        start = log.snapshot()
-        def charge_and_read():
-            log.charge(OpCategory.SCAN_STEP, 5)
-            log.snapshot() if read == "snapshot" else log.since(start)
-
-        with pytest.raises(MachineStateError, match=f"{read} inside an open parallel phase"):
-            log.phase(charge_and_read)
+            for amount in (0, 5):
+                with pytest.raises(MachineStateError, match=f"^{message}$"):
+                    run_phase(log, lambda: (log.charge(OpCategory.SCAN_STEP, amount), read()))
         log.charge(OpCategory.SCAN_STEP, 3)
         ops = log.since(start)
         assert ops == log.snapshot() - start
-        assert ops.total == 8
-        assert ops.phase_ops == (5,)  # the refused read's phase charged, so it is recorded
+        assert ops.phase_ops == (2, 3, 3, 5, 5, 5)
+        assert ops.total == 26

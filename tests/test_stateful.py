@@ -39,7 +39,7 @@ from mvpsim import (
     matvec,
     oracle_matvec,
 )
-from conftest import PerRowAxisMachine, PerRowWallMachine
+from conftest import PerRowAxisMachine, PerRowWallMachine, run_phase
 from test_ledger import expected_pass_counts
 
 C = OpCategory
@@ -62,7 +62,7 @@ class MachineModel(RuleBasedStateMachine):
         # lane near 2**64), and its total, from which phases are measured,
         # must be the sum of its lanes.
         log = self.m.oplog
-        charge, charge_phases, add = log.charge, log.charge_phases, log._add
+        charge, bulk_phases, add = log.charge, log._charge_phases, log._add
 
         def checked_charge(category, amount=1):
             assert type(amount) is int and amount >= 0, (category, amount)
@@ -70,7 +70,7 @@ class MachineModel(RuleBasedStateMachine):
 
         def checked_charge_phases(category, amount, phases):
             assert type(amount) is type(phases) is int and min(amount, phases) >= 0, (amount, phases)
-            charge_phases(category, amount, phases)
+            bulk_phases(category, amount, phases)
 
         def checked_add(lanes, total):
             assert type(lanes) is type(total) is int and 0 <= lanes < 1 << 64 * len(OpCategory), lanes
@@ -78,7 +78,7 @@ class MachineModel(RuleBasedStateMachine):
             assert total == sum(amounts), (amounts, total)
             add(lanes, total)
 
-        log.charge, log.charge_phases, log._add = checked_charge, checked_charge_phases, checked_add
+        log.charge, log._charge_phases, log._add = checked_charge, checked_charge_phases, checked_add
         self.n = n
         self.axis = isinstance(self.m, AxisLadderMachine)
         self.a = BitMatrix.zeros(n)
@@ -286,9 +286,9 @@ class MachineModel(RuleBasedStateMachine):
         records anything."""
         log, m = self.m.oplog, self.m
         v, a = self.vector_of(seed, density), BitMatrix.random(self.n, Random(seed), density)
-        self.run(lambda: log.phase(log.phase, lambda: None), refused=MachineStateError, phased=True)
-        self.run(lambda: log.phase(matvec, m, v, mode), refused=MachineStateError, phased=True)
-        self.run(lambda: log.phase(matmul, m, a, a, mode), refused=MachineStateError, phased=True)
+        self.run(lambda: run_phase(log, run_phase, log, lambda: None), refused=MachineStateError, phased=True)
+        self.run(lambda: run_phase(log, matvec, m, v, mode), refused=MachineStateError, phased=True)
+        self.run(lambda: run_phase(log, matmul, m, a, a, mode), refused=MachineStateError, phased=True)
 
     @invariant()
     def agrees_with_the_shadow(self):

@@ -232,7 +232,7 @@ MUTANTS = (
     Mutant(
         "an override of a motion that copies its attributes rebuilt as a motion",
         "contract.py",
-        'if getattr(f, "__code__", None) is OpLog._phase.__code__:',
+        'if getattr(f, "__code__", None) is _MOTION_CODE:',
         'if hasattr(f, "_step"):',
         ("test_axis_ladder.py",),
     ),
@@ -260,8 +260,8 @@ MUTANTS = (
     Mutant(
         "a parallel load marks the machine loaded before entering its phase",
         "axis_ladder.py",
-        "        self._log.phase(self._load_columns, a)\n",
-        "        self._matrix_loaded = True\n        self._log.phase(self._load_columns, a)\n",
+        "        self._load_phase(a)\n",
+        "        self._matrix_loaded = True\n        self._load_phase(a)\n",
         ("test_axis_ladder.py",),
     ),
     Mutant(
