@@ -20,6 +20,7 @@ from mvpsim import (
     oracle_matmul,
     oracle_matvec,
 )
+from mvpsim.contract import _MOTION_CODE
 from conftest import PerRowAxisMachine, run_phase
 
 A4 = BitMatrix.from_columns(
@@ -472,7 +473,36 @@ MOTIONS = {
 }
 
 
+# Each motion the parallel drive records a phase through: the operation it
+# steps, and the operand it is called with (None: it takes none).
+BUILT_MOTIONS = {
+    "_load_phase": ("_load_columns", A4),
+    "parallel_load_vector": ("load_vector", BitVector((1, 0, 1, 0))),
+    "_toggle_phase": ("_toggle_columns", 0b0101),
+    "parallel_ladder_step": ("set_output", None),
+    "parallel_report_output": ("report_output", None),
+    "parallel_reset_output": ("reset_output", None),
+}
+
+
 class TestMotions:
+    @pytest.mark.parametrize("name", sorted(BUILT_MOTIONS))
+    def test_every_phase_of_the_drive_runs_in_a_built_motion(self, name):
+        # Each class holds a motion built by `_motion` over the operation
+        # as that class resolves it, refused inside an open phase before
+        # its step runs, with nothing charged.
+        step, operand = BUILT_MOTIONS[name]
+        args = () if operand is None else (operand,)
+        for cls in (AxisLadderMachine, RecordingMachine, DeeperRecordingMachine):
+            fn = vars(cls)[name]
+            assert fn.__code__ is _MOTION_CODE and fn._step == step
+            assert inspect.getclosurevars(fn).nonlocals["step"] is getattr(cls, step)
+            m = cls(4)
+            before = m.oplog.snapshot()
+            with pytest.raises(MachineStateError, match="^parallel phases cannot nest$"):
+                run_phase(m.oplog, getattr(m, name), *args)
+            assert m.oplog.snapshot() == before
+            assert getattr(m, "stepped", []) == []
     @pytest.mark.parametrize("cls", [AxisLadderMachine, RecordingMachine], ids=["axis", "subclass"])
     @pytest.mark.parametrize("name", sorted(MOTIONS))
     def test_a_motion_keeps_its_name_docstring_and_signature(self, cls, name):

@@ -754,25 +754,31 @@ class TestOpLog:
         assert rep.ops.phase_ops == (4, 2, 2, 5, 4, 5)
         assert m.oplog.snapshot().parallel_phases == 6 * 2000
 
-    def test_charge_phases_records_equal_phases_in_one_call(self):
-        # The same ledger as k motions that charge `amount` each.
+    @pytest.mark.parametrize(
+        "amount,phases",
+        [(5, 3), (1, 1), (0, 3), (5, 0), (0, 0), (2**40, 3), (7, 50)],
+        ids=["some", "one", "empty-phases", "no-phases", "nothing", "wide", "many"],
+    )
+    def test_charge_phases_records_equal_phases_in_one_call(self, amount, phases):
+        # The same ledger as `phases` motions that charge `amount` each.
         bulk, blocks = OpLog(), OpLog()
         for log in (bulk, blocks):
             run_phase(log, log.charge, OpCategory.COLUMN_DEACTIVATE, 2)
         before = bulk.snapshot()
-        bulk._charge_phases(OpCategory.CELL_LOAD, 5, 3)
-        for _ in range(3):
-            run_phase(blocks, blocks.charge, OpCategory.CELL_LOAD, 5)
+        bulk._charge_phases(OpCategory.CELL_LOAD, amount, phases)
+        for _ in range(phases):
+            run_phase(blocks, blocks.charge, OpCategory.CELL_LOAD, amount)
         ops = bulk.snapshot()
         assert ops == blocks.snapshot()
-        assert ops.count(OpCategory.CELL_LOAD) == 15 and ops.total == 17
-        assert ops.phase_ops == (2, 5, 5, 5)
+        assert ops.count(OpCategory.CELL_LOAD) == amount * phases
+        assert ops.total == 2 + amount * phases
+        assert ops.phase_ops == (2,) + (amount,) * phases
         assert before.phase_ops == (2,)
         delta = bulk.since(before)
         assert delta == ops - before
-        assert delta.counts == {**dict.fromkeys(OpCategory, 0), OpCategory.CELL_LOAD: 15}
-        assert delta.phase_ops == (5, 5, 5)
-        bulk._charge_phases(OpCategory.CELL_LOAD, 5, 0)
+        assert delta.counts == {**dict.fromkeys(OpCategory, 0), OpCategory.CELL_LOAD: amount * phases}
+        assert delta.phase_ops == (amount,) * phases
+        bulk._charge_phases(OpCategory.CELL_LOAD, amount, 0)
         assert bulk.snapshot() == ops
 
     def test_every_phase_rule_holds_in_a_motion(self):
